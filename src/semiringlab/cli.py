@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import SemiringError
 from .kernel import validate
-from .relations import enumerate_congruences, is_idempotent_separating
+from .relations import CONGRUENCE_BOUND, enumerate_congruences, is_idempotent_separating
 from .structure import decompose
 from .classify import THEOREM_IDS, classify, verify_equivalence, verify_ideal_corollary
 from .blattice import (
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("congruences", help="enumerate semiring congruences")
     p.add_argument("file")
-    p.add_argument("--bound", type=int, default=6)
+    p.add_argument("--bound", type=int, default=CONGRUENCE_BOUND)
     p.set_defaults(func=_cmd_congruences)
 
     p = sub.add_parser("enumerate", help="generate semirings up to isomorphism")

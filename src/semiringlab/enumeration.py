@@ -2,10 +2,17 @@
 mode for orders where the full sweep is out of reach, corpus persistence,
 and counterexample search over class implications.
 
-Generation interleaves table construction with associativity pruning, then
-pairs associative tables through a vectorized distributivity filter;
-canonicalization minimizes the row-major encoding over all carrier
-permutations, which is plenty at this scale.
+Exhaustive generation works over additive isomorphism classes. The
+associative tables, built with associativity pruning, are grouped into
+orbits under relabelling; each orbit is represented by its lexicographically
+least row-major encoding. A vectorized distributivity filter pairs every
+representative addition with every associative multiplication, and each
+surviving multiplication is canonicalized over the automorphisms of its
+addition only. Because the canonical encoding puts the addition first, the
+minimum over all carrier permutations is reached exactly at the
+permutations that carry the addition onto its representative, so this gives
+the same bytes as `canonical_form`. Labeled counts follow from the same pass:
+each representative's hits count once per member of its orbit.
 """
 
 from __future__ import annotations
@@ -111,15 +118,18 @@ def _assoc_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 def _distributive_mask(add, muls: np.ndarray) -> np.ndarray:
     """Boolean mask over a stack of multiplication tables: which satisfy both
-    distributivity laws against the given addition table."""
+    distributivity laws against the given addition table. The right law is
+    the left law for the transposed table, checked only where the left holds."""
     a = np.asarray(add, dtype=np.int64)
-    ms = muls
-    lhs1 = ms[:, :, a]                                # m[k, x, a[y, z]]
-    rhs1 = a[ms[:, :, :, None], ms[:, :, None, :]]    # a[m[k,x,y], m[k,x,z]]
-    mst = ms.transpose(0, 2, 1)
-    lhs2 = mst[:, :, a]                               # m[k, a[y, z], x]
-    rhs2 = a[mst[:, :, :, None], mst[:, :, None, :]]  # a[m[k,y,x], m[k,z,x]]
-    return ((lhs1 == rhs1) & (lhs2 == rhs2)).all(axis=(1, 2, 3))
+
+    def left_ok(ms):
+        # m[k, x, a[y, z]] == a[m[k, x, y], m[k, x, z]]
+        return (ms[:, :, a] == a[ms[:, :, :, None], ms[:, :, None, :]]).all(axis=(1, 2, 3))
+
+    ok = left_ok(muls)
+    left = np.flatnonzero(ok)
+    ok[left[~left_ok(muls[left].transpose(0, 2, 1))]] = False
+    return ok
 
 
 def _class_key(name: str) -> str:
@@ -129,29 +139,47 @@ def _class_key(name: str) -> str:
     return key
 
 
-def _batch_canonical_forms(adds: np.ndarray, muls: np.ndarray, n: int) -> set[bytes]:
-    """Canonical forms of many (add, mul) pairs at once: per permutation a
-    vectorized relabel, then a per-row lexicographic running minimum."""
-    k = adds.shape[0]
+def _relabelled(tables: np.ndarray, p) -> np.ndarray:
+    """Every table of a (k, n, n) stack relabelled as `FiniteSemiring.relabel`
+    does with permutation p, flattened row-major to shape (k, n * n)."""
+    k, n = tables.shape[:2]
+    p = np.asarray(p)
+    inv = np.empty(n, dtype=np.uint8)
+    inv[p] = np.arange(n, dtype=np.uint8)
+    return inv[tables[:, p][:, :, p]].reshape(k, n * n)
+
+
+def _min_relabellings(tables: np.ndarray, perms) -> np.ndarray:
+    """Per table of a (k, n, n) stack, the lexicographically least row-major
+    encoding among its relabellings by the given permutations."""
+    rows = np.arange(tables.shape[0])
     best = None
-    rows = np.arange(k)
-    for p in permutations(range(n)):
-        p = np.array(p)
-        inv = np.empty(n, dtype=np.uint8)
-        inv[p] = np.arange(n, dtype=np.uint8)
-        ra = inv[adds[:, p][:, :, p]]
-        rm = inv[muls[:, p][:, :, p]]
-        enc = np.concatenate([ra.reshape(k, -1), rm.reshape(k, -1)], axis=1)
+    for p in perms:
+        enc = _relabelled(tables, p)
         if best is None:
-            best = enc.copy()
+            best = enc
             continue
         diff = enc != best
-        has_diff = diff.any(axis=1)
         first = np.argmax(diff, axis=1)
-        take = has_diff & (enc[rows, first] < best[rows, first])
+        take = enc[rows, first] < best[rows, first]
         best[take] = enc[take]
-    prefix = bytes([n])
-    return {prefix + row.tobytes() for row in best}
+    return best
+
+
+def _additive_orbits(assocs: np.ndarray) -> list[tuple[np.ndarray, int, list]]:
+    """A (k, n, n) stack of all associative tables grouped into orbits under
+    relabelling, as (representative, orbit size, automorphisms of the
+    representative) sorted by representative. The representative is the
+    orbit's least row-major encoding, reshaped to an n x n table."""
+    n = assocs.shape[1]
+    perms = list(permutations(range(n)))
+    reps, sizes = np.unique(_min_relabellings(assocs, perms), axis=0, return_counts=True)
+    orbits = []
+    for enc, size in zip(reps, sizes):
+        rep = enc.reshape(n, n)
+        aut = [p for p in perms if (_relabelled(rep[None], p) == enc).all()]
+        orbits.append((rep, int(size), aut))
+    return orbits
 
 
 def enumerate_semirings(n: int, filter_class: str | None = None) -> list[FiniteSemiring]:
@@ -163,16 +191,13 @@ def enumerate_semirings(n: int, filter_class: str | None = None) -> list[FiniteS
             f"use sampling for larger orders"
         )
     key = _class_key(filter_class) if filter_class is not None else None
-    assocs = _assoc_tables(n)
-    muls = np.array(assocs, dtype=np.int64)
-    add_stack = []
-    mul_stack = []
-    for add in assocs:
-        hits = np.flatnonzero(_distributive_mask(add, muls))
+    muls = np.array(_assoc_tables(n), dtype=np.int64)
+    canons = set()
+    for rep, _, aut in _additive_orbits(muls):
+        hits = muls[_distributive_mask(rep, muls)]
         if hits.size:
-            add_stack.append(np.repeat(np.asarray(add, dtype=np.uint8)[None], hits.size, axis=0))
-            mul_stack.append(muls[hits].astype(np.uint8))
-    canons = _batch_canonical_forms(np.concatenate(add_stack), np.concatenate(mul_stack), n)
+            prefix = bytes([n]) + rep.tobytes()
+            canons.update(prefix + row.tobytes() for row in _min_relabellings(hits, aut))
     reps = [_semiring_from_canonical(form) for form in sorted(canons)]
     if key is not None:
         reps = [s for s in reps if classify(s).holds(key)]
@@ -180,12 +205,16 @@ def enumerate_semirings(n: int, filter_class: str | None = None) -> list[FiniteS
 
 
 def count_labeled_semirings(n: int) -> int:
-    """Brute count of valid (add, mul) table pairs, not up to isomorphism."""
+    """Number of valid (add, mul) table pairs on n labeled elements, not up to
+    isomorphism: each additive representative's distributive multiplications,
+    weighted by the size of its orbit."""
     if n > FULL_ENUMERATION_BOUND:
         raise BoundExceeded(f"full enumeration is bounded at order {FULL_ENUMERATION_BOUND}")
-    assocs = _assoc_tables(n)
-    muls = np.array(assocs, dtype=np.int64)
-    return sum(int(_distributive_mask(add, muls).sum()) for add in assocs)
+    muls = np.array(_assoc_tables(n), dtype=np.int64)
+    return sum(
+        size * int(_distributive_mask(rep, muls).sum())
+        for rep, size, _ in _additive_orbits(muls)
+    )
 
 
 def _block_cells(n: int) -> list[tuple[int, int]]:
@@ -412,8 +441,10 @@ def write_corpus(semirings, outdir) -> str:
     outdir.mkdir(parents=True, exist_ok=True)
     lines = []
     for s in semirings:
-        save_srt(s, outdir / f"{canonical_hash(s)}.srt")
-        lines.append(manifest_line(s))
+        line = manifest_line(s)
+        digest = line.split(" ", 1)[0]
+        save_srt(s, outdir / f"{digest}.srt")
+        lines.append(line)
     manifest = "\n".join(lines) + ("\n" if lines else "")
     (outdir / "MANIFEST").write_text(manifest, encoding="utf-8")
     return manifest

@@ -45,8 +45,9 @@ def check_names(names: tuple[str, ...]) -> None:
         raise DimensionMismatch("carrier must be nonempty")
     seen = set()
     for name in names:
-        if not name or any(ch.isspace() for ch in name):
-            raise ValueError(f"element name {name!r} must be nonempty and whitespace-free")
+        # '#' would start a comment in the .srt and .sbl formats
+        if not name or "#" in name or any(ch.isspace() for ch in name):
+            raise ValueError(f"element name {name!r} must be nonempty, without whitespace or '#'")
         if name in seen:
             raise ValueError(f"duplicate element name {name!r}")
         seen.add(name)

@@ -1,4 +1,5 @@
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -18,39 +19,58 @@ from semiringlab.enumeration import (
 )
 
 # pre-build brute-force oracle values (all 16x16 / 512x512 table pairs
-# scanned directly, no pruning)
-ORACLE_LABELED = {1: 1, 2: 36, 3: 1747}
-ORACLE_CANONICAL = {1: 1, 2: 20, 3: 316}
+# scanned directly, no pruning); order 4 from the orbit-reduced enumerator,
+# cross-checked by the orbit-stabilizer identity
+ORACLE_LABELED = {1: 1, 2: 36, 3: 1747, 4: 168392}
+ORACLE_CANONICAL = {1: 1, 2: 20, 3: 316, 4: 7652}
 
 
-def mini_oracle_order2():
-    """Re-derive the order-2 counts inside the suite, independently of the
-    production enumerator's pruning and pairing."""
-    tables = [
-        ((a, b), (c, d))
-        for a, b, c, d in product(range(2), repeat=4)
-    ]
-    labeled = 0
-    canons = set()
+def brute_force_forms(n):
+    """Canonical form of every valid labeled (add, mul) pair on n elements,
+    straight from the definitions and independent of the production
+    enumerator: associative tables by a scan of all n^(n*n) tables, pairs
+    accepted by validate_semiring, forms by the all-permutation
+    canonical_form."""
+    names = tuple(str(i) for i in range(n))
+    tables = []
+    for flat in product(range(n), repeat=n * n):
+        t = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+        if all(t[t[a][b]][c] == t[a][t[b][c]] for a, b, c in product(range(n), repeat=3)):
+            tables.append(t)
+    forms = []
     for add in tables:
         for mul in tables:
-            report = sl.validate_semiring("01", add, mul)
-            if report.verdict:
-                labeled += 1
-                canons.add(canonical_form(sl.FiniteSemiring(names=("0", "1"), add=add, mul=mul)))
-    return labeled, len(canons)
+            if sl.validate_semiring(names, add, mul).verdict:
+                forms.append(canonical_form(sl.FiniteSemiring(names=names, add=add, mul=mul)))
+    return forms
 
 
 def test_counts_match_frozen_oracle():
-    for n in (1, 2, 3):
+    for n in ORACLE_LABELED:
         assert count_labeled_semirings(n) == ORACLE_LABELED[n]
         assert len(enumerate_semirings(n)) == ORACLE_CANONICAL[n]
 
 
-def test_order2_counts_match_in_suite_oracle():
-    labeled, canonical = mini_oracle_order2()
-    assert labeled == ORACLE_LABELED[2]
-    assert canonical == ORACLE_CANONICAL[2]
+def test_enumeration_matches_brute_force_definition():
+    # every valid labeled pair canonicalizes onto an emitted representative,
+    # and every representative comes from one
+    for n in (1, 2, 3):
+        forms = brute_force_forms(n)
+        assert len(forms) == count_labeled_semirings(n) == ORACLE_LABELED[n]
+        assert [canonical_form(s) for s in enumerate_semirings(n)] == sorted(set(forms))
+
+
+def test_orbit_stabilizer_matches_labeled_count():
+    # each representative S stands for n!/|Aut S| labeled semirings
+    for n in (1, 2, 3):
+        total = 0
+        for s in enumerate_semirings(n):
+            automorphisms = 0
+            for p in permutations(range(n)):
+                t = s.relabel(p)
+                automorphisms += (t.add, t.mul) == (s.add, s.mul)
+            total += factorial(n) // automorphisms
+        assert total == count_labeled_semirings(n)
 
 
 def test_canonical_form_iso_invariance(qsr3):
@@ -175,15 +195,3 @@ def test_write_corpus_files_reparse_and_revalidate(tmp_path):
         loaded = sl.load_srt(tmp_path / f"{digest}.srt")
         assert sl.validate(loaded).verdict
         assert canonical_form(loaded) == canonical_form(s)
-
-
-def test_order2_enumeration_is_isomorphism_complete():
-    # every valid labeled pair canonicalizes onto an emitted representative
-    emitted = {canonical_form(s) for s in enumerate_semirings(2)}
-    seen = set()
-    tables = [((a, b), (c, d)) for a, b, c, d in product(range(2), repeat=4)]
-    for add in tables:
-        for mul in tables:
-            if sl.validate_semiring("01", add, mul).verdict:
-                seen.add(canonical_form(sl.FiniteSemiring(names=("0", "1"), add=add, mul=mul)))
-    assert seen == emitted

@@ -71,6 +71,14 @@ def test_dimension_and_range_errors():
         sl.FiniteSemiring(names=("a", "a"), add=((0, 0), (0, 0)), mul=((0, 0), (0, 0)))
 
 
+def test_names_that_cannot_round_trip_are_rejected():
+    # '#' starts a comment in .srt and .sbl text, so "a#" would serialize to
+    # a file that parse_srt rejects
+    for name in ("a#", "#", "a b"):
+        with pytest.raises(ValueError, match="without whitespace or '#'"):
+            sl.FiniteSemiring(names=(name, "b"), add=((0, 0), (0, 0)), mul=((0, 0), (0, 0)))
+
+
 def test_validate_partial_of_qsr3_nil_part(qsr3):
     d = sl.decompose(qsr3)
     nil = d.nil_parts[0]
