@@ -51,6 +51,18 @@ def test_counts_match_frozen_oracle():
         assert len(enumerate_semirings(n)) == ORACLE_CANONICAL[n]
 
 
+def test_order2_counts_match_in_suite_oracle():
+    forms = brute_force_forms(2)
+    assert len(forms) == ORACLE_LABELED[2]
+    assert len(set(forms)) == ORACLE_CANONICAL[2]
+
+
+def test_order2_enumeration_is_isomorphism_complete():
+    # every valid labeled pair canonicalizes onto an emitted representative
+    emitted = {canonical_form(s) for s in enumerate_semirings(2)}
+    assert set(brute_force_forms(2)) == emitted
+
+
 def test_enumeration_matches_brute_force_definition():
     # every valid labeled pair canonicalizes onto an emitted representative,
     # and every representative comes from one
