@@ -12,7 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalTheoremViolation, NotQuasiCompletelyRegular, UnknownTheoremId
-from .kernel import ADD, FiniteSemiring, ReductFlag, is_b_lattice, is_idempotent_semiring, orbit, reduct_kind
+from .kernel import (
+    ADD,
+    FiniteSemiring,
+    ReductFlag,
+    analysis,
+    is_b_lattice,
+    is_idempotent_semiring,
+    memo,
+    orbit,
+    reduct_kind,
+)
 from .elements import (
     additive_idempotents,
     additive_inverses,
@@ -29,7 +39,7 @@ from .relations import (
     green_star_plus,
     quotient,
 )
-from .structure import is_ideal, is_k_ideal, quasi_skew_ring_check
+from .structure import commuting_additive_idempotents, is_ideal, is_k_ideal, quasi_skew_ring_check
 
 CLASS_KEYS = (
     "additively-regular",
@@ -126,12 +136,11 @@ def _is_additively_quasi_regular(s: FiniteSemiring):
 
 
 def _idempotents_commute(s: FiniteSemiring):
-    idems = sorted(additive_idempotents(s))
-    for i, e in enumerate(idems):
-        for f in idems[i + 1:]:
-            if s.add[e][f] != s.add[f][e]:
-                return False, f"{s.names[e]}+{s.names[f]} != {s.names[f]}+{s.names[e]}"
-    return True, ""
+    bad = commuting_additive_idempotents(s)
+    if bad is None:
+        return True, ""
+    e, f = bad
+    return False, f"{s.names[e]}+{s.names[f]} != {s.names[f]}+{s.names[e]}"
 
 
 def _is_regular_part_inverse_subsemiring(s: FiniteSemiring):
@@ -160,6 +169,7 @@ def _sum_closed_idempotents(s: FiniteSemiring):
     return True, ""
 
 
+@analysis
 def classify(s: FiniteSemiring) -> ClassReport:
     v: dict[str, Verdict] = {}
 
@@ -264,15 +274,17 @@ def _some_multiple_equal(s: FiniteSemiring, u: int, v: int) -> bool:
     return False
 
 
-def _is_quasi_skew_subsemiring(s: FiniteSemiring, block) -> bool:
-    block = frozenset(block)
+@memo
+def _is_quasi_skew_subsemiring(s: FiniteSemiring, block: frozenset[int]) -> bool:
+    # memoized by block: the partition and congruence scans of QCR5 and QCI5
+    # meet the same blocks again and again
     if not s.is_closed(block):
         return False
     return quasi_skew_ring_check(s.restrict(block)).skew_ring_absorbs_multiples
 
 
-def _is_completely_archimedean_subsemiring(s: FiniteSemiring, block) -> bool:
-    block = frozenset(block)
+@memo
+def _is_completely_archimedean_subsemiring(s: FiniteSemiring, block: frozenset[int]) -> bool:
     if not s.is_closed(block):
         return False
     sub = s.restrict(block)
@@ -406,6 +418,7 @@ _THEOREMS = {
 }
 
 
+@analysis
 def verify_equivalence(s: FiniteSemiring, theorem: str) -> TheoremReport:
     """Evaluate every condition of the named equivalence theorem on its own
     and report whether they agree."""
@@ -414,6 +427,7 @@ def verify_equivalence(s: FiniteSemiring, theorem: str) -> TheoremReport:
     return TheoremReport(theorem=theorem, conditions=tuple(_THEOREMS[theorem](s)))
 
 
+@analysis
 def verify_ideal_corollary(s: FiniteSemiring) -> TheoremReport:
     """Strong additive quasi complete inversity against 'quasi completely
     inverse with Reg+ and E+ both ideals'."""

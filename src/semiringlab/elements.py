@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedWitness
-from .kernel import ADD, FiniteSemiring, orbit
+from .kernel import ADD, FiniteSemiring, memo, orbit
 
 
+@memo
 def additive_idempotents(s: FiniteSemiring) -> frozenset[int]:
     return frozenset(e for e in s.elements() if s.add[e][e] == e)
 
@@ -36,11 +37,13 @@ def additive_inverses(s: FiniteSemiring, a: int) -> InverseSet:
     )
 
 
+@memo
 def is_additively_regular(s: FiniteSemiring, a: int) -> bool:
     add = s.add
     return any(add[add[a][x]][a] == a for x in s.elements())
 
 
+@memo
 def commuting_witness(s: FiniteSemiring, a: int) -> int | None:
     """The unique x with a+x+a = a, a+x = x+a and x+a+x = x, or None.
 
@@ -92,6 +95,7 @@ class ElementClassification:
             assert self.additively_regular
 
 
+@memo
 def classify_element(s: FiniteSemiring, a: int) -> ElementClassification:
     orb = orbit(s, a, ADD)
     aqr_index = None
@@ -126,6 +130,7 @@ def least_regular_multiple(s: FiniteSemiring, a: int) -> tuple[int, int]:
     return p, orbit(s, a, ADD).value_at(p)
 
 
+@memo
 def reg_plus(s: FiniteSemiring) -> frozenset[int]:
     """Reg+(S), the additively regular elements."""
     return frozenset(a for a in s.elements() if is_additively_regular(s, a))

@@ -73,26 +73,6 @@ def _semiring_from_canonical(form: bytes) -> FiniteSemiring:
     return FiniteSemiring(names=_element_names(n), add=add, mul=mul)
 
 
-def _partial_assoc_ok(t, n: int) -> bool:
-    for a in range(n):
-        ta = t[a]
-        for b in range(n):
-            ab = ta[b]
-            if ab is None:
-                continue
-            tab = t[ab]
-            tb = t[b]
-            for c in range(n):
-                bc = tb[c]
-                if bc is None:
-                    continue
-                left = tab[c]
-                right = ta[bc]
-                if left is not None and right is not None and left != right:
-                    return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _assoc_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All associative tables on n elements, lexicographic in row-major
@@ -108,7 +88,7 @@ def _assoc_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
         i, j = cells[k]
         for v in range(n):
             t[i][j] = v
-            if _partial_assoc_ok(t, n):
+            if _assoc_ok_at(t, n, i, j):
                 fill(k + 1)
         t[i][j] = None
 

@@ -113,6 +113,17 @@ def save_srt(s: FiniteSemiring, path) -> None:
 _SBL_HEADS = ("blattice:", "component ", "map ")
 
 
+def _map_entry(content: str) -> tuple[str, str] | None:
+    """(x, y) for a line of the serialized shape `x -> y`, else None. Such a
+    line is an entry even when it also starts like a block head, as it does
+    for an element named `map` or `component`; no head has this shape,
+    because no element may be named `->`."""
+    tokens = content.split()
+    if len(tokens) == 3 and tokens[1] == "->":
+        return tokens[0], tokens[2]
+    return None
+
+
 def parse_sbl(text: str, source: str = "<string>") -> StrongBLatticeSpec:
     lines = list(_logical_lines(text))
     pos = 0
@@ -163,10 +174,12 @@ def parse_sbl(text: str, source: str = "<string>") -> StrongBLatticeSpec:
             pos += 1
             while True:
                 item = peek()
-                if item is None or any(item[1].startswith(h) for h in _SBL_HEADS):
+                if item is None or (
+                    _map_entry(item[1]) is None and any(item[1].startswith(h) for h in _SBL_HEADS)
+                ):
                     break
                 entry_lineno, entry = item
-                parts = [p.strip() for p in entry.split("->")]
+                parts = _map_entry(entry) or [p.strip() for p in entry.split("->")]
                 if len(parts) != 2 or not all(parts):
                     raise ParseError(f"expected 'x -> y', got {entry!r}", line=entry_lineno, source=source)
                 if parts[0] in entries:

@@ -1,12 +1,32 @@
-"""Finite (partial) semirings as Cayley tables, and the axiom checks.
+"""Finite (partial) semirings as Cayley tables, the axiom checks, and the
+per-call memo of the analysis primitives.
 
 Elements are dense indices 0..n-1 carrying display names; all reports speak
 in names. Every value here is immutable after construction and every
 operation is a pure function.
+
+Memo: the public analyses (`classify`, `verify_equivalence`,
+`verify_ideal_corollary`, `decompose`, `check_psi_homomorphism`,
+`search_structure_maps`, `check_generalized_clifford_theorem`,
+`check_main_theorem_conditions`) are decorated with `analysis`. The
+outermost such call opens a memo scope and closes it when it returns or
+raises; calls nested inside it reuse the open scope. While a scope is open,
+each primitive decorated with `memo` (orbits, reduct flags, element
+analysis, E+ and Reg+, principal ideals, plain and starred Green relations,
+congruences, additive H-classes, quasi skew-ring checks and the per-block
+checks of the theorem verifiers) computes its result once per semiring
+object and argument tuple. Nothing outlives the outermost call: the scope
+holds each semiring it has seen, so no object id is reused while it is
+open, and drops them all when it closes. Outside a scope every primitive
+computes afresh. The scope lives in a context variable, so threads never
+share one. Memoized results are immutable values (tuples, frozensets,
+frozen dataclasses); exceptions are never cached.
 """
 
 from __future__ import annotations
 
+import functools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,6 +43,51 @@ LAW_MUL_ASSOC = "mul-associativity"
 LAW_LEFT_DIST = "left-distributivity"
 LAW_RIGHT_DIST = "right-distributivity"
 LAWS = (LAW_ADD_ASSOC, LAW_MUL_ASSOC, LAW_LEFT_DIST, LAW_RIGHT_DIST)
+
+
+# id(s) -> (s, {(primitive, args): result}) for the open analysis, else None
+_SCOPE: ContextVar[dict | None] = ContextVar("semiringlab_memo_scope", default=None)
+_MISSING = object()
+
+
+def analysis(fn):
+    """Run fn inside a memo scope: the outermost decorated call opens one
+    and closes it on return or raise, nested calls share it."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if _SCOPE.get() is not None:
+            return fn(*args, **kwargs)
+        token = _SCOPE.set({})
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _SCOPE.reset(token)
+
+    return wrapper
+
+
+def memo(fn):
+    """Cache fn(s, *args) per semiring object for the open memo scope; call
+    straight through when none is open. Positional arguments after s form
+    the key, so they must be hashable; keyword calls are not cached."""
+
+    @functools.wraps(fn)
+    def wrapper(s, *args, **kwargs):
+        scope = _SCOPE.get()
+        if scope is None or kwargs:
+            return fn(s, *args, **kwargs)
+        entry = scope.get(id(s))
+        if entry is None:
+            entry = scope[id(s)] = (s, {})
+        cache = entry[1]
+        key = (fn, args)
+        value = cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = cache[key] = fn(s, *args)
+        return value
+
+    return wrapper
 
 
 def freeze_table(rows) -> Table:
@@ -48,6 +113,8 @@ def check_names(names: tuple[str, ...]) -> None:
         # '#' would start a comment in the .srt and .sbl formats
         if not name or "#" in name or any(ch.isspace() for ch in name):
             raise ValueError(f"element name {name!r} must be nonempty, without whitespace or '#'")
+        if name == "->":
+            raise ValueError("element name '->' is reserved for .sbl map entries")
         if name in seen:
             raise ValueError(f"duplicate element name {name!r}")
         seen.add(name)
@@ -280,6 +347,7 @@ def semigroup_inverses(table: Table, n: int, a: int) -> frozenset[int]:
     )
 
 
+@memo
 def reduct_kind(s: FiniteSemiring, which: str) -> frozenset[ReductFlag]:
     """All structural flags of the chosen reduct; {PLAIN} when none hold."""
     table = s.table(which)
@@ -337,6 +405,7 @@ class Orbit:
         return self.values[self.mu + (i - self.mu) % self.lam]
 
 
+@memo
 def orbit(s: FiniteSemiring, a: int, which: str = ADD) -> Orbit:
     table = s.table(which)
     values = [a]

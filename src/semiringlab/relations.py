@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BoundExceeded, NotBiIdeal, NotCongruence, NotEquivalence
-from .kernel import FiniteSemiring
+from .kernel import FiniteSemiring, memo
 from .elements import additive_idempotents, least_regular_multiple
 
 GREEN_KINDS = ("L", "R", "H", "D", "J")
@@ -94,13 +94,17 @@ def _partition_from_keys(keys) -> Partition:
     return Partition(block_of=tuple(block_of))
 
 
-def _principal_sets(s: FiniteSemiring) -> dict[str, list[frozenset[int]]]:
-    """Principal additive ideals with a formal identity adjoined, so x itself
-    always belongs to its own ideal even without additive idempotents."""
+@memo
+def _principal_sets(s: FiniteSemiring, kind: str) -> tuple[frozenset[int], ...]:
+    """Principal additive left ("L"), right ("R") or two-sided ("J") ideals
+    with a formal identity adjoined, so x itself always belongs to its own
+    ideal even without additive idempotents."""
     add = s.add
     n = s.order
-    left = [frozenset({x} | {add[t][x] for t in range(n)}) for x in range(n)]
-    right = [frozenset({x} | {add[x][t] for t in range(n)}) for x in range(n)]
+    if kind == "L":
+        return tuple(frozenset({x} | {add[t][x] for t in range(n)}) for x in range(n))
+    if kind == "R":
+        return tuple(frozenset({x} | {add[x][t] for t in range(n)}) for x in range(n))
     two = []
     for x in range(n):
         ideal = {x}
@@ -108,19 +112,19 @@ def _principal_sets(s: FiniteSemiring) -> dict[str, list[frozenset[int]]]:
         ideal.update(add[x][t] for t in range(n))
         ideal.update(add[add[t][x]][u] for t in range(n) for u in range(n))
         two.append(frozenset(ideal))
-    return {"L": left, "R": right, "J": two}
+    return tuple(two)
 
 
+@memo
 def green_plus(s: FiniteSemiring, kind: str) -> Partition:
     """Green's relation of (S, +): L/R/J via principal ideals, H = L meet R,
     D = L o R (equal to the join on a finite semigroup)."""
     if kind not in GREEN_KINDS:
         raise ValueError(f"unknown Green relation kind {kind!r}")
-    sets = _principal_sets(s)
     if kind in ("L", "R", "J"):
-        return _partition_from_keys(sets[kind])
-    left = _partition_from_keys(sets["L"])
-    right = _partition_from_keys(sets["R"])
+        return _partition_from_keys(_principal_sets(s, kind))
+    left = _partition_from_keys(_principal_sets(s, "L"))
+    right = _partition_from_keys(_principal_sets(s, "R"))
     if kind == "H":
         return _partition_from_keys(zip(left.block_of, right.block_of))
     return _compose_equivalence(left, right, strict=False)
@@ -155,6 +159,7 @@ def _compose_equivalence(p: Partition, q: Partition, strict: bool) -> Partition:
     return _partition_from_keys(tuple(row) for row in related)
 
 
+@memo
 def green_star_plus(s: FiniteSemiring, kind: str) -> Partition:
     """a related to b iff pa related to qb under the plain relation, where p
     and q are the least indices making pa and qb additively regular."""
@@ -214,13 +219,19 @@ def enumerate_congruences(s: FiniteSemiring, bound: int = CONGRUENCE_BOUND) -> l
     n = s.order
     if n > bound:
         raise BoundExceeded(f"order {n} exceeds congruence enumeration bound {bound}")
+    return list(_congruences(s))
+
+
+@memo
+def _congruences(s: FiniteSemiring) -> tuple[Congruence, ...]:
+    n = s.order
     found = []
     for rgs in _restricted_growth_strings(n):
         p = Partition(block_of=rgs)
         if is_semiring_congruence_partition(s, p):
             found.append(p)
     found.sort(key=lambda p: (n - p.num_blocks, p.block_of))
-    return [Congruence(partition=p, is_semiring_congruence=True) for p in found]
+    return tuple(Congruence(partition=p, is_semiring_congruence=True) for p in found)
 
 
 def is_idempotent_separating(s: FiniteSemiring, c: Congruence) -> bool:

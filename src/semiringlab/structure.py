@@ -27,8 +27,10 @@ from .kernel import (
     ADD,
     FiniteSemiring,
     PartialSemiring,
+    analysis,
     is_b_lattice,
     is_idempotent_semiring,
+    memo,
     orbit,
     validate_partial,
 )
@@ -78,8 +80,9 @@ def is_bi_ideal(s: FiniteSemiring, subset) -> bool:
     )
 
 
-def _orbit_windows(s: FiniteSemiring) -> list[frozenset[int]]:
-    return [frozenset(orbit(s, a, ADD).values) for a in s.elements()]
+@memo
+def _orbit_windows(s: FiniteSemiring) -> tuple[frozenset[int], ...]:
+    return tuple(frozenset(orbit(s, a, ADD).values) for a in s.elements())
 
 
 def is_nil_extension(s: FiniteSemiring, ideal) -> bool:
@@ -90,6 +93,7 @@ def is_nil_extension(s: FiniteSemiring, ideal) -> bool:
     return all(window & sub for window in _orbit_windows(s))
 
 
+@memo
 def additive_h_class(s: FiniteSemiring, a: int) -> frozenset[int]:
     h = green_plus(s, "H")
     return frozenset(x for x in s.elements() if h.same(x, a))
@@ -124,6 +128,7 @@ class QuasiSkewRingReport:
         return self.unique_additive_idempotent
 
 
+@memo
 def quasi_skew_ring_check(s: FiniteSemiring) -> QuasiSkewRingReport:
     windows = _orbit_windows(s)
     idems = additive_idempotents(s)
@@ -217,6 +222,7 @@ def _fail(invariant: str):
     raise DecompositionInvariantViolation(invariant)
 
 
+@analysis
 def decompose(s: FiniteSemiring) -> Decomposition:
     if not is_quasi_completely_regular_semiring(s):
         raise NotQuasiCompletelyRegular(
@@ -344,6 +350,7 @@ def psi_tilde(s: FiniteSemiring, d: Decomposition) -> Partition:
     return fibers
 
 
+@analysis
 def check_psi_homomorphism(s: FiniteSemiring, d: Decomposition) -> bool:
     """True iff psi respects both operations; the theory says it must, so a
     False return also emits a theorem-violation warning."""

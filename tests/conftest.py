@@ -2,6 +2,17 @@ import pytest
 
 import semiringlab as sl
 from semiringlab.enumeration import enumerate_semirings, sample_semirings
+from semiringlab.kernel import _SCOPE
+
+
+@pytest.fixture(autouse=True)
+def memo_scope_closed():
+    """Fail a test that leaves a memo scope open, and close it so the next
+    test starts clean."""
+    yield
+    if _SCOPE.get() is not None:
+        _SCOPE.set(None)
+        pytest.fail("a memo scope was left open")
 
 
 def ring(names, add, mul):

@@ -69,6 +69,18 @@ def test_sbl_round_trip(zunion_z2_spec):
     assert again.maps == zunion_z2_spec.maps
 
 
+def test_sbl_round_trip_with_head_like_element_names():
+    # elements named after the block heads serialize to the entry line
+    # "map -> map", which the parser once read as a malformed block head
+    y = sl.parse_srt("elements: p q\nadd:\np q\nq q\nmul:\np p\np q\n")
+    p = sl.FiniteSemiring(names=("map",), add=((0,),), mul=((0,),))
+    q = sl.FiniteSemiring(names=("component", "map"), add=((0, 1), (1, 0)), mul=((0, 0), (0, 1)))
+    spec = sl.StrongBLatticeSpec(blattice=y, components=(p, q), maps={(0, 1): (1,)})
+    text = sl.serialize_sbl(spec)
+    assert "\nmap -> map\n" in text
+    assert sl.parse_sbl(text) == spec
+
+
 def test_sbl_missing_component():
     text = ZUNION_Z2_SBL.replace("component p:\nelements: z\nadd:\nz\nmul:\nz\n", "")
     with pytest.raises(ParseError) as err:

@@ -77,6 +77,9 @@ def test_names_that_cannot_round_trip_are_rejected():
     for name in ("a#", "#", "a b"):
         with pytest.raises(ValueError, match="without whitespace or '#'"):
             sl.FiniteSemiring(names=(name, "b"), add=((0, 0), (0, 0)), mul=((0, 0), (0, 0)))
+    # '->' would make the .sbl head "map -> b:" read as a map entry
+    with pytest.raises(ValueError, match="reserved"):
+        sl.FiniteSemiring(names=("->", "b"), add=((0, 0), (0, 0)), mul=((0, 0), (0, 0)))
 
 
 def test_validate_partial_of_qsr3_nil_part(qsr3):
