@@ -26,20 +26,25 @@ from .kernel import (
 from .elements import (
     additive_idempotents,
     additive_inverses,
-    classify_element,
+    first_without_completely_regular_multiple,
     is_additively_regular,
     is_completely_regular,
     reg_plus,
 )
 from .relations import (
-    Partition,
-    _restricted_growth_strings,
     enumerate_congruences,
     green_plus,
     green_star_plus,
     quotient,
+    set_partitions,
 )
-from .structure import commuting_additive_idempotents, is_ideal, is_k_ideal, quasi_skew_ring_check
+from .structure import (
+    commuting_additive_idempotents,
+    is_ideal,
+    is_k_ideal,
+    quasi_skew_ring_check,
+    sub_skew_ring_conditions,
+)
 
 CLASS_KEYS = (
     "additively-regular",
@@ -122,10 +127,10 @@ def _is_completely_regular(s: FiniteSemiring):
 
 
 def _is_quasi_completely_regular(s: FiniteSemiring):
-    for a in s.elements():
-        if classify_element(s, a).quasi_completely_regular_index is None:
-            return False, f"no multiple of {s.names[a]} is completely regular"
-    return True, ""
+    bad = first_without_completely_regular_multiple(s)
+    if bad is None:
+        return True, ""
+    return False, f"no multiple of {s.names[bad]} is completely regular"
 
 
 def _is_additively_quasi_regular(s: FiniteSemiring):
@@ -291,15 +296,10 @@ def _is_completely_archimedean_subsemiring(s: FiniteSemiring, block: frozenset[i
     return _is_quasi_completely_regular(sub)[0] and green_star_plus(sub, "J").num_blocks == 1
 
 
-def _partitions(n: int):
-    for rgs in _restricted_growth_strings(n):
-        yield Partition(block_of=rgs)
-
-
 def _exists_partition_into(s: FiniteSemiring, block_pred) -> bool:
     return any(
         all(block_pred(s, block) for block in p.blocks())
-        for p in _partitions(s.order)
+        for p in set_partitions(s.order)
     )
 
 
@@ -314,19 +314,12 @@ def _exists_congruence_with(s: FiniteSemiring, quotient_pred, block_pred) -> boo
 def _qsr3_conditions(s: FiniteSemiring):
     # the three conditions computed independently, bypassing the combined
     # check so a genuine disagreement shows up in the report
-    from .structure import _orbit_windows, _skew_subring_candidates, is_bi_ideal
-
     aqr = _is_additively_quasi_regular(s)[0]
     idems = additive_idempotents(s)
-    windows = _orbit_windows(s)
-    absorbing = [
-        cand for cand in _skew_subring_candidates(s)
-        if all(w & cand for w in windows)
-    ]
-    nil_ext = any(is_bi_ideal(s, cand) for cand in absorbing)
+    absorbing, nil_ext = sub_skew_ring_conditions(s)
     return (
         ("i", aqr and len(idems) == 1, f"{len(idems)} additive idempotents"),
-        ("ii", bool(absorbing), ""),
+        ("ii", absorbing, ""),
         ("iii", nil_ext, ""),
     )
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
-from .errors import SemiringError
+from .errors import SampleShortfallWarning, SemiringError
 from .kernel import validate
 from .relations import CONGRUENCE_BOUND, enumerate_congruences, is_idempotent_separating
 from .structure import decompose
@@ -209,9 +210,15 @@ def _cmd_congruences(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.sample:
-        semirings = sample_semirings(
-            args.order, args.sample, seed=args.seed, filter_class=args.klass
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            semirings = sample_semirings(
+                args.order, args.sample, seed=args.seed, filter_class=args.klass
+            )
+        for w in caught:
+            if issubclass(w.category, SampleShortfallWarning):
+                print(f"warning: {w.message}", file=sys.stderr)
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     else:
         semirings = enumerate_semirings(args.order, filter_class=args.klass)
     if args.count_only:

@@ -141,9 +141,16 @@ def cr_set(s: FiniteSemiring) -> frozenset[int]:
     return frozenset(a for a in s.elements() if is_completely_regular(s, a))
 
 
+def first_without_completely_regular_multiple(s: FiniteSemiring) -> int | None:
+    """The first element none of whose additive multiples is completely
+    regular, or None when the semiring is quasi completely regular."""
+    return next(
+        (a for a in s.elements()
+         if classify_element(s, a).quasi_completely_regular_index is None),
+        None,
+    )
+
+
 def is_quasi_completely_regular_semiring(s: FiniteSemiring) -> bool:
     """Every element has a completely regular multiple."""
-    return all(
-        classify_element(s, a).quasi_completely_regular_index is not None
-        for a in s.elements()
-    )
+    return first_without_completely_regular_multiple(s) is None

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
-from .errors import BoundExceeded, UnknownClassName
+from .errors import BoundExceeded, SampleShortfallWarning, UnknownClassName
 from .kernel import FiniteSemiring
 from .classify import CLASS_KEYS, classify
 
@@ -355,7 +356,9 @@ def _random_compatible_mul(add, n: int, rng: random.Random, budget: int = _NODE_
 def sample_semirings(n: int, count: int, seed: int = 0,
                      filter_class: str | None = None) -> list[FiniteSemiring]:
     """Deterministic seeded sample of distinct canonical semirings of order
-    n; the draw is not uniform, just varied."""
+    n; the draw is not uniform, just varied. When the attempt budget runs out
+    before `count` distinct members are found, the shorter list is returned
+    and a `SampleShortfallWarning` gives both counts."""
     if n > SAMPLE_BOUND:
         raise BoundExceeded(f"sampling is bounded at order {SAMPLE_BOUND}")
     key = _class_key(filter_class) if filter_class is not None else None
@@ -377,6 +380,16 @@ def sample_semirings(n: int, count: int, seed: int = 0,
         if key is not None and not classify(_semiring_from_canonical(form)).holds(key):
             continue
         canons.add(form)
+    if len(canons) < count:
+        warnings.warn(
+            SampleShortfallWarning(
+                f"sampled {len(canons)} of {count} requested semirings of order {n}: "
+                f"all {max_attempts} attempts used",
+                requested=count,
+                returned=len(canons),
+            ),
+            stacklevel=2,
+        )
     return [_semiring_from_canonical(form) for form in sorted(canons)]
 
 

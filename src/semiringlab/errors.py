@@ -113,3 +113,14 @@ class TheoremViolationWarning(UserWarning):
     def __init__(self, message, payload=None):
         super().__init__(message)
         self.payload = payload or {}
+
+
+class SampleShortfallWarning(UserWarning):
+    """Emitted when a seeded sample runs out of attempts before it has found
+    as many distinct semirings as were requested; `requested` and `returned`
+    give both counts."""
+
+    def __init__(self, message, requested, returned):
+        super().__init__(message)
+        self.requested = requested
+        self.returned = returned

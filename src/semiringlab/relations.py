@@ -196,11 +196,12 @@ def is_semiring_congruence_partition(s: FiniteSemiring, p: Partition) -> bool:
     return True
 
 
-def _restricted_growth_strings(n: int):
-    # a[0] = 0 and a[i] <= 1 + max(a[:i]); one string per set partition
+def set_partitions(n: int):
+    """Every partition of 0..n-1, once each, in lexicographic order of its
+    restricted growth string: a[0] = 0 and a[i] <= 1 + max(a[:i])."""
     a = [0] * n
     while True:
-        yield tuple(a)
+        yield Partition(block_of=tuple(a))
         i = n - 1
         while i >= 1:
             if a[i] <= max(a[:i]):
@@ -226,8 +227,7 @@ def enumerate_congruences(s: FiniteSemiring, bound: int = CONGRUENCE_BOUND) -> l
 def _congruences(s: FiniteSemiring) -> tuple[Congruence, ...]:
     n = s.order
     found = []
-    for rgs in _restricted_growth_strings(n):
-        p = Partition(block_of=rgs)
+    for p in set_partitions(n):
         if is_semiring_congruence_partition(s, p):
             found.append(p)
     found.sort(key=lambda p: (n - p.num_blocks, p.block_of))

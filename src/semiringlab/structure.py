@@ -2,6 +2,11 @@
 quasi completely regular semiring into classes with skew-ring kernels, and
 the retraction map onto the additively regular part.
 
+Conditions (ii) and (iii) of a quasi skew-ring are decided at each additive
+idempotent e from two sets alone, the least sub-skew-ring at e and the
+maximal additive subgroup H_e, never by searching the subsets of H_e (see
+`sub_skew_ring_conditions_by_idempotent`).
+
 The decomposition re-verifies every invariant eagerly before returning; the
 cost is a few O(n^2) table scans and buys trustworthy theorem tests
 downstream.
@@ -11,7 +16,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import (
     DecompositionInvariantViolation,
@@ -99,18 +103,46 @@ def additive_h_class(s: FiniteSemiring, a: int) -> frozenset[int]:
     return frozenset(x for x in s.elements() if h.same(x, a))
 
 
-def _skew_subring_candidates(s: FiniteSemiring):
-    """Sub-skew-rings of s: additively and multiplicatively closed subsets of
-    the maximal additive subgroup at some idempotent. Any subgroup of (S,+)
-    with identity e lives inside the H+-class of e, so this search is
-    complete."""
+def sub_skew_ring_conditions_by_idempotent(s: FiniteSemiring) -> dict[int, tuple[bool, bool]]:
+    """(absorbing, nil_ext) at each additive idempotent e: some sub-skew-ring
+    at e meets every additive orbit window {a, 2a, 3a, ...}; some
+    sub-skew-ring at e meeting every window is a bi-ideal.
+
+    A sub-skew-ring at e is a subset of the maximal additive subgroup H_e
+    (the H+-class of e) that contains e and is closed under both operations.
+    A closed subset of the finite group H_e is a subgroup, so these are
+    exactly the sub-skew-rings with additive identity e. Each contains the
+    closure of {e}, which is one itself when it lies inside H_e; otherwise
+    there is none at e. Two lemmas then replace the search over all
+    2^(|H_e|-1) subsets of H_e:
+
+    - A window that meets a sub-skew-ring R at e contains e, since the
+      multiples of an element of the group R reach its identity. So one
+      sub-skew-ring at e meets every window iff all of them do, and the
+      least one, the closure of {e}, decides the first condition.
+    - A bi-ideal R inside H_e absorbs r + H_e = H_e for any r in R, so R is
+      all of H_e. The second condition therefore holds iff H_e itself
+      meets every window and is a bi-ideal (which makes it closed under
+      both operations).
+    """
+    windows = _orbit_windows(s)
+    at = {}
     for e in sorted(additive_idempotents(s)):
-        h_class = sorted(additive_h_class(s, e) - {e})
-        for k in range(len(h_class) + 1):
-            for rest in combinations(h_class, k):
-                cand = frozenset({e, *rest})
-                if s.is_closed(cand):
-                    yield cand
+        h = additive_h_class(s, e)
+        least = s.closure({e})
+        at[e] = (
+            least <= h and all(window & least for window in windows),
+            all(window & h for window in windows) and is_bi_ideal(s, h),
+        )
+    return at
+
+
+def sub_skew_ring_conditions(s: FiniteSemiring) -> tuple[bool, bool]:
+    """(absorbing, nil_ext): conditions (ii) and (iii) of a quasi skew-ring,
+    each decided on its own at every additive idempotent (see
+    `sub_skew_ring_conditions_by_idempotent`)."""
+    at = sub_skew_ring_conditions_by_idempotent(s).values()
+    return any(absorbing for absorbing, _ in at), any(nil_ext for _, nil_ext in at)
 
 
 @dataclass(frozen=True)
@@ -130,17 +162,9 @@ class QuasiSkewRingReport:
 
 @memo
 def quasi_skew_ring_check(s: FiniteSemiring) -> QuasiSkewRingReport:
-    windows = _orbit_windows(s)
     idems = additive_idempotents(s)
     cond_i = len(idems) == 1  # additive quasi regularity is automatic on a finite carrier
-    cond_ii = False
-    cond_iii = False
-    for cand in _skew_subring_candidates(s):
-        if all(window & cand for window in windows):
-            cond_ii = True
-            if is_bi_ideal(s, cand):
-                cond_iii = True
-                break
+    cond_ii, cond_iii = sub_skew_ring_conditions(s)
     if not (cond_i == cond_ii == cond_iii):
         raise InternalTheoremViolation(
             f"quasi-skew-ring conditions disagree on {s!r}: "

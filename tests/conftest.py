@@ -1,7 +1,10 @@
+import warnings
+
 import pytest
 
 import semiringlab as sl
 from semiringlab.enumeration import enumerate_semirings, sample_semirings
+from semiringlab.errors import SampleShortfallWarning
 from semiringlab.kernel import _SCOPE
 
 
@@ -17,6 +20,40 @@ def memo_scope_closed():
 
 def ring(names, add, mul):
     return sl.FiniteSemiring(names=tuple(names), add=add, mul=mul)
+
+
+def zn(n):
+    """The ring of integers mod n."""
+    return sl.FiniteSemiring(
+        names=tuple(str(i) for i in range(n)),
+        add=tuple(tuple((i + j) % n for j in range(n)) for i in range(n)),
+        mul=tuple(tuple((i * j) % n for j in range(n)) for i in range(n)),
+    )
+
+
+def direct_product(s, t):
+    """s x t with componentwise operations, pairs in row-major order."""
+    pairs = [(a, b) for a in s.elements() for b in t.elements()]
+    index = {pair: k for k, pair in enumerate(pairs)}
+
+    def table(op_s, op_t):
+        return tuple(
+            tuple(index[op_s[a][c], op_t[b][d]] for c, d in pairs) for a, b in pairs
+        )
+
+    return sl.FiniteSemiring(
+        names=tuple(f"({s.names[a]},{t.names[b]})" for a, b in pairs),
+        add=table(s.add, t.add),
+        mul=table(s.mul, t.mul),
+    )
+
+
+def sample_in_full(n, count, seed):
+    """sample_semirings with a shortfall raised as an error, so a fixture
+    can never shrink unnoticed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SampleShortfallWarning)
+        return sample_semirings(n, count, seed=seed)
 
 
 # canonical 3-element quasi skew-ring: nil part {a, b} over the zero kernel,
@@ -126,12 +163,12 @@ def corpus_small():
 
 @pytest.fixture(scope="session")
 def corpus_order4():
-    return sample_semirings(4, 500, seed=20260810)
+    return sample_in_full(4, 500, 20260810)
 
 
 @pytest.fixture(scope="session")
 def corpus_order5():
-    return sample_semirings(5, 120, seed=20260810)
+    return sample_in_full(5, 120, 20260810)
 
 
 @pytest.fixture(scope="session")
@@ -339,4 +376,4 @@ def spec_test_set(generated_sbl_texts):
 
 @pytest.fixture(scope="session")
 def corpus_order6():
-    return sample_semirings(6, 40, seed=20260810)
+    return sample_in_full(6, 40, 20260810)

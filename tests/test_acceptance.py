@@ -46,22 +46,44 @@ def test_acceptance_1_golden_example():
     assert _report(1, "golden example", ok), f"elapsed={elapsed:.3f}s"
 
 
+# members of the 836-member sweep (the corpus without order 1) where every
+# condition of a theorem holds, and where every one fails; pinned so a
+# regression toward a vacuous sweep fails
+SWEEP_HOLD_FAIL = {
+    "QSR3": (139, 697),
+    "QCR5": (451, 385),
+    "QCI5": (340, 496),
+    "SAQCI3": (340, 496),
+    "HJEQ": (340, 496),
+    "IDEALS": (340, 496),
+}
+
+
 def test_acceptance_2_theorem_equivalence_sweeps(corpus):
     order4 = [s for s in corpus if s.order == 4]
     assert len(order4) >= 500
     failures = []
-    for s in corpus:
-        if s.order == 1:
-            continue
-        for theorem in ("QSR3", "QCR5", "QCI5", "SAQCI3", "HJEQ"):
-            r = sl.verify_equivalence(s, theorem)
+    members = [s for s in corpus if s.order > 1]
+    counts = {theorem: [0, 0] for theorem in SWEEP_HOLD_FAIL}
+    for s in members:
+        reports = [sl.verify_equivalence(s, t) for t in ("QSR3", "QCR5", "QCI5", "SAQCI3", "HJEQ")]
+        reports.append(sl.verify_ideal_corollary(s))
+        for r in reports:
+            values = r.verdicts.values()
+            counts[r.theorem][0] += all(values)
+            counts[r.theorem][1] += not any(values)
             if not r.agreement:
-                failures.append((theorem, r.verdicts, sl.serialize_srt(s)))
-        r = sl.verify_ideal_corollary(s)
-        if not r.agreement:
-            failures.append(("IDEALS", r.verdicts, sl.serialize_srt(s)))
-    ok = _report(2, "theorem equivalence sweeps", not failures)
-    assert ok, "\n\n".join(f"{t} {v}\n{srt}" for t, v, srt in failures[:5])
+                failures.append((r.theorem, r.verdicts, sl.serialize_srt(s)))
+    counts = {theorem: tuple(c) for theorem, c in counts.items()}
+    ok = _report(
+        2,
+        "theorem equivalence sweeps",
+        not failures and len(members) == 836 and counts == SWEEP_HOLD_FAIL,
+    )
+    assert ok, (
+        (len(members), counts),
+        "\n\n".join(f"{t} {v}\n{srt}" for t, v, srt in failures[:5]),
+    )
 
 
 def test_acceptance_3_reg_plus_equals_cr(corpus):

@@ -177,9 +177,17 @@ def test_enumerate_corpus_out(run, tmp_path):
 
 
 def test_enumerate_sample(run):
-    code, out, _ = run("enumerate", "--order", "5", "--sample", "5", "--seed", "3")
+    code, out, err = run("enumerate", "--order", "5", "--sample", "5", "--seed", "3")
     assert code == 0
     assert len(out.strip().splitlines()) == 5
+    assert err == ""
+
+
+def test_enumerate_sample_shortfall_on_stderr(run):
+    code, out, err = run("enumerate", "--order", "2", "--sample", "50", "--count-only")
+    assert code == 0
+    assert out == "count: 20\n"
+    assert err == "warning: sampled 20 of 50 requested semirings of order 2: all 10000 attempts used\n"
 
 
 def test_enumerate_bound_exit_2(run):

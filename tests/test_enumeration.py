@@ -1,10 +1,11 @@
+import warnings
 from itertools import permutations, product
 from math import factorial
 
 import pytest
 
 import semiringlab as sl
-from semiringlab.errors import BoundExceeded, UnknownClassName
+from semiringlab.errors import BoundExceeded, SampleShortfallWarning, UnknownClassName
 from semiringlab.enumeration import (
     FULL_ENUMERATION_BOUND,
     ImplicationQuery,
@@ -132,12 +133,29 @@ def test_enumeration_deterministic():
 
 
 def test_sampling_deterministic_and_valid():
-    a = sample_semirings(4, 30, seed=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SampleShortfallWarning)
+        a = sample_semirings(4, 30, seed=11)
     b = sample_semirings(4, 30, seed=11)
     assert [canonical_form(s) for s in a] == [canonical_form(s) for s in b]
     assert len(a) == 30
     for s in a:
         assert sl.validate(s).verdict
+
+
+def test_sampling_shortfall_warns():
+    # order 2 has only 20 semirings up to isomorphism
+    with pytest.warns(SampleShortfallWarning) as record:
+        got = sample_semirings(2, 50)
+    assert len(got) == 20
+    (w,) = record
+    assert (w.message.requested, w.message.returned) == (50, 20)
+    assert str(w.message) == "sampled 20 of 50 requested semirings of order 2: all 10000 attempts used"
+
+
+def test_sampling_fixtures_have_no_shortfall(corpus_order4, corpus_order5, corpus_order6):
+    # the fixtures sample with the shortfall warning raised as an error
+    assert (len(corpus_order4), len(corpus_order5), len(corpus_order6)) == (500, 120, 40)
 
 
 def test_classify_constant_on_iso_classes(corpus_small):

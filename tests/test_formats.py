@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semiringlab as sl
 from semiringlab.errors import MissingMap, ParseError
+from semiringlab.kernel import check_names
 
 from conftest import QSR3_TEXT, ZUNION_Z2_SBL
 
@@ -9,6 +11,29 @@ from conftest import QSR3_TEXT, ZUNION_Z2_SBL
 def test_srt_round_trip(qsr3):
     again = sl.parse_srt(sl.serialize_srt(qsr3))
     assert again == qsr3
+
+
+def _accepted(name):
+    try:
+        check_names((name,))
+    except ValueError:
+        return False
+    return True
+
+
+# any single name the constructor accepts
+NAMES = st.text(min_size=1, max_size=8).filter(_accepted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_srt_round_trip_with_generated_names(data, corpus_small):
+    s = data.draw(st.sampled_from(corpus_small))
+    perm = data.draw(st.permutations(range(s.order)))
+    names = data.draw(st.lists(NAMES, min_size=s.order, max_size=s.order, unique=True))
+    relabelled = s.relabel(perm)
+    t = sl.FiniteSemiring(names=tuple(names), add=relabelled.add, mul=relabelled.mul)
+    assert sl.parse_srt(sl.serialize_srt(t)) == t
 
 
 def test_srt_comments_and_blank_lines():

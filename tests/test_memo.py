@@ -14,13 +14,7 @@ from semiringlab.errors import NotQuasiCompletelyRegular, UnknownTheoremId
 from semiringlab.kernel import _SCOPE, analysis
 from semiringlab.relations import enumerate_congruences
 
-
-def zn(n):
-    return sl.FiniteSemiring(
-        names=tuple(str(i) for i in range(n)),
-        add=tuple(tuple((i + j) % n for j in range(n)) for i in range(n)),
-        mul=tuple(tuple((i * j) % n for j in range(n)) for i in range(n)),
-    )
+from conftest import zn
 
 
 def reports(fn, s):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 import semiringlab as sl
@@ -8,7 +10,15 @@ from semiringlab.errors import (
     NotQuasiSkewRing,
     PreconditionFailed,
 )
-from semiringlab.structure import is_strongly_additively_quasi_completely_inverse
+from semiringlab.kernel import FiniteSemiring
+from semiringlab.structure import (
+    additive_h_class,
+    is_strongly_additively_quasi_completely_inverse,
+    sub_skew_ring_conditions,
+    sub_skew_ring_conditions_by_idempotent,
+)
+
+from conftest import direct_product, zn
 
 
 def idx(s, *names):
@@ -198,3 +208,70 @@ def test_is_nil_extension_matches_naive_multiple_search(corpus_small):
                     assert sl.is_nil_extension(s, ideal) == oracle(s, ideal)
                     checked += 1
     assert checked > 30
+
+
+def subset_search_at(s, e):
+    """Brute force: every subset of the H+-class of e that contains e and is
+    closed under both operations."""
+    rest = sorted(additive_h_class(s, e) - {e})
+    for k in range(len(rest) + 1):
+        for extra in combinations(rest, k):
+            cand = frozenset({e, *extra})
+            if s.is_closed(cand):
+                yield cand
+
+
+def multiples(s, a):
+    """{a, 2a, 3a, ...}, folded directly; n additions reach every multiple."""
+    seen = {a}
+    value = a
+    for _ in range(s.order):
+        value = s.add[value][a]
+        seen.add(value)
+    return seen
+
+
+def test_sub_skew_ring_conditions_match_subset_search(
+    corpus, corpus_order5, corpus_order6
+):
+    members = list(corpus) + list(corpus_order5) + list(corpus_order6)
+    for s in list(members):
+        for block in sl.green_star_plus(s, "H").blocks():
+            if s.is_closed(block):
+                members.append(s.restrict(block))  # the blocks QCR5 restricts to
+    members += [zn(n) for n in range(1, 15)]
+    members += [direct_product(zn(a), zn(b)) for a, b in ((2, 2), (2, 3), (2, 4), (3, 3))]
+    checked = 0
+    for s in members:
+        windows = [multiples(s, a) for a in s.elements()]
+        at = sub_skew_ring_conditions_by_idempotent(s)
+        assert sorted(at) == sorted(sl.additive_idempotents(s))
+        any_ii = any_iii = False
+        for e in sorted(sl.additive_idempotents(s)):
+            candidates = list(subset_search_at(s, e))
+            absorbing = [c for c in candidates if all(w & c for w in windows)]
+            ii = bool(absorbing)
+            iii = any(sl.is_bi_ideal(s, c) for c in absorbing)
+            assert (s.closure({e}) <= additive_h_class(s, e)) == bool(candidates), sl.serialize_srt(s)
+            assert at[e] == (ii, iii), sl.serialize_srt(s)
+            any_ii, any_iii = any_ii or ii, any_iii or iii
+            checked += 1
+        assert sub_skew_ring_conditions(s) == (any_ii, any_iii)
+    assert checked > 3000
+
+
+def test_sub_skew_ring_work_is_linear_in_idempotents(monkeypatch):
+    calls = 0
+    is_closed = FiniteSemiring.is_closed
+
+    def counting(self, subset):
+        nonlocal calls
+        calls += 1
+        return is_closed(self, subset)
+
+    monkeypatch.setattr(FiniteSemiring, "is_closed", counting)
+    for s, analysis in ((zn(20), sl.classify), (direct_product(zn(2), zn(9)), sl.decompose)):
+        calls = 0
+        analysis(s)
+        # the subset search made 2^19 = 524288 calls on Z_20
+        assert calls <= 4 * len(sl.additive_idempotents(s)) + 4, (analysis.__name__, calls)
