@@ -344,10 +344,8 @@ def _family_presents(s: FiniteSemiring, d: Decomposition, m: StructureMaps) -> b
         spec = family_spec(d, m)
     except SemiringError:
         return False
-    if not validate_spec(spec).verdict:
-        return False
     try:
-        composed = compose(spec)
+        composed = compose(spec)  # raises PreconditionFailed on an invalid spec
     except SemiringError:
         return False
     if set(composed.names) != set(s.names):

@@ -5,6 +5,32 @@ equivalence; the verifiers then check the equivalences by evaluating each
 side independently and comparing. A disagreement is reported, not hidden:
 it means an implementation bug or a genuine counterexample, and either one
 is exactly what a sweep is for.
+
+Additive quasi regularity (some multiple of each element is additively
+regular) holds on every finite carrier, so no predicate computes it:
+`elements.classify_element` asserts it for every element it analyses.
+
+The existence conditions of QCR5 and QCI5 (a partition into quasi skew
+subsemirings, and a congruence with a b-lattice or idempotent quotient whose
+classes are quasi skew-rings or completely Archimedean) are decided over the
+orbit-idempotent partition P, never over all set partitions of the carrier.
+Each additive orbit {a, 2a, 3a, ...} holds exactly one additive idempotent
+e_a, and P puts a and b in one block iff e_a = e_b. Two lemmas:
+
+- (A) A block closed under addition that holds a holds every multiple of a,
+  so it holds e_a. A quasi skew-ring has exactly one additive idempotent, so
+  in a partition into quasi skew subsemirings the block of a is the block of
+  e_a, and its elements are exactly those b with e_b = e_a. The only
+  candidate partition is therefore P itself.
+- (B) If the quotient by a congruence rho has idempotent addition, as a
+  b-lattice and an idempotent semiring do, then a rho 2a rho 3a ..., so
+  a rho e_a and P refines rho. Such congruences are therefore found among
+  the coarsenings of P, one per set partition of the |E+| blocks of P.
+
+So QCR5 (iii) asks whether every block of P is a quasi skew subsemiring;
+QCR5 (v) and QCI5 (v) ask, besides, whether P is a congruence with an
+idempotent or b-lattice quotient; and QCR5 (iv) scans the Bell(|E+|)
+coarsenings of P.
 """
 
 from __future__ import annotations
@@ -18,7 +44,6 @@ from .kernel import (
     ReductFlag,
     analysis,
     is_b_lattice,
-    is_idempotent_semiring,
     memo,
     orbit,
     reduct_kind,
@@ -32,10 +57,10 @@ from .elements import (
     reg_plus,
 )
 from .relations import (
-    enumerate_congruences,
+    Partition,
     green_plus,
     green_star_plus,
-    quotient,
+    is_semiring_congruence_partition,
     set_partitions,
 )
 from .structure import (
@@ -133,13 +158,6 @@ def _is_quasi_completely_regular(s: FiniteSemiring):
     return False, f"no multiple of {s.names[bad]} is completely regular"
 
 
-def _is_additively_quasi_regular(s: FiniteSemiring):
-    for a in s.elements():
-        if not any(is_additively_regular(s, v) for v in orbit(s, a, ADD).values):
-            return False, f"no multiple of {s.names[a]} is additively regular"
-    return True, ""
-
-
 def _idempotents_commute(s: FiniteSemiring):
     bad = commuting_additive_idempotents(s)
     if bad is None:
@@ -200,13 +218,12 @@ def classify(s: FiniteSemiring) -> ClassReport:
         "" if qcr and aqi else (v["quasi-completely-regular"].evidence or v["additively-quasi-inverse"].evidence),
     )
 
-    aqr_ok, aqr_why = _is_additively_quasi_regular(s)
     comm_ok, comm_why = _idempotents_commute(s)
-    put("strongly-additively-quasi-inverse", aqr_ok and comm_ok, aqr_why or comm_why)
+    put("strongly-additively-quasi-inverse", comm_ok, comm_why)
     put(
         "strongly-additively-quasi-completely-inverse",
-        qcr and aqr_ok and comm_ok,
-        v["quasi-completely-regular"].evidence or aqr_why or comm_why,
+        qcr and comm_ok,
+        v["quasi-completely-regular"].evidence or comm_why,
     )
 
     cr = v["completely-regular"].holds
@@ -281,32 +298,75 @@ def _some_multiple_equal(s: FiniteSemiring, u: int, v: int) -> bool:
 
 @memo
 def _is_quasi_skew_subsemiring(s: FiniteSemiring, block: frozenset[int]) -> bool:
-    # memoized by block: the partition and congruence scans of QCR5 and QCI5
-    # meet the same blocks again and again
-    if not s.is_closed(block):
-        return False
-    return quasi_skew_ring_check(s.restrict(block)).skew_ring_absorbs_multiples
+    # memoized by block: QCR5 (iii) and (v) meet the same blocks
+    sub = s.subsemiring(block)
+    return sub is not None and quasi_skew_ring_check(sub).skew_ring_absorbs_multiples
 
 
 @memo
 def _is_completely_archimedean_subsemiring(s: FiniteSemiring, block: frozenset[int]) -> bool:
-    if not s.is_closed(block):
-        return False
-    sub = s.restrict(block)
-    return _is_quasi_completely_regular(sub)[0] and green_star_plus(sub, "J").num_blocks == 1
-
-
-def _exists_partition_into(s: FiniteSemiring, block_pred) -> bool:
-    return any(
-        all(block_pred(s, block) for block in p.blocks())
-        for p in set_partitions(s.order)
+    # memoized by block: coarsenings of P share most of their blocks
+    sub = s.subsemiring(block)
+    return (
+        sub is not None
+        and _is_quasi_completely_regular(sub)[0]
+        and green_star_plus(sub, "J").num_blocks == 1
     )
 
 
-def _exists_congruence_with(s: FiniteSemiring, quotient_pred, block_pred) -> bool:
-    for cong in enumerate_congruences(s, bound=max(s.order, 6)):
-        q = quotient(s, cong)
-        if quotient_pred(q) and all(block_pred(s, b) for b in cong.partition.blocks()):
+@memo
+def _orbit_idempotent_partition(s: FiniteSemiring) -> Partition:
+    """P: a and b share a block iff their additive orbits hold the same
+    additive idempotent (see the module docstring)."""
+    return Partition.from_block_of(
+        next(v for v in orbit(s, a, ADD).values if s.add[v][v] == v)
+        for a in s.elements()
+    )
+
+
+def _quotient_is_idempotent(s: FiniteSemiring, p: Partition) -> bool:
+    """For a congruence p: both reducts of S/p are bands."""
+    return all(p.same(s.add[a][a], a) and p.same(s.mul[a][a], a) for a in s.elements())
+
+
+def _quotient_is_b_lattice(s: FiniteSemiring, p: Partition) -> bool:
+    """For a congruence p: S/p has a semilattice sum and a band product."""
+    return _quotient_is_idempotent(s, p) and all(
+        p.same(s.add[a][b], s.add[b][a]) for a in s.elements() for b in range(a)
+    )
+
+
+def _is_union_of_quasi_skew_rings(s: FiniteSemiring) -> bool:
+    """Some partition into quasi skew subsemirings exists: by lemma (A) the
+    only candidate is P."""
+    return all(
+        _is_quasi_skew_subsemiring(s, b) for b in _orbit_idempotent_partition(s).blocks()
+    )
+
+
+def _is_congruence_of_quasi_skew_rings(s: FiniteSemiring, quotient_pred) -> bool:
+    """Some congruence whose classes are quasi skew subsemirings has a
+    quotient satisfying quotient_pred: by lemma (A) the only candidate is P."""
+    p = _orbit_idempotent_partition(s)
+    return (
+        _is_union_of_quasi_skew_rings(s)
+        and quotient_pred(s, p)
+        and is_semiring_congruence_partition(s, p)
+    )
+
+
+def _is_b_lattice_of_completely_archimedean(s: FiniteSemiring) -> bool:
+    """Some congruence with a b-lattice quotient has completely Archimedean
+    subsemirings as classes: by lemma (B) only the coarsenings of P are
+    candidates."""
+    p = _orbit_idempotent_partition(s)
+    for q in set_partitions(p.num_blocks):
+        rho = Partition.from_block_of(q.block_of[b] for b in p.block_of)
+        if (  # the quotient test first: it is the cheapest filter
+            _quotient_is_b_lattice(s, rho)
+            and is_semiring_congruence_partition(s, rho)
+            and all(_is_completely_archimedean_subsemiring(s, b) for b in rho.blocks())
+        ):
             return True
     return False
 
@@ -314,11 +374,10 @@ def _exists_congruence_with(s: FiniteSemiring, quotient_pred, block_pred) -> boo
 def _qsr3_conditions(s: FiniteSemiring):
     # the three conditions computed independently, bypassing the combined
     # check so a genuine disagreement shows up in the report
-    aqr = _is_additively_quasi_regular(s)[0]
     idems = additive_idempotents(s)
     absorbing, nil_ext = sub_skew_ring_conditions(s)
     return (
-        ("i", aqr and len(idems) == 1, f"{len(idems)} additive idempotents"),
+        ("i", len(idems) == 1, f"{len(idems)} additive idempotents"),
         ("ii", absorbing, ""),
         ("iii", nil_ext, ""),
     )
@@ -328,13 +387,9 @@ def _qcr5_conditions(s: FiniteSemiring):
     qcr, qcr_why = _is_quasi_completely_regular(s)
     hstar = green_star_plus(s, "H")
     classes_qsr = all(_is_quasi_skew_subsemiring(s, b) for b in hstar.blocks())
-    union_qsr = _exists_partition_into(s, _is_quasi_skew_subsemiring)
-    blattice_arch = _exists_congruence_with(
-        s, is_b_lattice, _is_completely_archimedean_subsemiring
-    )
-    idem_qsr = _exists_congruence_with(
-        s, is_idempotent_semiring, _is_quasi_skew_subsemiring
-    )
+    union_qsr = _is_union_of_quasi_skew_rings(s)
+    blattice_arch = _is_b_lattice_of_completely_archimedean(s)
+    idem_qsr = _is_congruence_of_quasi_skew_rings(s, _quotient_is_idempotent)
     return (
         ("i", qcr, qcr_why),
         ("ii", classes_qsr, ""),
@@ -364,7 +419,7 @@ def _qci5_conditions(s: FiniteSemiring):
         for a in s.elements()
         for b in s.elements()
     )
-    blattice_qsr = _exists_congruence_with(s, is_b_lattice, _is_quasi_skew_subsemiring)
+    blattice_qsr = _is_congruence_of_quasi_skew_rings(s, _quotient_is_b_lattice)
     return (
         ("i", qcr and aqi, qcr_why or aqi_why),
         ("ii", qcr and elem_idem, ""),
@@ -376,13 +431,12 @@ def _qci5_conditions(s: FiniteSemiring):
 
 def _saqci3_conditions(s: FiniteSemiring):
     qcr, qcr_why = _is_quasi_completely_regular(s)
-    aqr_ok, _ = _is_additively_quasi_regular(s)
     comm_ok, comm_why = _idempotents_commute(s)
     reg_inverse, reg_why = _is_regular_part_inverse_subsemiring(s)
     aqi, aqi_why = _is_additively_quasi_inverse(s)
     closed_idems, closed_why = _sum_closed_idempotents(s)
     return (
-        ("i", qcr and aqr_ok and comm_ok, qcr_why or comm_why),
+        ("i", qcr and comm_ok, qcr_why or comm_why),
         ("ii", qcr and reg_inverse, qcr_why or reg_why),
         ("iii", qcr and aqi and closed_idems, qcr_why or aqi_why or closed_why),
     )

@@ -13,14 +13,15 @@ outermost such call opens a memo scope and closes it when it returns or
 raises; calls nested inside it reuse the open scope. While a scope is open,
 each primitive decorated with `memo` (orbits, reduct flags, element
 analysis, E+ and Reg+, principal ideals, plain and starred Green relations,
-congruences, additive H-classes, quasi skew-ring checks and the per-block
-checks of the theorem verifiers) computes its result once per semiring
-object and argument tuple. Nothing outlives the outermost call: the scope
-holds each semiring it has seen, so no object id is reused while it is
-open, and drops them all when it closes. Outside a scope every primitive
-computes afresh. The scope lives in a context variable, so threads never
-share one. Memoized results are immutable values (tuples, frozensets,
-frozen dataclasses); exceptions are never cached.
+congruences, additive H-classes, quasi skew-ring checks, the
+orbit-idempotent partition and the per-block checks of the theorem
+verifiers) computes its result once per semiring object and argument tuple.
+Nothing outlives the outermost call: the scope holds each semiring it has
+seen, so no object id is reused while it is open, and drops them all when
+it closes. Outside a scope every primitive computes afresh. The scope lives
+in a context variable, so threads never share one. Memoized results are
+immutable values (tuples, frozensets, frozen dataclasses); exceptions are
+never cached.
 """
 
 from __future__ import annotations
@@ -182,9 +183,18 @@ class FiniteSemiring:
 
     def restrict(self, subset) -> FiniteSemiring:
         """Subsemiring on a closed subset, carrier order preserved."""
+        sub = set(subset)
+        t = self.subsemiring(sub)
+        if t is None:
+            raise ValueError(f"subset {sorted(self.names[i] for i in sub)} is not closed")
+        return t
+
+    def subsemiring(self, subset) -> FiniteSemiring | None:
+        """Like `restrict`, but None when the subset is not closed, so a
+        caller that only wants closed blocks scans each block once."""
         sub = sorted(set(subset))
         if not self.is_closed(sub):
-            raise ValueError(f"subset {sorted(self.names[i] for i in sub)} is not closed")
+            return None
         back = {old: new for new, old in enumerate(sub)}
         return FiniteSemiring(
             names=tuple(self.names[i] for i in sub),

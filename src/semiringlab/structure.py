@@ -263,9 +263,9 @@ def decompose(s: FiniteSemiring) -> Decomposition:
     idempotents = []
     nil_parts = []
     for alpha, cls in enumerate(classes):
-        if not s.is_closed(cls):
+        t = s.subsemiring(cls)
+        if t is None:
             _fail(f"class {alpha} is not closed under both operations")
-        t = s.restrict(cls)
         ordered = sorted(cls)
         try:
             local_kernel = skew_ring_kernel(t)

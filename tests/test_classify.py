@@ -1,9 +1,24 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import semiringlab as sl
 from semiringlab.errors import NotQuasiCompletelyRegular, UnknownTheoremId
-from semiringlab.classify import CLASS_KEYS, THEOREM_IDS
+from semiringlab.classify import (
+    CLASS_KEYS,
+    THEOREM_IDS,
+    _is_completely_archimedean_subsemiring,
+    _is_quasi_skew_subsemiring,
+    _orbit_idempotent_partition,
+)
+from semiringlab.kernel import analysis, is_b_lattice, is_idempotent_semiring
+from semiringlab.relations import Partition, enumerate_congruences, quotient, set_partitions
+
+from conftest import direct_product, zn
+
+# the package exports the function classify under the module's name
+classify_module = importlib.import_module("semiringlab.classify")
 
 
 def test_classify_qsr3(qsr3):
@@ -145,3 +160,88 @@ def test_jstar_classes_completely_archimedean_on_qcr_members(corpus_small):
             assert _is_quasi_completely_regular(sub)[0]
             assert sl.green_star_plus(sub, "J").num_blocks == 1
     assert surveyed > 50
+
+
+def orbit_idempotent_partition(s):
+    """a ~ b iff the additive multiples of a and of b, folded directly, hold
+    the same additive idempotent; each holds exactly one."""
+    idempotent_of = []
+    for a in s.elements():
+        value, multiples = a, {a}
+        for _ in range(s.order):
+            value = s.add[value][a]
+            multiples.add(value)
+        (e,) = (v for v in multiples if s.add[v][v] == v)
+        idempotent_of.append(e)
+    return Partition.from_block_of(idempotent_of)
+
+
+@analysis
+def existence_oracles(s):
+    """QCR5 (iii), (iv), (v) and QCI5 (v) by scanning every set partition of
+    the carrier, checking lemmas (A) and (B) of the classify docstring on the
+    way. One memo scope, so each block predicate runs once per block."""
+    p = orbit_idempotent_partition(s)
+    into_qsr = [
+        q for q in set_partitions(s.order)
+        if all(_is_quasi_skew_subsemiring(s, b) for b in q.blocks())
+    ]
+    assert into_qsr in ([], [p]), "lemma (A)"
+    found = {("QCR5", "iii"): bool(into_qsr)}
+    for label, quotient_pred, block_pred in (
+        (("QCR5", "iv"), is_b_lattice, _is_completely_archimedean_subsemiring),
+        (("QCR5", "v"), is_idempotent_semiring, _is_quasi_skew_subsemiring),
+        (("QCI5", "v"), is_b_lattice, _is_quasi_skew_subsemiring),
+    ):
+        found[label] = False
+        for c in enumerate_congruences(s, bound=s.order):
+            if not quotient_pred(quotient(s, c)):
+                continue
+            assert p.refines(c.partition), "lemma (B)"
+            if all(block_pred(s, b) for b in c.partition.blocks()):
+                found[label] = True
+    return found
+
+
+def test_existence_conditions_match_set_partition_scan(corpus, corpus_order5, corpus_order6):
+    members = list(corpus) + list(corpus_order5) + list(corpus_order6)
+    for s in list(members):
+        for block in sl.green_star_plus(s, "H").blocks():
+            if s.is_closed(block):
+                members.append(s.restrict(block))
+    members += [zn(n) for n in range(1, 10)]
+    members += [direct_product(zn(a), zn(b)) for a, b in ((2, 2), (2, 3), (2, 4), (3, 3))]
+    tally = {}
+    for s in members:
+        assert _orbit_idempotent_partition(s) == orbit_idempotent_partition(s)
+        expected = existence_oracles(s)
+        reports = {theorem: sl.verify_equivalence(s, theorem).verdicts for theorem in ("QCR5", "QCI5")}
+        for (theorem, label), holds in expected.items():
+            assert reports[theorem][label] == holds, (theorem, label, sl.serialize_srt(s))
+            tally[theorem, label, holds] = tally.get((theorem, label, holds), 0) + 1
+    # every condition is seen both true and false, so no comparison is vacuous
+    for theorem, label in expected:
+        assert tally.get((theorem, label, True), 0) > 50, (theorem, label)
+        assert tally.get((theorem, label, False), 0) > 50, (theorem, label)
+
+
+def test_existence_conditions_scan_only_coarsenings_of_the_idempotent_partition(
+    monkeypatch, boolean, left_zero
+):
+    calls = 0
+    check = classify_module.is_semiring_congruence_partition
+
+    def counting(s, p):
+        nonlocal calls
+        calls += 1
+        return check(s, p)
+
+    monkeypatch.setattr(classify_module, "is_semiring_congruence_partition", counting)
+    # Z_20 has 5.2e13 set partitions; its one additive idempotent leaves one
+    for s in (zn(20), direct_product(zn(2), zn(9)), boolean, left_zero):
+        bell = sum(1 for _ in set_partitions(len(sl.additive_idempotents(s))))
+        for theorem in ("QCR5", "QCI5"):
+            calls = 0
+            report = sl.verify_equivalence(s, theorem)
+            assert report.agreement, (theorem, s, report.verdicts)
+            assert calls <= bell + 1, (theorem, s, calls)

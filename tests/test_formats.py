@@ -36,6 +36,38 @@ def test_srt_round_trip_with_generated_names(data, corpus_small):
     assert sl.parse_srt(sl.serialize_srt(t)) == t
 
 
+@pytest.fixture(scope="module")
+def family_specs(corpus_small):
+    """family_spec of every order-1..3 member that a family presents."""
+    from semiringlab.blattice import family_spec
+    from semiringlab.structure import is_strongly_additively_quasi_completely_inverse
+
+    specs = []
+    for s in corpus_small:
+        if not is_strongly_additively_quasi_completely_inverse(s):
+            continue
+        m = sl.search_structure_maps(s)
+        if m is not None:
+            specs.append(family_spec(m.decomposition, m))
+    return specs
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sbl_round_trip_with_generated_names(data, family_specs):
+    spec = data.draw(st.sampled_from(family_specs))
+    components = tuple(
+        sl.FiniteSemiring(
+            names=tuple(data.draw(st.lists(NAMES, min_size=c.order, max_size=c.order, unique=True))),
+            add=c.add,
+            mul=c.mul,
+        )
+        for c in spec.components
+    )
+    renamed = sl.StrongBLatticeSpec(blattice=spec.blattice, components=components, maps=spec.maps)
+    assert sl.parse_sbl(sl.serialize_sbl(renamed)) == renamed
+
+
 def test_srt_comments_and_blank_lines():
     text = """
 # a semiring with comments

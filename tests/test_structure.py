@@ -275,3 +275,20 @@ def test_sub_skew_ring_work_is_linear_in_idempotents(monkeypatch):
         analysis(s)
         # the subset search made 2^19 = 524288 calls on Z_20
         assert calls <= 4 * len(sl.additive_idempotents(s)) + 4, (analysis.__name__, calls)
+
+
+def test_decompose_scans_each_class_for_closure_once(monkeypatch):
+    calls = 0
+    is_closed = FiniteSemiring.is_closed
+
+    def counting(self, subset):
+        nonlocal calls
+        calls += 1
+        return is_closed(self, subset)
+
+    monkeypatch.setattr(FiniteSemiring, "is_closed", counting)
+    # one class: one scan to restrict to it, one for its skew-ring kernel
+    sl.decompose(direct_product(zn(2), zn(9)))
+    assert calls <= 2
+    with pytest.raises(ValueError, match="not closed"):
+        zn(4).restrict({1})
