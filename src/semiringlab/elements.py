@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedWitness
-from .kernel import ADD, FiniteSemiring, memo, orbit
+from .kernel import ADD, FiniteSemiring, memo, orbit, semigroup_inverses
 
 
 @memo
@@ -27,14 +27,7 @@ class InverseSet:
 
 def additive_inverses(s: FiniteSemiring, a: int) -> InverseSet:
     """V+(a) = {x : a+x+a = a and x+a+x = x}, by exhaustive scan."""
-    add = s.add
-    return InverseSet(
-        element=a,
-        inverses=frozenset(
-            x for x in s.elements()
-            if add[add[a][x]][a] == a and add[add[x][a]][x] == x
-        ),
-    )
+    return InverseSet(element=a, inverses=semigroup_inverses(s.add, s.order, a))
 
 
 @memo

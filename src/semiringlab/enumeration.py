@@ -2,17 +2,26 @@
 mode for orders where the full sweep is out of reach, corpus persistence,
 and counterexample search over class implications.
 
-Exhaustive generation works over additive isomorphism classes. The
-associative tables, built with associativity pruning, are grouped into
-orbits under relabelling; each orbit is represented by its lexicographically
-least row-major encoding. A vectorized distributivity filter pairs every
-representative addition with every associative multiplication, and each
-surviving multiplication is canonicalized over the automorphisms of its
-addition only. Because the canonical encoding puts the addition first, the
-minimum over all carrier permutations is reached exactly at the
-permutations that carry the addition onto its representative, so this gives
-the same bytes as `canonical_form`. Labeled counts follow from the same pass:
-each representative's hits count once per member of its orbit.
+Every table comes from one backtracking fill (`_tables`) that checks
+associativity, and optionally distributivity over a given addition, at each
+new cell. The exhaustive search fills row-major in ascending value order; the
+sampler grows the leading block in a seeded value order and takes the first
+completion.
+
+Exhaustive generation works over additive isomorphism classes. One
+lexicographic pass over the associative tables groups them into orbits under
+relabelling; the first table of each orbit is its least row-major encoding
+and stands for the orbit. Distributivity needs no search: x(y+z) = xy+xz for
+all y, z exactly when row x of the multiplication is an endomorphism of
+(S,+), and the right law says the same of column x. So each representative
+addition computes its endomorphisms once and keeps every associative
+multiplication whose rows and columns all lie among them. Each survivor is
+canonicalized over the automorphisms of its addition only. Because the
+canonical encoding puts the addition first, the minimum over all carrier
+permutations is reached exactly at the permutations that carry the addition
+onto its representative, so this gives the same bytes as `canonical_form`.
+Labeled counts follow from the same pass: each representative's hits count
+once per member of its orbit.
 """
 
 from __future__ import annotations
@@ -22,9 +31,8 @@ import random
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-
-import numpy as np
+from itertools import permutations, product
+from operator import itemgetter
 
 from .errors import BoundExceeded, SampleShortfallWarning, UnknownClassName
 from .kernel import FiniteSemiring
@@ -39,27 +47,38 @@ def _element_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(n))
 
 
+def _flat(table) -> bytes:
+    """Row-major encoding of an n x n table."""
+    return bytes([v for row in table for v in row])
+
+
+def _relabelling(p, k: int = 2):
+    """The map from the encoding of k stacked n x n tables to the encoding of
+    the same tables relabelled by the carrier permutation p, as
+    `FiniteSemiring.relabel` does: entry (i, j) becomes p^-1(t[p[i]][p[j]])."""
+    n = len(p)
+    inv = bytearray(256)
+    for i, x in enumerate(p):
+        inv[x] = i
+    # the leading 0 keeps the gathered entries a tuple when there is one cell
+    gather = itemgetter(0, *(t * n * n + a * n + b for t in range(k) for a in p for b in p))
+    return lambda enc: bytes(gather(enc))[1:].translate(inv)
+
+
 def canonical_form(s: FiniteSemiring) -> bytes:
     """Minimal byte encoding of (add, mul) over all carrier permutations; two
     semirings share it exactly when some single bijection carries both tables
-    onto each other."""
+    onto each other. The addition comes first, so only the permutations that
+    minimize it compete on the multiplication."""
     n = s.order
     if n > CANONICAL_BOUND:
         raise BoundExceeded(f"order {n} exceeds canonicalization bound {CANONICAL_BOUND}")
-    best = None
-    for p in permutations(range(n)):
-        inv = [0] * n
-        for i in range(n):
-            inv[p[i]] = i
-        enc = bytearray([n])
-        for table in (s.add, s.mul):
-            for i in range(n):
-                row = table[p[i]]
-                enc.extend(inv[row[p[j]]] for j in range(n))
-        enc = bytes(enc)
-        if best is None or enc < best:
-            best = enc
-    return best
+    perms = list(permutations(range(n)))
+    add = _flat(s.add)
+    images = [_relabelling(p, 1)(add) for p in perms]
+    least = min(images)
+    pair = add + _flat(s.mul)
+    return bytes([n]) + min(_relabelling(p)(pair) for p, image in zip(perms, images) if image == least)
 
 
 def canonical_hash(s: FiniteSemiring) -> str:
@@ -74,128 +93,56 @@ def _semiring_from_canonical(form: bytes) -> FiniteSemiring:
     return FiniteSemiring(names=_element_names(n), add=add, mul=mul)
 
 
+class _BudgetExhausted(Exception):
+    pass
+
+
+_NODE_BUDGET = 40_000
+
+
+def _tables(n: int, cells, rng: random.Random | None = None, add=None,
+            budget: int | None = None):
+    """Every associative n x n table, filling `cells` in order, as soon as it
+    is complete. Values go in ascending order, or shuffled by `rng` at each
+    node. With `add`, a table must also distribute over it. Past `budget`
+    nodes, `_BudgetExhausted` is raised. Candidates die as soon as any
+    completed triple fails."""
+    t = [[None] * n for _ in range(n)]
+    if add is not None:
+        # value -> the (b, c) pairs summing to it
+        add_pre = [[] for _ in range(n)]
+        for b in range(n):
+            for c in range(n):
+                add_pre[add[b][c]].append((b, c))
+    nodes = 0
+
+    def fill(k: int):
+        nonlocal nodes
+        if k == len(cells):
+            yield tuple(tuple(row) for row in t)
+            return
+        if budget is not None:
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetExhausted
+        i, j = cells[k]
+        values = list(range(n))
+        if rng is not None:
+            rng.shuffle(values)
+        for v in values:
+            t[i][j] = v
+            if _assoc_ok_at(t, n, i, j) and (add is None or _distrib_ok_at(add, t, n, i, j, add_pre)):
+                yield from fill(k + 1)
+        t[i][j] = None
+
+    return fill(0)
+
+
 @lru_cache(maxsize=None)
 def _assoc_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All associative tables on n elements, lexicographic in row-major
-    order. Candidates die as soon as any completed triple fails."""
-    out = []
-    t = [[None] * n for _ in range(n)]
-    cells = [(i, j) for i in range(n) for j in range(n)]
-
-    def fill(k: int):
-        if k == len(cells):
-            out.append(tuple(tuple(row) for row in t))
-            return
-        i, j = cells[k]
-        for v in range(n):
-            t[i][j] = v
-            if _assoc_ok_at(t, n, i, j):
-                fill(k + 1)
-        t[i][j] = None
-
-    fill(0)
-    return tuple(out)
-
-
-def _distributive_mask(add, muls: np.ndarray) -> np.ndarray:
-    """Boolean mask over a stack of multiplication tables: which satisfy both
-    distributivity laws against the given addition table. The right law is
-    the left law for the transposed table, checked only where the left holds."""
-    a = np.asarray(add, dtype=np.int64)
-
-    def left_ok(ms):
-        # m[k, x, a[y, z]] == a[m[k, x, y], m[k, x, z]]
-        return (ms[:, :, a] == a[ms[:, :, :, None], ms[:, :, None, :]]).all(axis=(1, 2, 3))
-
-    ok = left_ok(muls)
-    left = np.flatnonzero(ok)
-    ok[left[~left_ok(muls[left].transpose(0, 2, 1))]] = False
-    return ok
-
-
-def _class_key(name: str) -> str:
-    key = name.strip().lower().replace("_", "-")
-    if key not in CLASS_KEYS:
-        raise UnknownClassName(f"unknown class {name!r}; expected one of {', '.join(CLASS_KEYS)}")
-    return key
-
-
-def _relabelled(tables: np.ndarray, p) -> np.ndarray:
-    """Every table of a (k, n, n) stack relabelled as `FiniteSemiring.relabel`
-    does with permutation p, flattened row-major to shape (k, n * n)."""
-    k, n = tables.shape[:2]
-    p = np.asarray(p)
-    inv = np.empty(n, dtype=np.uint8)
-    inv[p] = np.arange(n, dtype=np.uint8)
-    return inv[tables[:, p][:, :, p]].reshape(k, n * n)
-
-
-def _min_relabellings(tables: np.ndarray, perms) -> np.ndarray:
-    """Per table of a (k, n, n) stack, the lexicographically least row-major
-    encoding among its relabellings by the given permutations."""
-    rows = np.arange(tables.shape[0])
-    best = None
-    for p in perms:
-        enc = _relabelled(tables, p)
-        if best is None:
-            best = enc
-            continue
-        diff = enc != best
-        first = np.argmax(diff, axis=1)
-        take = enc[rows, first] < best[rows, first]
-        best[take] = enc[take]
-    return best
-
-
-def _additive_orbits(assocs: np.ndarray) -> list[tuple[np.ndarray, int, list]]:
-    """A (k, n, n) stack of all associative tables grouped into orbits under
-    relabelling, as (representative, orbit size, automorphisms of the
-    representative) sorted by representative. The representative is the
-    orbit's least row-major encoding, reshaped to an n x n table."""
-    n = assocs.shape[1]
-    perms = list(permutations(range(n)))
-    reps, sizes = np.unique(_min_relabellings(assocs, perms), axis=0, return_counts=True)
-    orbits = []
-    for enc, size in zip(reps, sizes):
-        rep = enc.reshape(n, n)
-        aut = [p for p in perms if (_relabelled(rep[None], p) == enc).all()]
-        orbits.append((rep, int(size), aut))
-    return orbits
-
-
-def enumerate_semirings(n: int, filter_class: str | None = None) -> list[FiniteSemiring]:
-    """Canonical representatives of all semirings of order n, sorted by
-    canonical form."""
-    if n > FULL_ENUMERATION_BOUND:
-        raise BoundExceeded(
-            f"full enumeration is bounded at order {FULL_ENUMERATION_BOUND}; "
-            f"use sampling for larger orders"
-        )
-    key = _class_key(filter_class) if filter_class is not None else None
-    muls = np.array(_assoc_tables(n), dtype=np.int64)
-    canons = set()
-    for rep, _, aut in _additive_orbits(muls):
-        hits = muls[_distributive_mask(rep, muls)]
-        if hits.size:
-            prefix = bytes([n]) + rep.tobytes()
-            canons.update(prefix + row.tobytes() for row in _min_relabellings(hits, aut))
-    reps = [_semiring_from_canonical(form) for form in sorted(canons)]
-    if key is not None:
-        reps = [s for s in reps if classify(s).holds(key)]
-    return reps
-
-
-def count_labeled_semirings(n: int) -> int:
-    """Number of valid (add, mul) table pairs on n labeled elements, not up to
-    isomorphism: each additive representative's distributive multiplications,
-    weighted by the size of its orbit."""
-    if n > FULL_ENUMERATION_BOUND:
-        raise BoundExceeded(f"full enumeration is bounded at order {FULL_ENUMERATION_BOUND}")
-    muls = np.array(_assoc_tables(n), dtype=np.int64)
-    return sum(
-        size * int(_distributive_mask(rep, muls).sum())
-        for rep, size, _ in _additive_orbits(muls)
-    )
+    order."""
+    return tuple(_tables(n, [(i, j) for i in range(n) for j in range(n)]))
 
 
 def _block_cells(n: int) -> list[tuple[int, int]]:
@@ -208,6 +155,16 @@ def _block_cells(n: int) -> list[tuple[int, int]]:
         for i in range(k):
             cells.append((i, k))
     return cells
+
+
+def _random_table(n: int, rng: random.Random, add=None):
+    """The first table of a seeded fill over `_block_cells`, or None when the
+    node budget runs out (the caller restarts; random backtracking has
+    heavy-tailed runtimes)."""
+    try:
+        return next(_tables(n, _block_cells(n), rng, add, _NODE_BUDGET), None)
+    except _BudgetExhausted:
+        return None
 
 
 def _assoc_ok_at(t, n: int, i: int, j: int) -> bool:
@@ -280,77 +237,74 @@ def _distrib_ok_at(add, mul, n: int, i: int, j: int, add_pre) -> bool:
     return True
 
 
-class _BudgetExhausted(Exception):
-    pass
+def _endomorphisms(add) -> frozenset[tuple[int, ...]]:
+    """Every map f of the carrier, as the tuple of its values, with
+    f(x + y) = f(x) + f(y)."""
+    n = len(add)
+    sums = [(x, y, add[x][y]) for x in range(n) for y in range(n)]
+    return frozenset(
+        f for f in product(range(n), repeat=n)
+        if all(f[xy] == add[f[x]][f[y]] for x, y, xy in sums)
+    )
 
 
-_NODE_BUDGET = 40_000
+def _distributive_classes(n: int):
+    """Per orbit of the associative tables under relabelling, in order of
+    representative: the representative's encoding, the orbit size, the
+    relabellings by automorphisms of the representative, and the encodings
+    of the associative multiplications distributing over it. A
+    multiplication distributes exactly when its rows and columns are all
+    endomorphisms of the addition."""
+    perms = list(permutations(range(n)))
+    relabel_one = [_relabelling(p, 1) for p in perms]
+    tables = _assoc_tables(n)
+    flats = [_flat(t) for t in tables]
+    # the rows and columns of each table, as maps of the carrier
+    maps = [frozenset(t) | frozenset(zip(*t)) for t in tables]
+    seen = set()
+    for add, enc in zip(tables, flats):
+        if enc in seen:
+            continue
+        images = [f(enc) for f in relabel_one]
+        seen.update(images)
+        end = _endomorphisms(add)
+        aut = [_relabelling(p) for p, image in zip(perms, images) if image == enc]
+        hits = [mul for mul, m in zip(flats, maps) if m <= end]
+        yield enc, len(set(images)), aut, hits
 
 
-def _random_assoc_table(n: int, rng: random.Random, budget: int = _NODE_BUDGET):
-    """One random associative table, or None when the node budget runs out
-    (the caller restarts; random backtracking has heavy-tailed runtimes)."""
-    t = [[None] * n for _ in range(n)]
-    cells = _block_cells(n)
-    nodes = 0
-
-    def fill(k: int):
-        nonlocal nodes
-        if k == len(cells):
-            return tuple(tuple(row) for row in t)
-        nodes += 1
-        if nodes > budget:
-            raise _BudgetExhausted
-        i, j = cells[k]
-        values = list(range(n))
-        rng.shuffle(values)
-        for v in values:
-            t[i][j] = v
-            if _assoc_ok_at(t, n, i, j):
-                got = fill(k + 1)
-                if got is not None:
-                    return got
-        t[i][j] = None
-        return None
-
-    try:
-        return fill(0)
-    except _BudgetExhausted:
-        return None
+def _class_key(name: str) -> str:
+    key = name.strip().lower().replace("_", "-")
+    if key not in CLASS_KEYS:
+        raise UnknownClassName(f"unknown class {name!r}; expected one of {', '.join(CLASS_KEYS)}")
+    return key
 
 
-def _random_compatible_mul(add, n: int, rng: random.Random, budget: int = _NODE_BUDGET):
-    add_pre = [[] for _ in range(n)]
-    for b in range(n):
-        for c in range(n):
-            add_pre[add[b][c]].append((b, c))
-    t = [[None] * n for _ in range(n)]
-    cells = _block_cells(n)
-    nodes = 0
+def enumerate_semirings(n: int, filter_class: str | None = None) -> list[FiniteSemiring]:
+    """Canonical representatives of all semirings of order n, sorted by
+    canonical form."""
+    if n > FULL_ENUMERATION_BOUND:
+        raise BoundExceeded(
+            f"full enumeration is bounded at order {FULL_ENUMERATION_BOUND}; "
+            f"use sampling for larger orders"
+        )
+    key = _class_key(filter_class) if filter_class is not None else None
+    canons = set()
+    for add, _, aut, hits in _distributive_classes(n):
+        canons.update(bytes([n]) + min(f(add + mul) for f in aut) for mul in hits)
+    reps = [_semiring_from_canonical(form) for form in sorted(canons)]
+    if key is not None:
+        reps = [s for s in reps if classify(s).holds(key)]
+    return reps
 
-    def fill(k: int):
-        nonlocal nodes
-        if k == len(cells):
-            return tuple(tuple(row) for row in t)
-        nodes += 1
-        if nodes > budget:
-            raise _BudgetExhausted
-        i, j = cells[k]
-        values = list(range(n))
-        rng.shuffle(values)
-        for v in values:
-            t[i][j] = v
-            if _assoc_ok_at(t, n, i, j) and _distrib_ok_at(add, t, n, i, j, add_pre):
-                got = fill(k + 1)
-                if got is not None:
-                    return got
-        t[i][j] = None
-        return None
 
-    try:
-        return fill(0)
-    except _BudgetExhausted:
-        return None
+def count_labeled_semirings(n: int) -> int:
+    """Number of valid (add, mul) table pairs on n labeled elements, not up to
+    isomorphism: each additive representative's distributive multiplications,
+    weighted by the size of its orbit."""
+    if n > FULL_ENUMERATION_BOUND:
+        raise BoundExceeded(f"full enumeration is bounded at order {FULL_ENUMERATION_BOUND}")
+    return sum(size * len(hits) for _, size, _, hits in _distributive_classes(n))
 
 
 def sample_semirings(n: int, count: int, seed: int = 0,
@@ -369,10 +323,10 @@ def sample_semirings(n: int, count: int, seed: int = 0,
     max_attempts = max(200, count * 200)
     while len(canons) < count and attempts < max_attempts:
         attempts += 1
-        add = _random_assoc_table(n, rng)
+        add = _random_table(n, rng)
         if add is None:
             continue
-        mul = _random_compatible_mul(add, n, rng)
+        mul = _random_table(n, rng, add)
         if mul is None:
             continue
         s = FiniteSemiring(names=names, add=add, mul=mul)

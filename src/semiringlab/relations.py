@@ -257,13 +257,23 @@ def rees_congruence(s: FiniteSemiring, ideal) -> Congruence:
 
 
 def quotient(s: FiniteSemiring, c: Congruence) -> FiniteSemiring:
-    """Block semiring; block names join member names with '|'."""
+    """Block semiring; block names join member names with '|'. A joined name
+    that an earlier block already took gets primes (') until it is unused."""
     p = c.partition
     if not c.is_semiring_congruence or not is_semiring_congruence_partition(s, p):
         raise NotCongruence("partition is not compatible with both tables")
     blocks = p.blocks()
     reps = [min(b) for b in blocks]
-    names = tuple("|".join(s.names[i] for i in sorted(b)) for b in blocks)
+    joined = ["|".join(s.names[i] for i in sorted(b)) for b in blocks]
+    taken = set(joined)
+    names = []
+    for name in joined:
+        if name in names:
+            while name in taken:
+                name += "'"
+            taken.add(name)
+        names.append(name)
+    names = tuple(names)
     add = tuple(
         tuple(p.block_of[s.add[ra][rb]] for rb in reps) for ra in reps
     )

@@ -278,6 +278,23 @@ def test_console_entry_point(tmp_path, qsr3_file):
         assert expected_err in result.stderr
 
 
+NO_NUMPY_SCRIPT = """\
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from semiringlab.cli import main
+sys.exit(main(["enumerate", "--order", "3", "--count-only"]))
+"""
+
+
+def test_cli_runs_without_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(sl.__file__).resolve().parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "count: 316\n"
+
+
 @pytest.mark.skipif(
     shutil.which("semiringlab") is None, reason="semiringlab console script not installed"
 )

@@ -165,6 +165,18 @@ def test_quotient(qsr3):
         sl.quotient(qsr3, bad)
 
 
+def test_quotient_block_names_stay_distinct():
+    # the 3-chain with max for both operations; joining {a, b} gives the
+    # name of the third element
+    chain = tuple(tuple(max(i, j) for j in range(3)) for i in range(3))
+    s = sl.FiniteSemiring(names=("a", "b", "a|b"), add=chain, mul=chain)
+    c = sl.Congruence(Partition.from_block_of((0, 0, 1)), True)
+    assert c in sl.enumerate_congruences(s)
+    q = sl.quotient(s, c)
+    assert q.names == ("a|b", "a|b'")
+    assert sl.validate(q).verdict
+
+
 def test_hstar_congruence_for_qci_members(corpus_small):
     """H*+ equals J*+ exactly on the quasi completely inverse members, and is
     a congruence there; the quotient is a b-lattice."""
