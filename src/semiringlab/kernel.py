@@ -1,5 +1,5 @@
 """Finite (partial) semirings as Cayley tables, the axiom checks, and the
-per-call memo of the analysis primitives.
+memo of the analysis primitives.
 
 Elements are dense indices 0..n-1 carrying display names; all reports speak
 in names. Every value here is immutable after construction and every
@@ -16,17 +16,27 @@ analysis, E+ and Reg+, principal ideals, plain and starred Green relations,
 congruences, additive H-classes, quasi skew-ring checks, the
 orbit-idempotent partition and the per-block checks of the theorem
 verifiers) computes its result once per semiring object and argument tuple.
-Nothing outlives the outermost call: the scope holds each semiring it has
-seen, so no object id is reused while it is open, and drops them all when
-it closes. Outside a scope every primitive computes afresh. The scope lives
-in a context variable, so threads never share one. Memoized results are
-immutable values (tuples, frozensets, frozen dataclasses); exceptions are
-never cached.
+The scope holds each semiring it has seen, so no object id is reused while
+it is open, and drops them all when it closes. One thing outlives it: the
+root's own primitives. The root is the call's first positional argument
+when that is a `FiniteSemiring`; on closing, the scope leaves a weak
+reference to the root and the root's cache in a second context variable,
+and the next outermost call starts from that cache when its own root is
+that very object (identity, not equality) and still alive. An outermost
+call on any other object, or without a `FiniteSemiring` first argument,
+replaces or clears the slot, so at most one root's primitives are retained
+per context, and a root the caller drops is freed with them. Restricted
+blocks, class semirings and quotients never outlive their scope. Outside a
+scope every primitive computes afresh. Both variables are context
+variables, so each thread has its own scope and retained cache. Memoized
+results are immutable values (tuples, frozensets, frozen dataclasses) that
+hold no semiring; exceptions are never cached.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
@@ -48,22 +58,34 @@ LAWS = (LAW_ADD_ASSOC, LAW_MUL_ASSOC, LAW_LEFT_DIST, LAW_RIGHT_DIST)
 
 # id(s) -> (s, {(primitive, args): result}) for the open analysis, else None
 _SCOPE: ContextVar[dict | None] = ContextVar("semiringlab_memo_scope", default=None)
+# (weakref to the last outermost call's root, the root's cache), else None
+_RETAINED: ContextVar[tuple | None] = ContextVar("semiringlab_memo_retained", default=None)
 _MISSING = object()
 
 
 def analysis(fn):
     """Run fn inside a memo scope: the outermost decorated call opens one
-    and closes it on return or raise, nested calls share it."""
+    and closes it on return or raise, nested calls share it. The outermost
+    call starts from the cache retained for its root (first positional
+    argument) when the previous outermost call had the same root, and on
+    closing retains the root's cache with the root held weakly."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         if _SCOPE.get() is not None:
             return fn(*args, **kwargs)
-        token = _SCOPE.set({})
+        root = args[0] if args and isinstance(args[0], FiniteSemiring) else None
+        scope = {}
+        retained = _RETAINED.get()
+        if root is not None and retained is not None and retained[0]() is root:
+            scope[id(root)] = (root, retained[1])
+        token = _SCOPE.set(scope)
         try:
             return fn(*args, **kwargs)
         finally:
             _SCOPE.reset(token)
+            entry = scope.get(id(root)) if root is not None else None
+            _RETAINED.set(None if entry is None else (weakref.ref(root), entry[1]))
 
     return wrapper
 

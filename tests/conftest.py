@@ -5,14 +5,15 @@ import pytest
 import semiringlab as sl
 from semiringlab.enumeration import enumerate_semirings, sample_semirings
 from semiringlab.errors import SampleShortfallWarning
-from semiringlab.kernel import _SCOPE
+from semiringlab.kernel import _RETAINED, _SCOPE
 
 
 @pytest.fixture(autouse=True)
 def memo_scope_closed():
-    """Fail a test that leaves a memo scope open, and close it so the next
-    test starts clean."""
+    """Fail a test that leaves a memo scope open, and close it and drop the
+    retained root cache so the next test starts clean."""
     yield
+    _RETAINED.set(None)
     if _SCOPE.get() is not None:
         _SCOPE.set(None)
         pytest.fail("a memo scope was left open")
