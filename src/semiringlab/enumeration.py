@@ -15,13 +15,21 @@ and stands for the orbit. Distributivity needs no search: x(y+z) = xy+xz for
 all y, z exactly when row x of the multiplication is an endomorphism of
 (S,+), and the right law says the same of column x. So each representative
 addition computes its endomorphisms once and keeps every associative
-multiplication whose rows and columns all lie among them. Each survivor is
-canonicalized over the automorphisms of its addition only. Because the
-canonical encoding puts the addition first, the minimum over all carrier
-permutations is reached exactly at the permutations that carry the addition
-onto its representative, so this gives the same bytes as `canonical_form`.
-Labeled counts follow from the same pass: each representative's hits count
-once per member of its orbit.
+multiplication whose rows and columns all lie among them. Labeled counts
+follow from the same pass: each representative's hits count once per member
+of its orbit.
+
+Canonicalization relabels one table at a time, through one byte gather per
+carrier permutation; the gathers are built once per order up to
+`SAMPLE_BOUND` and cached. The canonical encoding puts the addition first, so
+its minimum over all carrier permutations is reached exactly at the
+permutations that carry the addition onto its least relabelling, and only
+those compete on the multiplication. The exhaustive search therefore keeps
+each representative addition as it is and relabels its hits by the
+automorphisms of the addition alone, which gives the same bytes as
+`canonical_form`. When every permutation is an automorphism (the left- and
+right-zero additions), the least relabelling of a multiplication is the
+least member of its orbit, which the orbit pass has already recorded.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from operator import itemgetter
 
-from .errors import BoundExceeded, SampleShortfallWarning, UnknownClassName
+from .errors import BoundExceeded, DimensionMismatch, SampleShortfallWarning, UnknownClassName
 from .kernel import FiniteSemiring
 from .classify import CLASS_KEYS, classify
 
@@ -52,33 +60,54 @@ def _flat(table) -> bytes:
     return bytes([v for row in table for v in row])
 
 
-def _relabelling(p, k: int = 2):
-    """The map from the encoding of k stacked n x n tables to the encoding of
-    the same tables relabelled by the carrier permutation p, as
+def _relabelling(p):
+    """The map from the row-major encoding of an n x n table to the encoding
+    of the same table relabelled by the carrier permutation p, as
     `FiniteSemiring.relabel` does: entry (i, j) becomes p^-1(t[p[i]][p[j]])."""
     n = len(p)
     inv = bytearray(256)
     for i, x in enumerate(p):
         inv[x] = i
     # the leading 0 keeps the gathered entries a tuple when there is one cell
-    gather = itemgetter(0, *(t * n * n + a * n + b for t in range(k) for a in p for b in p))
+    gather = itemgetter(0, *(a * n + b for a in p for b in p))
     return lambda enc: bytes(gather(enc))[1:].translate(inv)
+
+
+@lru_cache(maxsize=None)
+def _cached_relabellings(n: int) -> tuple:
+    return tuple(map(_relabelling, permutations(range(n))))
+
+
+def _relabellings(n: int):
+    """The relabellings of an n x n encoding by every carrier permutation, in
+    lexicographic order of the permutation. They are built once per order up
+    to `SAMPLE_BOUND` and cached (720 at order 6, about 0.7 MB); above it they
+    are built as they are consumed and never held all at once, since the
+    40320 of order 8 would take about 50 MB."""
+    if n > SAMPLE_BOUND:
+        return map(_relabelling, permutations(range(n)))
+    return _cached_relabellings(n)
 
 
 def canonical_form(s: FiniteSemiring) -> bytes:
     """Minimal byte encoding of (add, mul) over all carrier permutations; two
     semirings share it exactly when some single bijection carries both tables
-    onto each other. The addition comes first, so only the permutations that
-    minimize it compete on the multiplication."""
+    onto each other. The addition comes first, so the form is the least
+    relabelled addition followed by the least multiplication among the
+    permutations that carry the addition onto it; each table is relabelled
+    on its own."""
     n = s.order
     if n > CANONICAL_BOUND:
         raise BoundExceeded(f"order {n} exceeds canonicalization bound {CANONICAL_BOUND}")
-    perms = list(permutations(range(n)))
-    add = _flat(s.add)
-    images = [_relabelling(p, 1)(add) for p in perms]
-    least = min(images)
-    pair = add + _flat(s.mul)
-    return bytes([n]) + min(_relabelling(p)(pair) for p, image in zip(perms, images) if image == least)
+    add, mul = _flat(s.add), _flat(s.mul)
+    least = best = None
+    for relabel in _relabellings(n):
+        image = relabel(add)
+        if least is None or image < least:
+            least, best = image, relabel(mul)
+        elif image == least:
+            best = min(best, relabel(mul))
+    return bytes([n]) + least + best
 
 
 def canonical_hash(s: FiniteSemiring) -> str:
@@ -251,26 +280,42 @@ def _endomorphisms(add) -> frozenset[tuple[int, ...]]:
 def _distributive_classes(n: int):
     """Per orbit of the associative tables under relabelling, in order of
     representative: the representative's encoding, the orbit size, the
-    relabellings by automorphisms of the representative, and the encodings
-    of the associative multiplications distributing over it. A
-    multiplication distributes exactly when its rows and columns are all
-    endomorphisms of the addition."""
-    perms = list(permutations(range(n)))
-    relabel_one = [_relabelling(p, 1) for p in perms]
+    encodings of the associative multiplications distributing over it, and
+    the map from such a multiplication to its least relabelling by an
+    automorphism of the representative. A multiplication distributes exactly
+    when its rows and columns are all endomorphisms of the addition."""
+    relabellings = _relabellings(n)
     tables = _assoc_tables(n)
     flats = [_flat(t) for t in tables]
+    # every table's orbit, as the map to its least encoding: the first met
+    least = {}
+    reps = []
+    for add, enc in zip(tables, flats):
+        if enc not in least:
+            images = [relabel(enc) for relabel in relabellings]
+            least.update(dict.fromkeys(images, enc))
+            reps.append((add, enc, images))
     # the rows and columns of each table, as maps of the carrier
     maps = [frozenset(t) | frozenset(zip(*t)) for t in tables]
-    seen = set()
-    for add, enc in zip(tables, flats):
-        if enc in seen:
-            continue
-        images = [f(enc) for f in relabel_one]
-        seen.update(images)
+    for add, enc, images in reps:
         end = _endomorphisms(add)
-        aut = [_relabelling(p) for p, image in zip(perms, images) if image == enc]
         hits = [mul for mul, m in zip(flats, maps) if m <= end]
-        yield enc, len(set(images)), aut, hits
+        aut = [relabel for relabel, image in zip(relabellings, images) if image == enc]
+        if len(aut) == len(relabellings):
+            # every permutation fixes the addition: the least relabelling of
+            # a multiplication is the least member of its orbit
+            canon = least.__getitem__
+        else:
+            def canon(mul, aut=aut):
+                return min(relabel(mul) for relabel in aut)
+        yield enc, len(relabellings) // len(aut), hits, canon
+
+
+def _check_nonempty(n: int) -> None:
+    # below order 1 there is nothing to enumerate, and a counterexample
+    # search over no orders would report a vacuous survival
+    if n < 1:
+        raise DimensionMismatch("carrier must be nonempty")
 
 
 def _class_key(name: str) -> str:
@@ -283,6 +328,7 @@ def _class_key(name: str) -> str:
 def enumerate_semirings(n: int, filter_class: str | None = None) -> list[FiniteSemiring]:
     """Canonical representatives of all semirings of order n, sorted by
     canonical form."""
+    _check_nonempty(n)
     if n > FULL_ENUMERATION_BOUND:
         raise BoundExceeded(
             f"full enumeration is bounded at order {FULL_ENUMERATION_BOUND}; "
@@ -290,8 +336,8 @@ def enumerate_semirings(n: int, filter_class: str | None = None) -> list[FiniteS
         )
     key = _class_key(filter_class) if filter_class is not None else None
     canons = set()
-    for add, _, aut, hits in _distributive_classes(n):
-        canons.update(bytes([n]) + min(f(add + mul) for f in aut) for mul in hits)
+    for add, _, hits, canon in _distributive_classes(n):
+        canons.update(bytes([n]) + add + canon(mul) for mul in hits)
     reps = [_semiring_from_canonical(form) for form in sorted(canons)]
     if key is not None:
         reps = [s for s in reps if classify(s).holds(key)]
@@ -302,9 +348,10 @@ def count_labeled_semirings(n: int) -> int:
     """Number of valid (add, mul) table pairs on n labeled elements, not up to
     isomorphism: each additive representative's distributive multiplications,
     weighted by the size of its orbit."""
+    _check_nonempty(n)
     if n > FULL_ENUMERATION_BOUND:
         raise BoundExceeded(f"full enumeration is bounded at order {FULL_ENUMERATION_BOUND}")
-    return sum(size * len(hits) for _, size, _, hits in _distributive_classes(n))
+    return sum(size * len(hits) for _, size, hits, _ in _distributive_classes(n))
 
 
 def sample_semirings(n: int, count: int, seed: int = 0,
@@ -359,6 +406,7 @@ def find_counterexample(query: ImplicationQuery) -> FiniteSemiring | None:
     conclusion class, orders ascending; None when the implication survives."""
     premise = _class_key(query.premise)
     conclusion = _class_key(query.conclusion)
+    _check_nonempty(query.max_order)
     if query.max_order > FULL_ENUMERATION_BOUND:
         raise BoundExceeded(
             f"counterexample search sweeps full enumerations, bounded at order "

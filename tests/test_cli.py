@@ -196,6 +196,16 @@ def test_enumerate_bound_exit_2(run):
     assert "sampling" in err
 
 
+def test_enumerate_empty_order_exit_2(run):
+    for argv in (
+        ("enumerate", "--order", "0", "--count-only"),
+        ("enumerate", "--order", "0", "--sample", "1"),
+        ("counterexample", "--premise", "skew-ring", "--conclusion", "quasi-skew-ring", "--max-order", "0"),
+    ):
+        code, out, err = run(*argv)
+        assert (code, out, err) == (2, "", "error: carrier must be nonempty\n")
+
+
 def test_counterexample_found(run, tmp_path):
     witness_file = tmp_path / "w.srt"
     code, out, _ = run(

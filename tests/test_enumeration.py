@@ -1,4 +1,5 @@
 import hashlib
+import random
 import warnings
 from itertools import permutations, product
 from math import factorial
@@ -6,9 +7,17 @@ from math import factorial
 import pytest
 
 import semiringlab as sl
-from semiringlab.errors import BoundExceeded, SampleShortfallWarning, UnknownClassName
+from conftest import zn
+from semiringlab.errors import (
+    BoundExceeded,
+    DimensionMismatch,
+    SampleShortfallWarning,
+    UnknownClassName,
+)
 from semiringlab.enumeration import (
     FULL_ENUMERATION_BOUND,
+    SAMPLE_BOUND,
+    _cached_relabellings,
     ImplicationQuery,
     canonical_form,
     canonical_hash,
@@ -25,6 +34,8 @@ from semiringlab.enumeration import (
 # cross-checked by the orbit-stabilizer identity
 ORACLE_LABELED = {1: 1, 2: 36, 3: 1747, 4: 168392}
 ORACLE_CANONICAL = {1: 1, 2: 20, 3: 316, 4: 7652}
+# sha256 over the concatenated canonical forms of enumerate_semirings(4)
+ORDER4_FORMS_SHA256 = "36b4f19bbfffda2ab1d347658fbba5e42eab3a35755afa6b2d6a7633c62eef07"
 # sha256 over the canonical forms of sample_semirings(n, count, seed), in order
 SAMPLE_DIGESTS = {
     (4, 30, 11): "4c5d20036400808aadec6c9da58e63050fa0cf04b6b3c88944b514ad9c4ac4d8",
@@ -51,6 +62,52 @@ def brute_force_forms(n):
             if sl.validate_semiring(names, add, mul).verdict:
                 forms.append(canonical_form(sl.FiniteSemiring(names=names, add=add, mul=mul)))
     return forms
+
+
+def oracle_canonical_form(s):
+    """The definition of the canonical form, independent of the production
+    relabelling: the least encoding of both tables over every relabelled
+    copy."""
+    n = s.order
+
+    def encode(t):
+        return bytes([n]) + bytes(v for row in t.add + t.mul for v in row)
+
+    return min(encode(s.relabel(p)) for p in permutations(range(n)))
+
+
+def test_canonical_form_matches_definition(corpus_small, corpus_order5, corpus_order6):
+    rng = random.Random(20261018)
+    for s in corpus_small:
+        perm = list(range(s.order))
+        rng.shuffle(perm)
+        copy = s.relabel(perm)
+        assert canonical_form(copy) == oracle_canonical_form(copy) == canonical_form(s)
+    for s in corpus_order5[:3] + corpus_order6[:2]:
+        assert canonical_form(s) == oracle_canonical_form(s)
+
+
+def test_canonical_form_above_the_cached_orders():
+    # relabellings are cached per order up to SAMPLE_BOUND and built as they
+    # are consumed above it
+    z7 = zn(7)
+    assert z7.order > SAMPLE_BOUND
+    _cached_relabellings.cache_clear()
+    assert canonical_form(z7) == oracle_canonical_form(z7)
+    assert _cached_relabellings.cache_info().currsize == 0
+    canonical_form(zn(SAMPLE_BOUND))
+    assert _cached_relabellings.cache_info().currsize == 1
+
+
+def test_order4_canonical_set_is_pinned():
+    # each representative is written in its canonical labelling, and the set
+    # of forms is frozen
+    forms = []
+    for s in enumerate_semirings(4):
+        form = canonical_form(s)
+        assert form == bytes([4]) + bytes(v for row in s.add + s.mul for v in row)
+        forms.append(form)
+    assert hashlib.sha256(b"".join(forms)).hexdigest() == ORDER4_FORMS_SHA256
 
 
 def test_counts_match_frozen_oracle():
@@ -131,6 +188,17 @@ def test_enumeration_bound_and_class_errors():
         sample_semirings(7, 1)
     with pytest.raises(UnknownClassName):
         enumerate_semirings(2, filter_class="not-a-class")
+
+
+def test_empty_carrier_is_rejected():
+    for n in (0, -1):
+        with pytest.raises(DimensionMismatch, match="carrier must be nonempty"):
+            enumerate_semirings(n)
+        with pytest.raises(DimensionMismatch, match="carrier must be nonempty"):
+            count_labeled_semirings(n)
+        # a search over no orders must not report the implication as surviving
+        with pytest.raises(DimensionMismatch, match="carrier must be nonempty"):
+            find_counterexample(ImplicationQuery("skew-ring", "quasi-skew-ring", n))
 
 
 def test_enumeration_deterministic():
