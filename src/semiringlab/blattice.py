@@ -27,7 +27,6 @@ from .kernel import (
     FiniteSemiring,
     LawFailure,
     ValidationReport,
-    analysis,
     is_b_lattice,
     validate,
 )
@@ -388,7 +387,6 @@ def _require_saqci(s: FiniteSemiring, d: Decomposition) -> None:
         raise PreconditionFailed("decomposition quotient is not a b-lattice")
 
 
-@analysis
 def check_main_theorem_conditions(
     s: FiniteSemiring, d: Decomposition, m: StructureMaps
 ) -> ConditionReport:
@@ -694,7 +692,6 @@ def _search_family(s: FiniteSemiring, d: Decomposition) -> StructureMaps | None:
     return extend(0)
 
 
-@analysis
 def search_structure_maps(s: FiniteSemiring, bound: int = SEARCH_BOUND) -> StructureMaps | None:
     """Exhaustive, deterministic search for a family presenting s as a strong
     b-lattice of its classes; None when no family exists."""
@@ -705,7 +702,6 @@ def search_structure_maps(s: FiniteSemiring, bound: int = SEARCH_BOUND) -> Struc
     return _search_family(s, d)
 
 
-@analysis
 def check_generalized_clifford_theorem(s: FiniteSemiring, bound: int = SEARCH_BOUND):
     """Generalized Clifford (definitional) against the existence of a
     presenting family with empty nil parts (strong b-lattice of skew-rings)."""

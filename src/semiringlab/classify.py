@@ -42,7 +42,6 @@ from .kernel import (
     ADD,
     FiniteSemiring,
     ReductFlag,
-    analysis,
     is_b_lattice,
     memo,
     orbit,
@@ -192,7 +191,6 @@ def _sum_closed_idempotents(s: FiniteSemiring):
     return True, ""
 
 
-@analysis
 def classify(s: FiniteSemiring) -> ClassReport:
     v: dict[str, Verdict] = {}
 
@@ -465,7 +463,6 @@ _THEOREMS = {
 }
 
 
-@analysis
 def verify_equivalence(s: FiniteSemiring, theorem: str) -> TheoremReport:
     """Evaluate every condition of the named equivalence theorem on its own
     and report whether they agree."""
@@ -474,7 +471,6 @@ def verify_equivalence(s: FiniteSemiring, theorem: str) -> TheoremReport:
     return TheoremReport(theorem=theorem, conditions=tuple(_THEOREMS[theorem](s)))
 
 
-@analysis
 def verify_ideal_corollary(s: FiniteSemiring) -> TheoremReport:
     """Strong additive quasi complete inversity against 'quasi completely
     inverse with Reg+ and E+ both ideals'."""

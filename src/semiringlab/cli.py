@@ -209,7 +209,7 @@ def _cmd_congruences(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.sample:
+    if args.sample is not None:
         with warnings.catch_warnings(record=True) as caught:
             semirings = sample_semirings(
                 args.order, args.sample, seed=args.seed, filter_class=args.klass

@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from operator import itemgetter
 
-from .errors import BoundExceeded, DimensionMismatch, SampleShortfallWarning, UnknownClassName
+from .errors import BoundExceeded, DimensionMismatch, OutOfRange, SampleShortfallWarning, UnknownClassName
 from .kernel import FiniteSemiring
 from .classify import CLASS_KEYS, classify
 
@@ -362,6 +362,8 @@ def sample_semirings(n: int, count: int, seed: int = 0,
     and a `SampleShortfallWarning` gives both counts."""
     if n > SAMPLE_BOUND:
         raise BoundExceeded(f"sampling is bounded at order {SAMPLE_BOUND}")
+    if count < 1:
+        raise OutOfRange(f"sample count must be at least 1, got {count}")
     key = _class_key(filter_class) if filter_class is not None else None
     rng = random.Random(seed)
     names = _element_names(n)

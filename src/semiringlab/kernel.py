@@ -5,39 +5,22 @@ Elements are dense indices 0..n-1 carrying display names; all reports speak
 in names. Every value here is immutable after construction and every
 operation is a pure function.
 
-Memo: the public analyses (`classify`, `verify_equivalence`,
-`verify_ideal_corollary`, `decompose`, `check_psi_homomorphism`,
-`search_structure_maps`, `check_generalized_clifford_theorem`,
-`check_main_theorem_conditions`) are decorated with `analysis`. The
-outermost such call opens a memo scope and closes it when it returns or
-raises; calls nested inside it reuse the open scope. While a scope is open,
-each primitive decorated with `memo` (orbits, reduct flags, element
+Memo: each primitive decorated with `memo` (orbits, reduct flags, element
 analysis, E+ and Reg+, principal ideals, plain and starred Green relations,
 congruences, additive H-classes, quasi skew-ring checks, the
 orbit-idempotent partition and the per-block checks of the theorem
 verifiers) computes its result once per semiring object and argument tuple.
-The scope holds each semiring it has seen, so no object id is reused while
-it is open, and drops them all when it closes. One thing outlives it: the
-root's own primitives. The root is the call's first positional argument
-when that is a `FiniteSemiring`; on closing, the scope leaves a weak
-reference to the root and the root's cache in a second context variable,
-and the next outermost call starts from that cache when its own root is
-that very object (identity, not equality) and still alive. An outermost
-call on any other object, or without a `FiniteSemiring` first argument,
-replaces or clears the slot, so at most one root's primitives are retained
-per context, and a root the caller drops is freed with them. Restricted
-blocks, class semirings and quotients never outlive their scope. Outside a
-scope every primitive computes afresh. Both variables are context
-variables, so each thread has its own scope and retained cache. Memoized
-results are immutable values (tuples, frozensets, frozen dataclasses) that
-hold no semiring; exceptions are never cached.
+A semiring's results live while it is alive and among the last
+`_MEMO_SEMIRINGS` semirings first seen by the memo. The memo holds each
+semiring weakly and stores nothing on it; equal but distinct objects share
+nothing. Memoized results are immutable values (tuples, frozensets, frozen
+dataclasses) that hold no semiring; exceptions are never cached.
 """
 
 from __future__ import annotations
 
 import functools
 import weakref
-from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,53 +39,30 @@ LAW_RIGHT_DIST = "right-distributivity"
 LAWS = (LAW_ADD_ASSOC, LAW_MUL_ASSOC, LAW_LEFT_DIST, LAW_RIGHT_DIST)
 
 
-# id(s) -> (s, {(primitive, args): result}) for the open analysis, else None
-_SCOPE: ContextVar[dict | None] = ContextVar("semiringlab_memo_scope", default=None)
-# (weakref to the last outermost call's root, the root's cache), else None
-_RETAINED: ContextVar[tuple | None] = ContextVar("semiringlab_memo_retained", default=None)
+# how many semirings' results the memo keeps, oldest first seen dropped first
+_MEMO_SEMIRINGS = 16
+# id(s) -> (weak reference to s, {(primitive, args): result}), in first-seen order
+_CACHES: dict[int, tuple[weakref.ref, dict]] = {}
 _MISSING = object()
 
 
-def analysis(fn):
-    """Run fn inside a memo scope: the outermost decorated call opens one
-    and closes it on return or raise, nested calls share it. The outermost
-    call starts from the cache retained for its root (first positional
-    argument) when the previous outermost call had the same root, and on
-    closing retains the root's cache with the root held weakly."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        if _SCOPE.get() is not None:
-            return fn(*args, **kwargs)
-        root = args[0] if args and isinstance(args[0], FiniteSemiring) else None
-        scope = {}
-        retained = _RETAINED.get()
-        if root is not None and retained is not None and retained[0]() is root:
-            scope[id(root)] = (root, retained[1])
-        token = _SCOPE.set(scope)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _SCOPE.reset(token)
-            entry = scope.get(id(root)) if root is not None else None
-            _RETAINED.set(None if entry is None else (weakref.ref(root), entry[1]))
-
-    return wrapper
-
-
 def memo(fn):
-    """Cache fn(s, *args) per semiring object for the open memo scope; call
-    straight through when none is open. Positional arguments after s form
-    the key, so they must be hashable; keyword calls are not cached."""
+    """Cache fn(s, *args) per live semiring object. Positional arguments
+    after s form the key, so they must be hashable; keyword calls are not
+    cached."""
 
     @functools.wraps(fn)
     def wrapper(s, *args, **kwargs):
-        scope = _SCOPE.get()
-        if scope is None or kwargs:
+        if kwargs:
             return fn(s, *args, **kwargs)
-        entry = scope.get(id(s))
+        caches = _CACHES
+        entry = caches.get(id(s))
         if entry is None:
-            entry = scope[id(s)] = (s, {})
+            entry = caches[id(s)] = (weakref.ref(s, functools.partial(_forget, caches, id(s))), {})
+            if len(caches) > _MEMO_SEMIRINGS:
+                # a snapshot and pop(key, None): other threads may evict too
+                for key in list(caches)[:-_MEMO_SEMIRINGS]:
+                    caches.pop(key, None)
         cache = entry[1]
         key = (fn, args)
         value = cache.get(key, _MISSING)
@@ -111,6 +71,11 @@ def memo(fn):
         return value
 
     return wrapper
+
+
+def _forget(caches, key, _ref) -> None:
+    # runs when the semiring dies, before its id can be reused
+    caches.pop(key, None)
 
 
 def freeze_table(rows) -> Table:

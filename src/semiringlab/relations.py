@@ -84,16 +84,6 @@ class Congruence:
     is_semiring_congruence: bool
 
 
-def _partition_from_keys(keys) -> Partition:
-    ids = {}
-    block_of = []
-    for key in keys:
-        if key not in ids:
-            ids[key] = len(ids)
-        block_of.append(ids[key])
-    return Partition(block_of=tuple(block_of))
-
-
 @memo
 def _principal_sets(s: FiniteSemiring, kind: str) -> tuple[frozenset[int], ...]:
     """Principal additive left ("L"), right ("R") or two-sided ("J") ideals
@@ -122,17 +112,17 @@ def green_plus(s: FiniteSemiring, kind: str) -> Partition:
     if kind not in GREEN_KINDS:
         raise ValueError(f"unknown Green relation kind {kind!r}")
     if kind in ("L", "R", "J"):
-        return _partition_from_keys(_principal_sets(s, kind))
-    left = _partition_from_keys(_principal_sets(s, "L"))
-    right = _partition_from_keys(_principal_sets(s, "R"))
+        return Partition.from_block_of(_principal_sets(s, kind))
+    left = Partition.from_block_of(_principal_sets(s, "L"))
+    right = Partition.from_block_of(_principal_sets(s, "R"))
     if kind == "H":
-        return _partition_from_keys(zip(left.block_of, right.block_of))
-    return _compose_equivalence(left, right, strict=False)
+        return Partition.from_block_of(zip(left.block_of, right.block_of))
+    return _compose_equivalence(left, right)
 
 
-def _compose_equivalence(p: Partition, q: Partition, strict: bool) -> Partition:
-    """p o q as a relation; with strict=True a non-equivalence composite is
-    an error instead of being silently closed."""
+def _compose_equivalence(p: Partition, q: Partition) -> Partition:
+    """p o q as a relation, which must be an equivalence: a composite that
+    is not raises NotEquivalence."""
     n = p.n
     related = [[False] * n for _ in range(n)]
     for a in range(n):
@@ -143,20 +133,12 @@ def _compose_equivalence(p: Partition, q: Partition, strict: bool) -> Partition:
             raise NotEquivalence(f"composite not reflexive at {a}")
         for b in range(n):
             if related[a][b] != related[b][a]:
-                if strict:
-                    raise NotEquivalence(f"composite not symmetric at ({a},{b})")
-                related[a][b] = related[b][a] = True
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            for b in range(n):
-                if not related[a][b] and any(related[a][c] and related[c][b] for c in range(n)):
-                    if strict:
-                        raise NotEquivalence(f"composite not transitive at ({a},{b})")
-                    related[a][b] = related[b][a] = True
-                    changed = True
-    return _partition_from_keys(tuple(row) for row in related)
+                raise NotEquivalence(f"composite not symmetric at ({a},{b})")
+    for a in range(n):
+        for b in range(n):
+            if not related[a][b] and any(related[a][c] and related[c][b] for c in range(n)):
+                raise NotEquivalence(f"composite not transitive at ({a},{b})")
+    return Partition.from_block_of(tuple(row) for row in related)
 
 
 @memo
@@ -168,12 +150,12 @@ def green_star_plus(s: FiniteSemiring, kind: str) -> Partition:
     rm = [least_regular_multiple(s, a)[1] for a in s.elements()]
     if kind in ("L", "R", "J"):
         base = green_plus(s, kind)
-        return _partition_from_keys(base.block_of[r] for r in rm)
+        return Partition.from_block_of(base.block_of[r] for r in rm)
     lstar = green_star_plus(s, "L")
     rstar = green_star_plus(s, "R")
     if kind == "H":
-        return _partition_from_keys(zip(lstar.block_of, rstar.block_of))
-    return _compose_equivalence(lstar, rstar, strict=True)
+        return Partition.from_block_of(zip(lstar.block_of, rstar.block_of))
+    return _compose_equivalence(lstar, rstar)
 
 
 def is_semiring_congruence_partition(s: FiniteSemiring, p: Partition) -> bool:

@@ -31,7 +31,6 @@ from .kernel import (
     ADD,
     FiniteSemiring,
     PartialSemiring,
-    analysis,
     is_b_lattice,
     is_idempotent_semiring,
     memo,
@@ -246,7 +245,6 @@ def _fail(invariant: str):
     raise DecompositionInvariantViolation(invariant)
 
 
-@analysis
 def decompose(s: FiniteSemiring) -> Decomposition:
     if not is_quasi_completely_regular_semiring(s):
         raise NotQuasiCompletelyRegular(
@@ -374,7 +372,6 @@ def psi_tilde(s: FiniteSemiring, d: Decomposition) -> Partition:
     return fibers
 
 
-@analysis
 def check_psi_homomorphism(s: FiniteSemiring, d: Decomposition) -> bool:
     """True iff psi respects both operations; the theory says it must, so a
     False return also emits a theorem-violation warning."""

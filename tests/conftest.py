@@ -5,18 +5,14 @@ import pytest
 import semiringlab as sl
 from semiringlab.enumeration import enumerate_semirings, sample_semirings
 from semiringlab.errors import SampleShortfallWarning
-from semiringlab.kernel import _RETAINED, _SCOPE
+from semiringlab.kernel import _CACHES
 
 
 @pytest.fixture(autouse=True)
-def memo_scope_closed():
-    """Fail a test that leaves a memo scope open, and close it and drop the
-    retained root cache so the next test starts clean."""
-    yield
-    _RETAINED.set(None)
-    if _SCOPE.get() is not None:
-        _SCOPE.set(None)
-        pytest.fail("a memo scope was left open")
+def memo_cleared():
+    """Start each test with an empty memo, so that what a test counts does
+    not depend on which tests ran before it."""
+    _CACHES.clear()
 
 
 def ring(names, add, mul):

@@ -12,7 +12,7 @@ from semiringlab.classify import (
     _is_quasi_skew_subsemiring,
     _orbit_idempotent_partition,
 )
-from semiringlab.kernel import analysis, is_b_lattice, is_idempotent_semiring
+from semiringlab.kernel import is_b_lattice, is_idempotent_semiring
 from semiringlab.relations import Partition, enumerate_congruences, quotient, set_partitions
 
 from conftest import direct_product, zn
@@ -176,11 +176,10 @@ def orbit_idempotent_partition(s):
     return Partition.from_block_of(idempotent_of)
 
 
-@analysis
 def existence_oracles(s):
     """QCR5 (iii), (iv), (v) and QCI5 (v) by scanning every set partition of
     the carrier, checking lemmas (A) and (B) of the classify docstring on the
-    way. One memo scope, so each block predicate runs once per block."""
+    way. The memo runs each block predicate once per block."""
     p = orbit_idempotent_partition(s)
     into_qsr = [
         q for q in set_partitions(s.order)

@@ -194,6 +194,13 @@ def test_enumerate_bound_exit_2(run):
     code, _, err = run("enumerate", "--order", "5")
     assert code == 2
     assert "sampling" in err
+    # a sample count below 1 is an error, not a full enumeration or nothing
+    for argv, count in (
+        (("enumerate", "--order", "3", "--sample", "0", "--count-only"), 0),
+        (("enumerate", "--order", "3", "--sample", "-2"), -2),
+    ):
+        code, out, err = run(*argv)
+        assert (code, out, err) == (2, "", f"error: sample count must be at least 1, got {count}\n")
 
 
 def test_enumerate_empty_order_exit_2(run):

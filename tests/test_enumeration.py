@@ -11,6 +11,7 @@ from conftest import zn
 from semiringlab.errors import (
     BoundExceeded,
     DimensionMismatch,
+    OutOfRange,
     SampleShortfallWarning,
     UnknownClassName,
 )
@@ -188,6 +189,12 @@ def test_enumeration_bound_and_class_errors():
         sample_semirings(7, 1)
     with pytest.raises(UnknownClassName):
         enumerate_semirings(2, filter_class="not-a-class")
+
+
+def test_sample_count_below_one_is_rejected():
+    for n, count in ((3, 0), (5, 0), (3, -2)):
+        with pytest.raises(OutOfRange, match=f"sample count must be at least 1, got {count}"):
+            sample_semirings(n, count)
 
 
 def test_empty_carrier_is_rejected():

@@ -1,14 +1,13 @@
-"""The memo: the outermost public analysis opens a scope and the
-per-semiring primitives compute once inside it; when it closes, only the
-root's own primitives survive, held for the next outermost call on that very
-object and dropped by an outermost call on any other."""
+"""The memo: a semiring's primitives compute once and live while the
+semiring is alive and among the last `_MEMO_SEMIRINGS` semirings the memo
+first saw; the memo holds no semiring and stores nothing on one."""
 
 import gc
 import sys
 import threading
 import weakref
 from collections import Counter
-from functools import partial
+from contextlib import contextmanager
 
 import pytest
 
@@ -16,115 +15,153 @@ import semiringlab as sl
 from semiringlab import kernel, relations
 from semiringlab.classify import THEOREM_IDS
 from semiringlab.errors import NotQuasiCompletelyRegular, UnknownTheoremId
-from semiringlab.kernel import _RETAINED, _SCOPE, analysis
+from semiringlab.kernel import _CACHES, _MEMO_SEMIRINGS
 from semiringlab.relations import enumerate_congruences
 
-from conftest import zn
+from conftest import ring, zn
 
 SAQCI = "strongly-additively-quasi-completely-inverse"
 
 
-def reports(fn, s):
-    """The whole sweep chain through fn(name) -> callable: classify, every
-    equivalence theorem, the ideals corollary and the generalized Clifford
-    theorem, and on strongly additively quasi completely inverse members the
-    decomposition, the structure maps, psi and the main theorem's
-    conditions."""
-    report = fn("classify")(s)
+def reports(s):
+    """The whole sweep chain: classify, every equivalence theorem, the
+    ideals corollary and the generalized Clifford theorem, and on strongly
+    additively quasi completely inverse members the decomposition, the
+    structure maps, psi and the main theorem's conditions."""
+    report = sl.classify(s)
     out = [report]
-    out.extend(fn("verify_equivalence")(s, t) for t in THEOREM_IDS)
-    out.append(fn("verify_ideal_corollary")(s))
-    out.append(fn("check_generalized_clifford_theorem")(s))
+    out.extend(sl.verify_equivalence(s, t) for t in THEOREM_IDS)
+    out.append(sl.verify_ideal_corollary(s))
+    out.append(sl.check_generalized_clifford_theorem(s))
     if report.holds(SAQCI):
-        d = fn("decompose")(s)
-        maps = fn("search_structure_maps")(s)
-        out.extend((d, maps, fn("check_psi_homomorphism")(s, d)))
+        d = sl.decompose(s)
+        maps = sl.search_structure_maps(s)
+        out.extend((d, maps, sl.check_psi_homomorphism(s, d)))
         if maps is not None:
-            out.append(fn("check_main_theorem_conditions")(s, d, maps))
+            out.append(sl.check_main_theorem_conditions(s, d, maps))
     return out
 
 
-def scoped(name):
-    return getattr(sl, name)
+class _StoresNothing(dict):
+    def __setitem__(self, key, value):
+        pass
 
 
-def unscoped(name):
-    # the undecorated body: the primitives it calls find no scope open
-    return getattr(sl, name).__wrapped__
+@contextmanager
+def uncached():
+    """Every primitive computes afresh: the memo's table keeps no entry."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_CACHES", _StoresNothing())
+        yield
 
 
-def test_scoped_reports_match_unscoped_bodies(corpus_small):
-    members = list(corpus_small) + [zn(6), zn(8)]
-    for s in members:
-        assert reports(scoped, s) == reports(unscoped, s), repr(s)
+def check_entries():
+    """Every entry is keyed by the id of the live semiring it refers to."""
+    assert len(_CACHES) <= _MEMO_SEMIRINGS
+    for key, (ref, _) in _CACHES.items():
+        assert ref() is not None and id(ref()) == key
 
 
-def test_primitives_are_shared_inside_a_scope_only(z3):
-    @analysis
-    def twice():
-        assert _SCOPE.get() is not None
-        return sl.green_plus(z3, "H"), sl.green_plus(z3, "H")
+def test_cached_reports_match_uncached(corpus_small):
+    for s in list(corpus_small) + [zn(6), zn(8)]:
+        cached = reports(s)
+        assert reports(s) == cached, repr(s)
+        with uncached():
+            assert reports(s) == cached, repr(s)
+    check_entries()
 
-    first, second = twice()
-    assert first is second
-    assert sl.green_plus(z3, "H") is not sl.green_plus(z3, "H")
+
+def _relabelled(base):
+    return base.relabel(tuple(reversed(range(base.order))))
 
 
 def _classify_transient(base):
-    t = base.relabel(tuple(reversed(range(base.order))))
+    t = _relabelled(base)
     sl.classify(t)
-    return weakref.ref(t)
+    assert id(t) in _CACHES
+    return weakref.ref(t), id(t)
 
 
 def _decompose_transient(base):
-    t = base.relabel(tuple(reversed(range(base.order))))
+    t = _relabelled(base)
     try:
         sl.decompose(t)
     except NotQuasiCompletelyRegular:
         pass
     else:
         raise AssertionError("decompose should reject a non quasi completely regular semiring")
-    return weakref.ref(t)
+    return weakref.ref(t), id(t)
 
 
 def test_no_scope_or_semiring_survives_the_call(z3, min_const):
-    ref = _classify_transient(z3)
-    assert _SCOPE.get() is None
-    gc.collect()
-    assert ref() is None
-    ref = _decompose_transient(min_const)
-    assert _SCOPE.get() is None
-    gc.collect()
-    assert ref() is None
+    for transient, base in ((_classify_transient, z3), (_decompose_transient, min_const)):
+        ref, key = transient(base)
+        gc.collect()
+        assert ref() is None and key not in _CACHES
     with pytest.raises(UnknownTheoremId):
         sl.verify_equivalence(z3, "NOPE")
-    assert _SCOPE.get() is None
+    check_entries()
+
+
+def test_a_dead_semirings_entry_is_dropped(z3):
+    t = _relabelled(z3)
+    sl.green_plus(t, "H")
+    key = id(t)
+    assert _CACHES[key][0]() is t
+    del t
+    assert key not in _CACHES
+
+
+def test_an_object_reusing_a_dead_semirings_id_gets_its_own_results():
+    # Z_3 has one H-class; the 3-chain under (max, min) has three
+    chain = ((0, 1, 2), (1, 1, 2), (2, 2, 2)), ((0, 0, 0), (0, 1, 1), (0, 1, 2))
+    dead = zn(3)
+    assert sl.green_plus(dead, "H").num_blocks == 1
+    key = id(dead)
+    del dead
+    others = []
+    while len(others) < 100:
+        s = ring("abc", *chain)
+        if id(s) == key:
+            break
+        others.append(s)
+    else:
+        pytest.fail("no semiring reused the id of the dead one")
+    assert sl.green_plus(s, "H").num_blocks == 3
+    assert _CACHES[key][0]() is s
+
+
+def test_the_memo_keeps_at_most_its_bound_of_live_semirings(corpus_small):
+    members = list(corpus_small)
+    assert len(members) > 10 * _MEMO_SEMIRINGS
+    for k, s in enumerate(members):
+        sl.green_plus(s, "H")
+        assert len(_CACHES) == min(k + 1, _MEMO_SEMIRINGS)
+    # the last ones first seen are the ones kept
+    assert list(_CACHES) == [id(s) for s in members[-_MEMO_SEMIRINGS:]]
+    check_entries()
 
 
 def test_congruence_list_is_fresh_within_a_scope(z3):
-    expected = enumerate_congruences(z3)
-
-    @analysis
-    def mutate_then_reread():
-        first = enumerate_congruences(z3)
-        first.clear()
-        return enumerate_congruences(z3)
-
-    assert mutate_then_reread() == expected
-    assert len(expected) >= 2
+    first = enumerate_congruences(z3)
+    assert len(first) >= 2
+    expected = list(first)
+    first.clear()
+    assert enumerate_congruences(z3) == expected
 
 
-def test_threads_keep_their_own_scopes(corpus_small):
-    members = [s for s in corpus_small if s.order == 3][:24]
-    expected = [reports(scoped, s) for s in members]
+def test_threads_share_the_cache_soundly(corpus_small):
+    members = [s for s in corpus_small if s.order == 3][:48]
+    expected = [reports(s) for s in members]
+    _CACHES.clear()
     shares = [members[k::4] for k in range(4)]
     got = [None] * len(shares)
 
     def work(k):
-        got[k] = [reports(scoped, s) for s in shares[k]]
+        got[k] = [reports(s) for s in shares[k]]
 
     old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
+    sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=work, args=(k,)) for k in range(len(shares))]
         for t in threads:
@@ -135,6 +172,7 @@ def test_threads_keep_their_own_scopes(corpus_small):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert got == [expected[k::4] for k in range(4)]
+    check_entries()
 
 
 class Bodies:
@@ -163,8 +201,8 @@ class Bodies:
         return {name: k for (name, i), k in self.seen.items() if i == id(s)}
 
     def cold(self, call, s) -> dict:
-        """The counts for s of call(s) with nothing retained."""
-        _RETAINED.set(None)
+        """The counts for s of call(s) with an empty memo."""
+        _CACHES.clear()
         self.seen.clear()
         call(s)
         counts = self.on(s)
@@ -179,14 +217,15 @@ def bodies(monkeypatch):
 
 def test_a_second_call_on_the_same_root_recomputes_no_primitive(bodies):
     s = zn(6)
-    chain = partial(reports, scoped)
-    assert bodies.cold(chain, s)
+    assert bodies.cold(reports, s)
     assert SAQCI in sl.classify(s).true_classes()
-    for call in (sl.classify, chain):
+    for call in (sl.classify, reports):
         bodies.seen.clear()
         call(s)
         assert bodies.on(s) == {}
-    assert reports(scoped, s) == reports(unscoped, s)
+    cached = reports(s)
+    with uncached():
+        assert reports(s) == cached
 
 
 def test_equal_or_relabelled_copies_get_no_reuse(bodies):
@@ -198,53 +237,20 @@ def test_equal_or_relabelled_copies_get_no_reuse(bodies):
     )
     for t in copies:
         cold = bodies.cold(sl.classify, t)
+        _CACHES.clear()
         sl.classify(s)
         bodies.seen.clear()
         sl.classify(t)
         assert bodies.on(t) == cold, t
 
 
-def test_a_call_on_another_root_drops_the_first_roots_cache(bodies, z3):
-    s = zn(6)
-    cold = bodies.cold(sl.classify, s)
-    sl.classify(z3)
-    assert _RETAINED.get()[0]() is z3
-    bodies.seen.clear()
-    sl.classify(s)
-    assert bodies.on(s) == cold
-
-
 def test_a_raising_call_leaves_a_sound_cache(bodies, min_const):
     with pytest.raises(NotQuasiCompletelyRegular):
         sl.decompose(min_const)
-    assert _RETAINED.get()[0]() is min_const
+    assert id(min_const) in _CACHES
     report = sl.classify(min_const)
-    assert report == sl.classify.__wrapped__(min_const)
+    with uncached():
+        assert sl.classify(min_const) == report
     bodies.seen.clear()
     assert sl.classify(min_const) == report
     assert bodies.on(min_const) == {}
-
-
-def test_calls_without_a_semiring_root_neither_retain_nor_reuse(bodies, z3):
-    @analysis
-    def no_arguments():
-        return dict(_SCOPE.get())
-
-    @analysis
-    def first_not_a_semiring(x, s):
-        return dict(_SCOPE.get()), sl.green_plus(s, "H")
-
-    sl.classify(z3)
-    assert no_arguments() == {}
-    assert _RETAINED.get() is None
-    sl.classify(z3)
-    bodies.seen.clear()
-    scope, _ = first_not_a_semiring(z3.names, z3)
-    assert scope == {} and bodies.on(z3) == {"_principal_sets": 2}
-    assert _RETAINED.get() is None
-    # a retained root that has since died matches no call, not even one
-    # whose first argument is None
-    ref = _classify_transient(z3)
-    gc.collect()
-    assert ref() is None and _RETAINED.get()[0]() is None
-    assert first_not_a_semiring(None, z3)[0] == {}
