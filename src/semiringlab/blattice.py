@@ -377,7 +377,8 @@ class ConditionReport:
 
 
 def _require_saqci(s: FiniteSemiring, d: Decomposition) -> None:
-    if d.base is not s and d.base != s:
+    # identity, not equality: an equal copy gets its own decompose(copy)
+    if d.base is not s:
         raise PreconditionFailed("decomposition does not belong to this semiring")
     if not is_strongly_additively_quasi_completely_inverse(s):
         raise PreconditionFailed(

@@ -35,7 +35,9 @@ coarsenings of P.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import InternalTheoremViolation, NotQuasiCompletelyRegular, UnknownTheoremId
 from .kernel import (
@@ -98,7 +100,8 @@ class Verdict:
 
 @dataclass(frozen=True)
 class ClassReport:
-    verdicts: dict[str, Verdict]
+    # read-only: the memo hands the same report to every caller
+    verdicts: Mapping[str, Verdict]
 
     def holds(self, key: str) -> bool:
         return self.verdicts[key].holds
@@ -191,6 +194,7 @@ def _sum_closed_idempotents(s: FiniteSemiring):
     return True, ""
 
 
+@memo
 def classify(s: FiniteSemiring) -> ClassReport:
     v: dict[str, Verdict] = {}
 
@@ -257,7 +261,7 @@ def classify(s: FiniteSemiring) -> ClassReport:
     put("completely-archimedean", qcr and js_one,
         "" if qcr and js_one else (v["quasi-completely-regular"].evidence or "J*+ has several blocks"))
 
-    report = ClassReport(verdicts=v)
+    report = ClassReport(verdicts=MappingProxyType(v))
     _check_implication_closure(s, report)
     return report
 

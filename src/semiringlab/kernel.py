@@ -8,13 +8,16 @@ operation is a pure function.
 Memo: each primitive decorated with `memo` (orbits, reduct flags, element
 analysis, E+ and Reg+, principal ideals, plain and starred Green relations,
 congruences, additive H-classes, quasi skew-ring checks, the
-orbit-idempotent partition and the per-block checks of the theorem
-verifiers) computes its result once per semiring object and argument tuple.
-A semiring's results live while it is alive and among the last
-`_MEMO_SEMIRINGS` semirings first seen by the memo. The memo holds each
-semiring weakly and stores nothing on it; equal but distinct objects share
-nothing. Memoized results are immutable values (tuples, frozensets, frozen
-dataclasses) that hold no semiring; exceptions are never cached.
+orbit-idempotent partition, the per-block checks of the theorem verifiers,
+class reports and decompositions) computes its result once per semiring
+object and argument tuple. A semiring's results live while it is alive and
+among the last `_MEMO_SEMIRINGS` semirings first seen by the memo. The memo
+holds each semiring weakly and stores nothing on it; equal but distinct
+objects share nothing. Memoized results are immutable values (tuples,
+frozensets, frozen dataclasses, read-only mappings), and a cached result
+never references its root, or the root would never die: `decompose` caches
+every field of a `Decomposition` but its `base`. Exceptions are never
+cached.
 """
 
 from __future__ import annotations

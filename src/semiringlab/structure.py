@@ -246,6 +246,12 @@ def _fail(invariant: str):
 
 
 def decompose(s: FiniteSemiring) -> Decomposition:
+    # the memo keeps every field but the root, so it never holds s alive
+    return Decomposition(s, *_decomposition_fields(s))
+
+
+@memo
+def _decomposition_fields(s: FiniteSemiring) -> tuple:
     if not is_quasi_completely_regular_semiring(s):
         raise NotQuasiCompletelyRegular(
             "some element has no completely regular additive multiple"
@@ -295,15 +301,7 @@ def decompose(s: FiniteSemiring) -> Decomposition:
                 _fail("class membership is not compatible with addition")
             if hstar.block_of[s.mul[a][b]] != y.mul[alpha][beta]:
                 _fail("class membership is not compatible with multiplication")
-    return Decomposition(
-        base=s,
-        hstar=hstar,
-        blattice=y,
-        classes=classes,
-        kernels=tuple(kernels),
-        idempotents=tuple(idempotents),
-        nil_parts=tuple(nil_parts),
-    )
+    return hstar, y, classes, tuple(kernels), tuple(idempotents), tuple(nil_parts)
 
 
 def commuting_additive_idempotents(s: FiniteSemiring) -> tuple[int, int] | None:

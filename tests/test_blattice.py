@@ -3,6 +3,7 @@ import warnings
 import pytest
 
 import semiringlab as sl
+from semiringlab import blattice
 from semiringlab.blattice import _family_presents, family_spec
 from semiringlab.enumeration import canonical_form
 from semiringlab.errors import (
@@ -13,7 +14,7 @@ from semiringlab.errors import (
     TheoremViolationWarning,
 )
 
-from conftest import QSR3_TEXT
+from conftest import QSR3_TEXT, zn
 
 ONE_COMPONENT_QSR3_SBL = (
     "blattice:\nelements: y\nadd:\ny\nmul:\ny\ncomponent y:\n" + QSR3_TEXT
@@ -231,6 +232,24 @@ def test_search_bound():
 def test_search_requires_saqci(left_zero):
     with pytest.raises(PreconditionFailed):
         sl.search_structure_maps(left_zero)
+
+
+def test_a_decomposition_serves_only_its_own_semiring(monkeypatch):
+    s = zn(6)
+    d = sl.decompose(s)
+    m = sl.search_structure_maps(s)
+    equal = sl.FiniteSemiring(s.names, s.add, s.mul)
+    relabelled = s.relabel(tuple(reversed(range(s.order))))
+    assert equal == s and equal is not s and relabelled != s
+    assert sl.search_structure_maps(equal) is not None
+    # search_structure_maps guards what decompose hands it
+    monkeypatch.setattr(blattice, "decompose", lambda _: d)
+    for t in (equal, relabelled):
+        with pytest.raises(PreconditionFailed, match="does not belong"):
+            sl.check_main_theorem_conditions(t, d, m)
+        with pytest.raises(PreconditionFailed, match="does not belong"):
+            sl.search_structure_maps(t)
+    assert sl.check_main_theorem_conditions(s, d, m).all_hold
 
 
 def _pipeline(s):

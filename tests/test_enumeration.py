@@ -19,6 +19,7 @@ from semiringlab.enumeration import (
     FULL_ENUMERATION_BOUND,
     SAMPLE_BOUND,
     _cached_relabellings,
+    _distributive_classes,
     ImplicationQuery,
     canonical_form,
     canonical_hash,
@@ -35,6 +36,8 @@ from semiringlab.enumeration import (
 # cross-checked by the orbit-stabilizer identity
 ORACLE_LABELED = {1: 1, 2: 36, 3: 1747, 4: 168392}
 ORACLE_CANONICAL = {1: 1, 2: 20, 3: 316, 4: 7652}
+# semigroups of order n up to isomorphism (OEIS A027851)
+SEMIGROUP_CLASSES = {1: 1, 2: 5, 3: 24, 4: 188}
 # sha256 over the concatenated canonical forms of enumerate_semirings(4)
 ORDER4_FORMS_SHA256 = "36b4f19bbfffda2ab1d347658fbba5e42eab3a35755afa6b2d6a7633c62eef07"
 # sha256 over the canonical forms of sample_semirings(n, count, seed), in order
@@ -115,6 +118,12 @@ def test_counts_match_frozen_oracle():
     for n in ORACLE_LABELED:
         assert count_labeled_semirings(n) == ORACLE_LABELED[n]
         assert len(enumerate_semirings(n)) == ORACLE_CANONICAL[n]
+
+
+def test_additions_are_the_semigroups_up_to_isomorphism():
+    # one representative per orbit of the associative tables under relabelling
+    for n, count in SEMIGROUP_CLASSES.items():
+        assert sum(1 for _ in _distributive_classes(n)) == count
 
 
 def test_order2_counts_match_in_suite_oracle():

@@ -1,8 +1,10 @@
 """The memo: a semiring's primitives compute once and live while the
 semiring is alive and among the last `_MEMO_SEMIRINGS` semirings the memo
-first saw; the memo holds no semiring and stores nothing on one."""
+first saw; no cached result keeps its semiring alive, and the memo stores
+nothing on one."""
 
 import gc
+import importlib
 import sys
 import threading
 import weakref
@@ -12,8 +14,8 @@ from contextlib import contextmanager
 import pytest
 
 import semiringlab as sl
-from semiringlab import kernel, relations
-from semiringlab.classify import THEOREM_IDS
+from semiringlab import kernel, relations, structure
+from semiringlab.classify import THEOREM_IDS, Verdict
 from semiringlab.errors import NotQuasiCompletelyRegular, UnknownTheoremId
 from semiringlab.kernel import _CACHES, _MEMO_SEMIRINGS
 from semiringlab.relations import enumerate_congruences
@@ -93,8 +95,19 @@ def _decompose_transient(base):
     return weakref.ref(t), id(t)
 
 
+def _structure_transient(base):
+    t = _relabelled(base)
+    assert sl.decompose(t).base is t
+    assert sl.search_structure_maps(t) is not None
+    return weakref.ref(t), id(t)
+
+
 def test_no_scope_or_semiring_survives_the_call(z3, min_const):
-    for transient, base in ((_classify_transient, z3), (_decompose_transient, min_const)):
+    for transient, base in (
+        (_classify_transient, z3),
+        (_decompose_transient, min_const),
+        (_structure_transient, zn(6)),
+    ):
         ref, key = transient(base)
         gc.collect()
         assert ref() is None and key not in _CACHES
@@ -254,3 +267,30 @@ def test_a_raising_call_leaves_a_sound_cache(bodies, min_const):
     bodies.seen.clear()
     assert sl.classify(min_const) == report
     assert bodies.on(min_const) == {}
+
+
+def test_classify_and_decompose_bodies_run_once_per_semiring(bodies, monkeypatch, min_const):
+    # helpers only the bodies call, once per run: _check_implication_closure
+    # (classify) and quotient (decompose)
+    classify_module = importlib.import_module("semiringlab.classify")
+    bodies._count(monkeypatch, classify_module, "_check_implication_closure")
+    bodies._count(monkeypatch, structure, "quotient")
+    z6 = zn(6)
+    assert sl.classify(z6).holds(SAQCI)
+    assert not sl.classify(min_const).holds("quasi-completely-regular")
+    for s, decompositions in ((z6, 1), (min_const, 0)):
+        _CACHES.clear()
+        bodies.seen.clear()
+        reports(s)
+        counts = bodies.on(s)
+        assert counts["_check_implication_closure"] == 1, s
+        assert counts.get("quotient", 0) == decompositions, s
+
+
+def test_a_class_report_is_read_only(z3):
+    report = sl.classify(z3)
+    with pytest.raises(TypeError):
+        report.verdicts["skew-ring"] = Verdict(holds=False)
+    with pytest.raises(TypeError):
+        del report.verdicts["skew-ring"]
+    assert sl.classify(z3) is report and report.holds("skew-ring")
