@@ -377,9 +377,7 @@ class ConditionReport:
 
 
 def _require_saqci(s: FiniteSemiring, d: Decomposition) -> None:
-    # identity, not equality: an equal copy gets its own decompose(copy)
-    if d.base is not s:
-        raise PreconditionFailed("decomposition does not belong to this semiring")
+    d.require_base(s)
     if not is_strongly_additively_quasi_completely_inverse(s):
         raise PreconditionFailed(
             "a strongly additively quasi completely inverse semiring is required"

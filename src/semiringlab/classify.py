@@ -44,6 +44,7 @@ from .kernel import (
     ADD,
     FiniteSemiring,
     ReductFlag,
+    addition,
     is_b_lattice,
     memo,
     orbit,
@@ -53,7 +54,6 @@ from .elements import (
     additive_idempotents,
     additive_inverses,
     first_without_completely_regular_multiple,
-    is_additively_regular,
     is_completely_regular,
     reg_plus,
 )
@@ -125,25 +125,36 @@ class TheoremReport:
         return {label: holds for label, holds, _ in self.conditions}
 
 
-def _unique_additive_inverse(s: FiniteSemiring, a: int) -> bool:
-    return len(additive_inverses(s, a).inverses) == 1
+@memo(table=addition)
+def _additive_inverse_counts(s: FiniteSemiring) -> tuple[int, ...]:
+    """|V+(a)| for each element a."""
+    return tuple(len(additive_inverses(s, a).inverses) for a in s.elements())
+
+
+@memo(table=addition)
+def _first_without_quasi_inverse_multiple(s: FiniteSemiring) -> int | None:
+    """The first element no multiple na of which admits exactly one x with
+    na+x+na = na and x+na+x = x, or None."""
+    counts = _additive_inverse_counts(s)
+    return next(
+        (a for a in s.elements() if all(counts[v] != 1 for v in orbit(s, a, ADD).values)),
+        None,
+    )
 
 
 def _is_additively_inverse(s: FiniteSemiring):
-    for a in s.elements():
-        count = len(additive_inverses(s, a).inverses)
-        if count != 1:
-            return False, f"{s.names[a]} has {count} additive inverses"
-    return True, ""
+    counts = _additive_inverse_counts(s)
+    bad = next((a for a in s.elements() if counts[a] != 1), None)
+    if bad is None:
+        return True, ""
+    return False, f"{s.names[bad]} has {counts[bad]} additive inverses"
 
 
 def _is_additively_quasi_inverse(s: FiniteSemiring):
-    """Some multiple na of each a admits exactly one x with na+x+na = na and
-    x+na+x = x."""
-    for a in s.elements():
-        if not any(_unique_additive_inverse(s, v) for v in orbit(s, a, ADD).values):
-            return False, f"no multiple of {s.names[a]} has a unique additive inverse"
-    return True, ""
+    bad = _first_without_quasi_inverse_multiple(s)
+    if bad is None:
+        return True, ""
+    return False, f"no multiple of {s.names[bad]} has a unique additive inverse"
 
 
 def _is_completely_regular(s: FiniteSemiring):
@@ -201,7 +212,8 @@ def classify(s: FiniteSemiring) -> ClassReport:
     def put(key, holds, evidence=""):
         v[key] = Verdict(holds=holds, evidence=evidence)
 
-    bad_reg = next((a for a in s.elements() if not is_additively_regular(s, a)), None)
+    regs = reg_plus(s)
+    bad_reg = next((a for a in s.elements() if a not in regs), None)
     put(
         "additively-regular",
         bad_reg is None,
@@ -316,7 +328,7 @@ def _is_completely_archimedean_subsemiring(s: FiniteSemiring, block: frozenset[i
     )
 
 
-@memo
+@memo(table=addition)
 def _orbit_idempotent_partition(s: FiniteSemiring) -> Partition:
     """P: a and b share a block iff their additive orbits hold the same
     additive idempotent (see the module docstring)."""

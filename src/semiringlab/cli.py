@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the command's claim holds, 1 for a well-formed negative
 result (failed validation, a found counterexample, an empty search), 2 for
-input errors such as parse failures or exceeded bounds.
+input errors such as parse failures, exceeded bounds, or paths that cannot
+be read or written.
 """
 
 from __future__ import annotations
@@ -313,7 +314,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SemiringError as exc:
+    except (SemiringError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedWitness
-from .kernel import ADD, FiniteSemiring, memo, orbit, semigroup_inverses
+from .kernel import ADD, FiniteSemiring, addition, memo, orbit, semigroup_inverses
 
 
-@memo
+@memo(table=addition)
 def additive_idempotents(s: FiniteSemiring) -> frozenset[int]:
     return frozenset(e for e in s.elements() if s.add[e][e] == e)
 
@@ -30,13 +30,13 @@ def additive_inverses(s: FiniteSemiring, a: int) -> InverseSet:
     return InverseSet(element=a, inverses=semigroup_inverses(s.add, s.order, a))
 
 
-@memo
+@memo(table=addition)
 def is_additively_regular(s: FiniteSemiring, a: int) -> bool:
     add = s.add
     return any(add[add[a][x]][a] == a for x in s.elements())
 
 
-@memo
+@memo(table=addition)
 def commuting_witness(s: FiniteSemiring, a: int) -> int | None:
     """The unique x with a+x+a = a, a+x = x+a and x+a+x = x, or None.
 
@@ -90,21 +90,15 @@ class ElementClassification:
 
 @memo
 def classify_element(s: FiniteSemiring, a: int) -> ElementClassification:
-    orb = orbit(s, a, ADD)
-    aqr_index = None
+    aqr_index, _ = least_regular_multiple(s, a)
     qcr_index = None
     witness = None
-    for i, v in enumerate(orb.values):
-        if aqr_index is None and is_additively_regular(s, v):
-            aqr_index = i + 1
-        if qcr_index is None:
-            x = commuting_witness(s, v)
-            if x is not None and s.mul[v][s.add[v][x]] == s.add[v][x]:
-                qcr_index = i + 1
-                witness = x
-        if aqr_index is not None and qcr_index is not None:
+    for i, v in enumerate(orbit(s, a, ADD).values):
+        x = commuting_witness(s, v)
+        if x is not None and s.mul[v][s.add[v][x]] == s.add[v][x]:
+            qcr_index = i + 1
+            witness = x
             break
-    assert aqr_index is not None, "finite additive orbits always contain a regular element"
     return ElementClassification(
         element=a,
         additively_regular=aqr_index == 1,
@@ -116,14 +110,18 @@ def classify_element(s: FiniteSemiring, a: int) -> ElementClassification:
     )
 
 
+@memo(table=addition)
 def least_regular_multiple(s: FiniteSemiring, a: int) -> tuple[int, int]:
-    """(p, pa) for the smallest positive p with pa additively regular."""
-    c = classify_element(s, a)
-    p = c.additively_quasi_regular_index
-    return p, orbit(s, a, ADD).value_at(p)
+    """(p, pa) for the smallest positive p with pa additively regular: the
+    first additively regular element of the additive orbit of a. It reads
+    the addition alone, and so do the starred Green relations built on it."""
+    orb = orbit(s, a, ADD)
+    p = next((i + 1 for i, v in enumerate(orb.values) if is_additively_regular(s, v)), None)
+    assert p is not None, "finite additive orbits always contain a regular element"
+    return p, orb.values[p - 1]
 
 
-@memo
+@memo(table=addition)
 def reg_plus(s: FiniteSemiring) -> frozenset[int]:
     """Reg+(S), the additively regular elements."""
     return frozenset(a for a in s.elements() if is_additively_regular(s, a))

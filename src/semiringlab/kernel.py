@@ -5,19 +5,29 @@ Elements are dense indices 0..n-1 carrying display names; all reports speak
 in names. Every value here is immutable after construction and every
 operation is a pure function.
 
-Memo: each primitive decorated with `memo` (orbits, reduct flags, element
-analysis, E+ and Reg+, principal ideals, plain and starred Green relations,
-congruences, additive H-classes, quasi skew-ring checks, the
-orbit-idempotent partition, the per-block checks of the theorem verifiers,
-class reports and decompositions) computes its result once per semiring
-object and argument tuple. A semiring's results live while it is alive and
-among the last `_MEMO_SEMIRINGS` semirings first seen by the memo. The memo
-holds each semiring weakly and stores nothing on it; equal but distinct
-objects share nothing. Memoized results are immutable values (tuples,
-frozensets, frozen dataclasses, read-only mappings), and a cached result
-never references its root, or the root would never die: `decompose` caches
-every field of a `Decomposition` but its `base`. Exceptions are never
-cached.
+Memo: each primitive decorated with `memo` computes its result once per key
+and argument tuple. A key is one of two kinds:
+
+- The semiring object, for primitives that read both tables or the names:
+  element analysis, quasi skew-ring checks, congruences, the per-block
+  checks of the theorem verifiers, class reports and decompositions. Their
+  results live while the semiring is alive and among the last
+  `_MEMO_SEMIRINGS` semirings first seen by the memo. The memo holds each
+  semiring weakly and stores nothing on it.
+- The value of the one table the primitive reads, for primitives of a single
+  reduct: orbits, reduct flags, E+ and Reg+, additive regularity and
+  commuting witnesses, principal ideals, plain and starred Green relations,
+  additive H-classes, orbit windows, the orbit-idempotent partition and the
+  additive verdicts of `classify`. Every semiring with that table, equal or
+  distinct, shares their results, which live while the table is among the
+  `_MEMO_SEMIRINGS` tables most recently used, or while a semiring whose
+  own entry remembers them is kept. They are element indices, never names,
+  so each caller words its own evidence.
+
+Memoized results are immutable values (tuples, frozensets, frozen
+dataclasses, read-only mappings), and a cached result never references a
+semiring, or its root would never die: `decompose` caches every field of a
+`Decomposition` but its `base`. Exceptions are never cached.
 """
 
 from __future__ import annotations
@@ -42,38 +52,76 @@ LAW_RIGHT_DIST = "right-distributivity"
 LAWS = (LAW_ADD_ASSOC, LAW_MUL_ASSOC, LAW_LEFT_DIST, LAW_RIGHT_DIST)
 
 
-# how many semirings' results the memo keeps, oldest first seen dropped first
+# how many semirings, or for table-keyed primitives distinct tables, the memo
+# keeps results for; the oldest semiring first seen, or the table least
+# recently used, is dropped first
 _MEMO_SEMIRINGS = 16
 # id(s) -> (weak reference to s, {(primitive, args): result}), in first-seen order
 _CACHES: dict[int, tuple[weakref.ref, dict]] = {}
+# table -> {(primitive, args): result}, least recently used first
+_TABLE_CACHES: dict[Table, dict] = {}
 _MISSING = object()
 
 
-def memo(fn):
-    """Cache fn(s, *args) per live semiring object. Positional arguments
-    after s form the key, so they must be hashable; keyword calls are not
-    cached."""
+def memo(fn=None, *, table=None):
+    """Cache fn(s, *args). Positional arguments after s form the key, so they
+    must be hashable; keyword calls are not cached.
+
+    By default results are kept per live semiring object. `table`, a function
+    of the call's arguments returning the one table of s the body reads,
+    keys them by that table's value instead: the body must read nothing else
+    of s and return no names."""
+    if fn is None:
+        return functools.partial(memo, table=table)
 
     @functools.wraps(fn)
     def wrapper(s, *args, **kwargs):
         if kwargs:
             return fn(s, *args, **kwargs)
-        caches = _CACHES
-        entry = caches.get(id(s))
-        if entry is None:
-            entry = caches[id(s)] = (weakref.ref(s, functools.partial(_forget, caches, id(s))), {})
-            if len(caches) > _MEMO_SEMIRINGS:
-                # a snapshot and pop(key, None): other threads may evict too
-                for key in list(caches)[:-_MEMO_SEMIRINGS]:
-                    caches.pop(key, None)
-        cache = entry[1]
+        if table is None:
+            caches = _CACHES
+            entry = caches.get(id(s))
+            if entry is None:
+                entry = caches[id(s)] = (weakref.ref(s, functools.partial(_forget, caches, id(s))), {})
+                _drop_oldest(caches)
+            cache = entry[1]
+        else:
+            # the semiring's own entry, when it has one, remembers its table's
+            # cache, so repeated calls skip hashing the table (O(n^2))
+            t = table(s, *args)
+            entry = _CACHES.get(id(s))
+            cache = None if entry is None else entry[1].get(id(t))
+            if cache is None:
+                # most recently used last, so an addition shared by a run of
+                # semirings outlives their one-off multiplication tables
+                caches = _TABLE_CACHES
+                cache = caches.pop(t, None)
+                if cache is None:
+                    cache = {}
+                caches[t] = cache
+                _drop_oldest(caches)
+                if entry is not None:
+                    entry[1][id(t)] = cache
         key = (fn, args)
         value = cache.get(key, _MISSING)
         if value is _MISSING:
-            value = cache[key] = fn(s, *args)
+            # the body is looked up on a miss, so a test can count its runs
+            value = cache[key] = wrapper.__wrapped__(s, *args)
         return value
 
     return wrapper
+
+
+def addition(s: FiniteSemiring, *args) -> Table:
+    """The `memo` table of a primitive that reads only the addition."""
+    return s.add
+
+
+def _drop_oldest(caches) -> None:
+    if len(caches) > _MEMO_SEMIRINGS:
+        # a snapshot and pop(key, None): other threads may evict too
+        for key in list(caches)[:-_MEMO_SEMIRINGS]:
+            caches.pop(key, None)
 
 
 def _forget(caches, key, _ref) -> None:
@@ -361,7 +409,7 @@ def semigroup_inverses(table: Table, n: int, a: int) -> frozenset[int]:
     )
 
 
-@memo
+@memo(table=lambda s, which: s.table(which))
 def reduct_kind(s: FiniteSemiring, which: str) -> frozenset[ReductFlag]:
     """All structural flags of the chosen reduct; {PLAIN} when none hold."""
     table = s.table(which)
@@ -419,7 +467,7 @@ class Orbit:
         return self.values[self.mu + (i - self.mu) % self.lam]
 
 
-@memo
+@memo(table=lambda s, a, which=ADD: s.table(which))
 def orbit(s: FiniteSemiring, a: int, which: str = ADD) -> Orbit:
     table = s.table(which)
     values = [a]

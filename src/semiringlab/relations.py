@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BoundExceeded, NotBiIdeal, NotCongruence, NotEquivalence
-from .kernel import FiniteSemiring, memo
+from .kernel import FiniteSemiring, addition, memo
 from .elements import additive_idempotents, least_regular_multiple
 
 GREEN_KINDS = ("L", "R", "H", "D", "J")
@@ -84,7 +84,7 @@ class Congruence:
     is_semiring_congruence: bool
 
 
-@memo
+@memo(table=addition)
 def _principal_sets(s: FiniteSemiring, kind: str) -> tuple[frozenset[int], ...]:
     """Principal additive left ("L"), right ("R") or two-sided ("J") ideals
     with a formal identity adjoined, so x itself always belongs to its own
@@ -105,7 +105,7 @@ def _principal_sets(s: FiniteSemiring, kind: str) -> tuple[frozenset[int], ...]:
     return tuple(two)
 
 
-@memo
+@memo(table=addition)
 def green_plus(s: FiniteSemiring, kind: str) -> Partition:
     """Green's relation of (S, +): L/R/J via principal ideals, H = L meet R,
     D = L o R (equal to the join on a finite semigroup)."""
@@ -141,7 +141,7 @@ def _compose_equivalence(p: Partition, q: Partition) -> Partition:
     return Partition.from_block_of(tuple(row) for row in related)
 
 
-@memo
+@memo(table=addition)
 def green_star_plus(s: FiniteSemiring, kind: str) -> Partition:
     """a related to b iff pa related to qb under the plain relation, where p
     and q are the least indices making pa and qb additively regular."""

@@ -31,6 +31,7 @@ from .kernel import (
     ADD,
     FiniteSemiring,
     PartialSemiring,
+    addition,
     is_b_lattice,
     is_idempotent_semiring,
     memo,
@@ -83,7 +84,7 @@ def is_bi_ideal(s: FiniteSemiring, subset) -> bool:
     )
 
 
-@memo
+@memo(table=addition)
 def _orbit_windows(s: FiniteSemiring) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(orbit(s, a, ADD).values) for a in s.elements())
 
@@ -96,7 +97,7 @@ def is_nil_extension(s: FiniteSemiring, ideal) -> bool:
     return all(window & sub for window in _orbit_windows(s))
 
 
-@memo
+@memo(table=addition)
 def additive_h_class(s: FiniteSemiring, a: int) -> frozenset[int]:
     h = green_plus(s, "H")
     return frozenset(x for x in s.elements() if h.same(x, a))
@@ -225,6 +226,12 @@ class Decomposition:
     def quotient_is_b_lattice(self) -> bool:
         return is_b_lattice(self.blattice)
 
+    def require_base(self, s: FiniteSemiring) -> None:
+        """Raise PreconditionFailed unless this decomposes s itself. Identity,
+        not equality: an equal copy gets its own decompose(copy)."""
+        if self.base is not s:
+            raise PreconditionFailed("decomposition does not belong to this semiring")
+
 
 def _nil_partial(s: FiniteSemiring, cls: frozenset[int], kernel: frozenset[int]) -> PartialSemiring:
     nil = sorted(cls - kernel)
@@ -304,6 +311,7 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
     return hstar, y, classes, tuple(kernels), tuple(idempotents), tuple(nil_parts)
 
 
+@memo(table=addition)
 def commuting_additive_idempotents(s: FiniteSemiring) -> tuple[int, int] | None:
     """First non-commuting pair of additive idempotents, or None."""
     idems = sorted(additive_idempotents(s))
@@ -335,6 +343,7 @@ class PsiMap:
 
 
 def psi(s: FiniteSemiring, d: Decomposition) -> PsiMap:
+    d.require_base(s)
     bad = commuting_additive_idempotents(s)
     if bad is not None:
         raise PreconditionFailed(

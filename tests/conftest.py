@@ -5,14 +5,20 @@ import pytest
 import semiringlab as sl
 from semiringlab.enumeration import enumerate_semirings, sample_semirings
 from semiringlab.errors import SampleShortfallWarning
-from semiringlab.kernel import _CACHES
+from semiringlab.kernel import _CACHES, _TABLE_CACHES
+
+
+def clear_memo():
+    """Drop every memo entry, keyed by a semiring or by a table."""
+    _CACHES.clear()
+    _TABLE_CACHES.clear()
 
 
 @pytest.fixture(autouse=True)
 def memo_cleared():
     """Start each test with an empty memo, so that what a test counts does
     not depend on which tests ran before it."""
-    _CACHES.clear()
+    clear_memo()
 
 
 def ring(names, add, mul):

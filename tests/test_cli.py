@@ -57,6 +57,21 @@ def test_validate_parse_error_exit_2(run, tmp_path):
     assert "ragged.srt:4" in err
 
 
+def test_unreadable_or_unwritable_paths_exit_2(run, tmp_path):
+    # a negative result exits 1; a path that cannot be read or written is an
+    # input error like a parse failure
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for argv, reason in (
+        (("validate", str(tmp_path / "nope.srt")), "No such file or directory"),
+        (("validate", str(tmp_path)), "Is a directory"),
+        (("enumerate", "--order", "2", "--out", str(taken)), "File exists"),
+    ):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and reason in err and "Traceback" not in err, argv
+
+
 def test_classify_report(run, qsr3_file):
     code, out, _ = run("classify", qsr3_file)
     assert code == 0

@@ -1,7 +1,9 @@
 """The memo: a semiring's primitives compute once and live while the
 semiring is alive and among the last `_MEMO_SEMIRINGS` semirings the memo
-first saw; no cached result keeps its semiring alive, and the memo stores
-nothing on one."""
+first saw; a primitive of one table alone computes once per value of that
+table, among the `_MEMO_SEMIRINGS` tables most recently used, and serves
+every semiring with that table; no cached result keeps its semiring alive,
+and the memo stores nothing on one."""
 
 import gc
 import importlib
@@ -14,13 +16,16 @@ from contextlib import contextmanager
 import pytest
 
 import semiringlab as sl
-from semiringlab import kernel, relations, structure
+from semiringlab import elements, kernel, relations, structure
 from semiringlab.classify import THEOREM_IDS, Verdict
+from semiringlab.enumeration import enumerate_semirings
 from semiringlab.errors import NotQuasiCompletelyRegular, UnknownTheoremId
-from semiringlab.kernel import _CACHES, _MEMO_SEMIRINGS
+from semiringlab.kernel import _CACHES, _MEMO_SEMIRINGS, _TABLE_CACHES
 from semiringlab.relations import enumerate_congruences
 
-from conftest import ring, zn
+from conftest import clear_memo, ring, zn
+
+classify_module = importlib.import_module("semiringlab.classify")
 
 SAQCI = "strongly-additively-quasi-completely-inverse"
 
@@ -51,17 +56,24 @@ class _StoresNothing(dict):
 
 @contextmanager
 def uncached():
-    """Every primitive computes afresh: the memo's table keeps no entry."""
+    """Every primitive computes afresh: the memo keeps no entry, by semiring
+    or by table."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "_CACHES", _StoresNothing())
+        mp.setattr(kernel, "_TABLE_CACHES", _StoresNothing())
         yield
 
 
 def check_entries():
-    """Every entry is keyed by the id of the live semiring it refers to."""
+    """Every semiring entry is keyed by the id of the live semiring it refers
+    to; every table entry by a table, and it holds no semiring."""
     assert len(_CACHES) <= _MEMO_SEMIRINGS
     for key, (ref, _) in _CACHES.items():
         assert ref() is not None and id(ref()) == key
+    assert len(_TABLE_CACHES) <= _MEMO_SEMIRINGS
+    for table, cache in _TABLE_CACHES.items():
+        assert all(type(row) is tuple and all(type(v) is int for v in row) for row in table)
+        assert not any(isinstance(value, sl.FiniteSemiring) for value in cache.values())
 
 
 def test_cached_reports_match_uncached(corpus_small):
@@ -118,7 +130,7 @@ def test_no_scope_or_semiring_survives_the_call(z3, min_const):
 
 def test_a_dead_semirings_entry_is_dropped(z3):
     t = _relabelled(z3)
-    sl.green_plus(t, "H")
+    sl.classify_element(t, 0)
     key = id(t)
     assert _CACHES[key][0]() is t
     del t
@@ -126,32 +138,40 @@ def test_a_dead_semirings_entry_is_dropped(z3):
 
 
 def test_an_object_reusing_a_dead_semirings_id_gets_its_own_results():
-    # Z_3 has one H-class; the 3-chain under (max, min) has three
+    # Z_3 is a skew-ring; the 3-chain under (max, min) is not
+    names = ("a", "b", "c")
     chain = ((0, 1, 2), (1, 1, 2), (2, 2, 2)), ((0, 0, 0), (0, 1, 1), (0, 1, 2))
-    dead = zn(3)
-    assert sl.green_plus(dead, "H").num_blocks == 1
-    key = id(dead)
-    del dead
     others = []
-    while len(others) < 100:
-        s = ring("abc", *chain)
+    # whether the next object gets a dead one's address depends on the
+    # allocator's state, so kill a classified Z_3 again every 20 tries
+    for attempt in range(1000):
+        if attempt % 20 == 0:
+            dead = zn(3)
+            assert sl.classify(dead).holds("skew-ring")
+            key = id(dead)
+            del dead
+        s = sl.FiniteSemiring(names, *chain)
         if id(s) == key:
             break
         others.append(s)
     else:
-        pytest.fail("no semiring reused the id of the dead one")
-    assert sl.green_plus(s, "H").num_blocks == 3
+        pytest.fail("no semiring reused the id of a dead one")
+    assert not sl.classify(s).holds("skew-ring")
     assert _CACHES[key][0]() is s
 
 
 def test_the_memo_keeps_at_most_its_bound_of_live_semirings(corpus_small):
     members = list(corpus_small)
     assert len(members) > 10 * _MEMO_SEMIRINGS
+    tables = []  # the additions the memo should keep, least recently used first
     for k, s in enumerate(members):
-        sl.green_plus(s, "H")
+        sl.classify_element(s, 0)
         assert len(_CACHES) == min(k + 1, _MEMO_SEMIRINGS)
+        tables = ([t for t in tables if t != s.add] + [s.add])[-_MEMO_SEMIRINGS:]
+        assert list(_TABLE_CACHES) == tables
     # the last ones first seen are the ones kept
     assert list(_CACHES) == [id(s) for s in members[-_MEMO_SEMIRINGS:]]
+    assert len(tables) == _MEMO_SEMIRINGS
     check_entries()
 
 
@@ -166,7 +186,7 @@ def test_congruence_list_is_fresh_within_a_scope(z3):
 def test_threads_share_the_cache_soundly(corpus_small):
     members = [s for s in corpus_small if s.order == 3][:48]
     expected = [reports(s) for s in members]
-    _CACHES.clear()
+    clear_memo()
     shares = [members[k::4] for k in range(4)]
     got = [None] * len(shares)
 
@@ -189,25 +209,33 @@ def test_threads_share_the_cache_soundly(corpus_small):
 
 
 class Bodies:
-    """How often memoized primitive bodies ran on each semiring object,
-    counted through helpers only those bodies call: FiniteSemiring.table
-    (orbit, reduct_kind), _principal_sets (green_plus) and
-    least_regular_multiple (green_star_plus)."""
+    """How often the bodies of five memoized primitives ran on each semiring
+    object, counted by replacing the `__wrapped__` body each memo runs on a
+    miss: classify and classify_element, keyed by the semiring, and orbit,
+    _principal_sets and green_star_plus, keyed by a table."""
+
+    IDENTITY_KEYED = ("classify", "classify_element")
 
     def __init__(self, monkeypatch):
         self.seen = Counter()
-        self._count(monkeypatch, kernel.FiniteSemiring, "table")
-        self._count(monkeypatch, relations, "_principal_sets")
-        self._count(monkeypatch, relations, "least_regular_multiple")
+        self._monkeypatch = monkeypatch
+        for primitive in (
+            classify_module.classify,
+            elements.classify_element,
+            kernel.orbit,
+            relations._principal_sets,
+            relations.green_star_plus,
+        ):
+            self.count(primitive)
 
-    def _count(self, monkeypatch, owner, name):
-        real = getattr(owner, name)
+    def count(self, primitive):
+        body = primitive.__wrapped__
 
         def counted(s, *args):
-            self.seen[name, id(s)] += 1
-            return real(s, *args)
+            self.seen[body.__name__, id(s)] += 1
+            return body(s, *args)
 
-        monkeypatch.setattr(owner, name, counted)
+        self._monkeypatch.setattr(primitive, "__wrapped__", counted)
 
     def on(self, s) -> dict:
         """The counts for s, which must be alive since they were taken."""
@@ -215,11 +243,11 @@ class Bodies:
 
     def cold(self, call, s) -> dict:
         """The counts for s of call(s) with an empty memo."""
-        _CACHES.clear()
+        clear_memo()
         self.seen.clear()
         call(s)
         counts = self.on(s)
-        assert set(counts) == {"table", "_principal_sets", "least_regular_multiple"}
+        assert set(counts) == {"classify", "classify_element", "orbit", "_principal_sets", "green_star_plus"}
         return counts
 
 
@@ -241,20 +269,66 @@ def test_a_second_call_on_the_same_root_recomputes_no_primitive(bodies):
         assert reports(s) == cached
 
 
-def test_equal_or_relabelled_copies_get_no_reuse(bodies):
+def _warm_counts(bodies, s, t) -> dict:
+    """The counts for t of classify(t) right after classify(s)."""
+    clear_memo()
+    sl.classify(s)
+    bodies.seen.clear()
+    sl.classify(t)
+    return bodies.on(t)
+
+
+def test_a_copy_with_another_addition_reuses_nothing(bodies):
     s = zn(6)
-    copies = (
+    for t in (s.relabel(tuple(reversed(range(s.order)))), s.relabel((1, 0, 2, 3, 4, 5))):
+        assert t.add != s.add
+        cold = bodies.cold(sl.classify, t)
+        assert _warm_counts(bodies, s, t) == cold, t
+
+
+def test_an_equal_addition_copy_skips_only_the_additive_bodies(bodies):
+    s = zn(6)
+    zero = tuple((0,) * s.order for _ in s.elements())
+    for t in (
         sl.FiniteSemiring(s.names, s.add, s.mul),
         s.relabel(range(s.order)),
-        s.relabel(tuple(reversed(range(s.order)))),
-    )
-    for t in copies:
+        sl.FiniteSemiring(tuple("uvwxyz"), s.add, s.mul),
+        sl.FiniteSemiring(s.names, s.add, zero),
+    ):
         cold = bodies.cold(sl.classify, t)
-        _CACHES.clear()
+        own = {name: k for name, k in cold.items() if name in Bodies.IDENTITY_KEYED}
+        assert _warm_counts(bodies, s, t) == own, t
+
+
+def test_equal_additions_keep_their_own_names_and_verdicts():
+    # a+b = a; every product distributes over it
+    left_zero = tuple((a,) * 3 for a in range(3))
+    zero = ((0, 0, 0),) * 3
+    members = (ring("abc", left_zero, left_zero), ring("xyz", left_zero, left_zero), ring("abc", left_zero, zero))
+    got = [sl.classify(t) for t in members]
+    with uncached():
+        assert got == [sl.classify(t) for t in members]
+    assert [r.verdicts["additively-inverse"].evidence for r in got] == [
+        "a has 3 additive inverses", "x has 3 additive inverses", "a has 3 additive inverses",
+    ]
+    assert [r.verdicts["strongly-additively-quasi-inverse"].evidence for r in got] == [
+        "a+b != b+a", "x+y != y+x", "a+b != b+a",
+    ]
+    assert [r.holds("completely-regular") for r in got] == [True, True, False]
+    assert got[2].verdicts["completely-regular"].evidence == "b is not completely regular"
+
+
+def test_classify_analyses_each_addition_of_the_order4_corpus_once(bodies):
+    corpus = enumerate_semirings(4)
+    additions = {s.add for s in corpus}
+    assert (len(corpus), len(additions)) == (7652, 188)
+    bodies.seen.clear()
+    for s in corpus:
         sl.classify(s)
-        bodies.seen.clear()
-        sl.classify(t)
-        assert bodies.on(t) == cold, t
+    runs = Counter(name for name, _ in bodies.seen.elements())
+    # three principal-ideal kinds per addition, where keying by the semiring ran 22956
+    assert runs["_principal_sets"] == 3 * len(additions)
+    assert runs["classify"] == len(corpus)
 
 
 def test_a_raising_call_leaves_a_sound_cache(bodies, min_const):
@@ -269,22 +343,18 @@ def test_a_raising_call_leaves_a_sound_cache(bodies, min_const):
     assert bodies.on(min_const) == {}
 
 
-def test_classify_and_decompose_bodies_run_once_per_semiring(bodies, monkeypatch, min_const):
-    # helpers only the bodies call, once per run: _check_implication_closure
-    # (classify) and quotient (decompose)
-    classify_module = importlib.import_module("semiringlab.classify")
-    bodies._count(monkeypatch, classify_module, "_check_implication_closure")
-    bodies._count(monkeypatch, structure, "quotient")
+def test_classify_and_decompose_bodies_run_once_per_semiring(bodies, min_const):
+    bodies.count(structure._decomposition_fields)
     z6 = zn(6)
     assert sl.classify(z6).holds(SAQCI)
     assert not sl.classify(min_const).holds("quasi-completely-regular")
-    for s, decompositions in ((z6, 1), (min_const, 0)):
-        _CACHES.clear()
+    for s in (z6, min_const):
+        clear_memo()
         bodies.seen.clear()
         reports(s)
         counts = bodies.on(s)
-        assert counts["_check_implication_closure"] == 1, s
-        assert counts.get("quotient", 0) == decompositions, s
+        # min_const's decomposition raises, in the one decompose of the chain
+        assert counts["classify"] == counts["_decomposition_fields"] == 1, s
 
 
 def test_a_class_report_is_read_only(z3):

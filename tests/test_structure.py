@@ -183,6 +183,21 @@ def test_check_psi_homomorphism(qsr3, z2, min_const):
         sl.check_psi_homomorphism(min_const, sl.decompose(qsr3))
 
 
+def test_psi_rejects_a_decomposition_of_another_order():
+    z3, d = zn(3), sl.decompose(zn(6))
+    for call in (sl.psi, sl.psi_tilde, sl.check_psi_homomorphism):
+        with pytest.raises(PreconditionFailed, match="does not belong"):
+            call(z3, d)
+
+
+def test_psi_rejects_a_decomposition_of_a_relabelled_copy():
+    z4, d = zn(4), sl.decompose(zn(4).relabel((1, 0, 2, 3)))
+    for call in (sl.psi, sl.psi_tilde, sl.check_psi_homomorphism):
+        with pytest.raises(PreconditionFailed, match="does not belong"):
+            call(z4, d)
+    assert sl.check_psi_homomorphism(z4, sl.decompose(z4))
+
+
 def test_is_nil_extension_matches_naive_multiple_search(corpus_small):
     from itertools import combinations
 
