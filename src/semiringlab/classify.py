@@ -510,13 +510,14 @@ def verify_ideal_corollary(s: FiniteSemiring) -> TheoremReport:
 
 def is_completely_simple(s: FiniteSemiring) -> bool:
     """Completely regular with all elements J+-related."""
-    return _is_completely_regular(s)[0] and green_plus(s, "J").num_blocks == 1
+    return classify(s).holds("completely-simple")
 
 
 def is_completely_archimedean(s: FiniteSemiring) -> bool:
     """Quasi completely regular with all elements J*+-related."""
-    if not _is_quasi_completely_regular(s)[0]:
+    report = classify(s)
+    if not report.holds("quasi-completely-regular"):
         raise NotQuasiCompletelyRegular(
             "completely Archimedean is defined for quasi completely regular semirings"
         )
-    return green_star_plus(s, "J").num_blocks == 1
+    return report.holds("completely-archimedean")

@@ -5,35 +5,33 @@ Elements are dense indices 0..n-1 carrying display names; all reports speak
 in names. Every value here is immutable after construction and every
 operation is a pure function.
 
-Memo: each primitive decorated with `memo` computes its result once per key
-and argument tuple. A key is one of two kinds:
+Memo: each primitive decorated with `memo` computes its result once per
+value it reads and argument tuple. By default that value is the whole
+semiring, `(s.names, s.add, s.mul)`: element analysis, quasi skew-ring
+checks, the per-block checks of the theorem verifiers, class reports and
+decompositions. A primitive of a single reduct is keyed by that one table
+instead: orbits, reduct flags, E+ and Reg+, additive regularity and
+commuting witnesses, principal ideals, plain and starred Green relations,
+additive H-classes, orbit windows, the orbit-idempotent partition and the
+additive verdicts of `classify`. Its results are element indices, never
+names, so each caller words its own evidence.
 
-- The semiring object, for primitives that read both tables or the names:
-  element analysis, quasi skew-ring checks, congruences, the per-block
-  checks of the theorem verifiers, class reports and decompositions. Their
-  results live while the semiring is alive and among the last
-  `_MEMO_SEMIRINGS` semirings first seen by the memo. The memo holds each
-  semiring weakly and stores nothing on it.
-- The value of the one table the primitive reads, for primitives of a single
-  reduct: orbits, reduct flags, E+ and Reg+, additive regularity and
-  commuting witnesses, principal ideals, plain and starred Green relations,
-  additive H-classes, orbit windows, the orbit-idempotent partition and the
-  additive verdicts of `classify`. Every semiring with that table, equal or
-  distinct, shares their results, which live while the table is among the
-  `_MEMO_SEMIRINGS` tables most recently used, or while a semiring whose
-  own entry remembers them is kept. They are element indices, never names,
-  so each caller words its own evidence.
+Equal semirings, and for a single-reduct primitive every semiring with that
+table, share their results. The memo keeps the results of the
+`_MEMO_SEMIRINGS` values most recently used and drops the least recently
+used first.
 
 Memoized results are immutable values (tuples, frozensets, frozen
-dataclasses, read-only mappings), and a cached result never references a
-semiring, or its root would never die: `decompose` caches every field of a
-`Decomposition` but its `base`. Exceptions are never cached.
+dataclasses, read-only mappings). No key is a semiring object and no
+result references the semiring it was computed for, so the memo keeps no
+analysed semiring alive: `decompose` caches every field of a
+`Decomposition` but its `base`, which it sets to the caller's own object.
+Exceptions are never cached.
 """
 
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,14 +50,11 @@ LAW_RIGHT_DIST = "right-distributivity"
 LAWS = (LAW_ADD_ASSOC, LAW_MUL_ASSOC, LAW_LEFT_DIST, LAW_RIGHT_DIST)
 
 
-# how many semirings, or for table-keyed primitives distinct tables, the memo
-# keeps results for; the oldest semiring first seen, or the table least
-# recently used, is dropped first
+# how many values the memo keeps results for; the least recently used is
+# dropped first
 _MEMO_SEMIRINGS = 16
-# id(s) -> (weak reference to s, {(primitive, args): result}), in first-seen order
-_CACHES: dict[int, tuple[weakref.ref, dict]] = {}
-# table -> {(primitive, args): result}, least recently used first
-_TABLE_CACHES: dict[Table, dict] = {}
+# value read -> {(primitive, args): result}, least recently used first
+_CACHES: dict[tuple, dict] = {}
 _MISSING = object()
 
 
@@ -67,7 +62,7 @@ def memo(fn=None, *, table=None):
     """Cache fn(s, *args). Positional arguments after s form the key, so they
     must be hashable; keyword calls are not cached.
 
-    By default results are kept per live semiring object. `table`, a function
+    By default results are keyed by the semiring's value. `table`, a function
     of the call's arguments returning the one table of s the body reads,
     keys them by that table's value instead: the body must read nothing else
     of s and return no names."""
@@ -78,30 +73,17 @@ def memo(fn=None, *, table=None):
     def wrapper(s, *args, **kwargs):
         if kwargs:
             return fn(s, *args, **kwargs)
-        if table is None:
-            caches = _CACHES
-            entry = caches.get(id(s))
-            if entry is None:
-                entry = caches[id(s)] = (weakref.ref(s, functools.partial(_forget, caches, id(s))), {})
-                _drop_oldest(caches)
-            cache = entry[1]
-        else:
-            # the semiring's own entry, when it has one, remembers its table's
-            # cache, so repeated calls skip hashing the table (O(n^2))
-            t = table(s, *args)
-            entry = _CACHES.get(id(s))
-            cache = None if entry is None else entry[1].get(id(t))
-            if cache is None:
-                # most recently used last, so an addition shared by a run of
-                # semirings outlives their one-off multiplication tables
-                caches = _TABLE_CACHES
-                cache = caches.pop(t, None)
-                if cache is None:
-                    cache = {}
-                caches[t] = cache
-                _drop_oldest(caches)
-                if entry is not None:
-                    entry[1][id(t)] = cache
+        read = (s.names, s.add, s.mul) if table is None else table(s, *args)
+        # reinserted on every call, so the dict runs from least to most
+        # recently used
+        cache = _CACHES.pop(read, None)
+        if cache is None:
+            cache = {}
+        _CACHES[read] = cache
+        if len(_CACHES) > _MEMO_SEMIRINGS:
+            # a snapshot and pop(key, None): other threads may evict too
+            for old in list(_CACHES)[:-_MEMO_SEMIRINGS]:
+                _CACHES.pop(old, None)
         key = (fn, args)
         value = cache.get(key, _MISSING)
         if value is _MISSING:
@@ -115,18 +97,6 @@ def memo(fn=None, *, table=None):
 def addition(s: FiniteSemiring, *args) -> Table:
     """The `memo` table of a primitive that reads only the addition."""
     return s.add
-
-
-def _drop_oldest(caches) -> None:
-    if len(caches) > _MEMO_SEMIRINGS:
-        # a snapshot and pop(key, None): other threads may evict too
-        for key in list(caches)[:-_MEMO_SEMIRINGS]:
-            caches.pop(key, None)
-
-
-def _forget(caches, key, _ref) -> None:
-    # runs when the semiring dies, before its id can be reused
-    caches.pop(key, None)
 
 
 def freeze_table(rows) -> Table:

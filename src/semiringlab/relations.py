@@ -202,18 +202,9 @@ def enumerate_congruences(s: FiniteSemiring, bound: int = CONGRUENCE_BOUND) -> l
     n = s.order
     if n > bound:
         raise BoundExceeded(f"order {n} exceeds congruence enumeration bound {bound}")
-    return list(_congruences(s))
-
-
-@memo
-def _congruences(s: FiniteSemiring) -> tuple[Congruence, ...]:
-    n = s.order
-    found = []
-    for p in set_partitions(n):
-        if is_semiring_congruence_partition(s, p):
-            found.append(p)
+    found = [p for p in set_partitions(n) if is_semiring_congruence_partition(s, p)]
     found.sort(key=lambda p: (n - p.num_blocks, p.block_of))
-    return tuple(Congruence(partition=p, is_semiring_congruence=True) for p in found)
+    return [Congruence(partition=p, is_semiring_congruence=True) for p in found]
 
 
 def is_idempotent_separating(s: FiniteSemiring, c: Congruence) -> bool:

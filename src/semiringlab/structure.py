@@ -253,7 +253,8 @@ def _fail(invariant: str):
 
 
 def decompose(s: FiniteSemiring) -> Decomposition:
-    # the memo keeps every field but the root, so it never holds s alive
+    # the memo keeps every field but the root: it never holds s alive, and
+    # an equal copy gets a decomposition of its own
     return Decomposition(s, *_decomposition_fields(s))
 
 

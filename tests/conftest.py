@@ -5,13 +5,12 @@ import pytest
 import semiringlab as sl
 from semiringlab.enumeration import enumerate_semirings, sample_semirings
 from semiringlab.errors import SampleShortfallWarning
-from semiringlab.kernel import _CACHES, _TABLE_CACHES
+from semiringlab.kernel import _CACHES
 
 
 def clear_memo():
-    """Drop every memo entry, keyed by a semiring or by a table."""
+    """Drop every memo entry."""
     _CACHES.clear()
-    _TABLE_CACHES.clear()
 
 
 @pytest.fixture(autouse=True)

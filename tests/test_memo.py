@@ -1,9 +1,7 @@
-"""The memo: a semiring's primitives compute once and live while the
-semiring is alive and among the last `_MEMO_SEMIRINGS` semirings the memo
-first saw; a primitive of one table alone computes once per value of that
-table, among the `_MEMO_SEMIRINGS` tables most recently used, and serves
-every semiring with that table; no cached result keeps its semiring alive,
-and the memo stores nothing on one."""
+"""The memo: a primitive computes once per value it reads, the semiring's
+names and tables or the one table of a single-reduct primitive, among the
+`_MEMO_SEMIRINGS` values most recently used; equal semirings share results,
+and no cached result keeps its semiring alive."""
 
 import gc
 import importlib
@@ -20,7 +18,7 @@ from semiringlab import elements, kernel, relations, structure
 from semiringlab.classify import THEOREM_IDS, Verdict
 from semiringlab.enumeration import enumerate_semirings
 from semiringlab.errors import NotQuasiCompletelyRegular, UnknownTheoremId
-from semiringlab.kernel import _CACHES, _MEMO_SEMIRINGS, _TABLE_CACHES
+from semiringlab.kernel import _CACHES, _MEMO_SEMIRINGS
 from semiringlab.relations import enumerate_congruences
 
 from conftest import clear_memo, ring, zn
@@ -49,6 +47,11 @@ def reports(s):
     return out
 
 
+def value_of(s):
+    """The memo key of a primitive that reads the whole semiring."""
+    return s.names, s.add, s.mul
+
+
 class _StoresNothing(dict):
     def __setitem__(self, key, value):
         pass
@@ -56,33 +59,32 @@ class _StoresNothing(dict):
 
 @contextmanager
 def uncached():
-    """Every primitive computes afresh: the memo keeps no entry, by semiring
-    or by table."""
+    """Every primitive computes afresh: the memo keeps no entry."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "_CACHES", _StoresNothing())
-        mp.setattr(kernel, "_TABLE_CACHES", _StoresNothing())
         yield
 
 
-def check_entries():
-    """Every semiring entry is keyed by the id of the live semiring it refers
-    to; every table entry by a table, and it holds no semiring."""
+def check_entries(*semirings):
+    """At most the bound of entries, each keyed by a tuple, and no cached
+    result, nor any field of a tuple result, is one of `semirings`."""
     assert len(_CACHES) <= _MEMO_SEMIRINGS
-    for key, (ref, _) in _CACHES.items():
-        assert ref() is not None and id(ref()) == key
-    assert len(_TABLE_CACHES) <= _MEMO_SEMIRINGS
-    for table, cache in _TABLE_CACHES.items():
-        assert all(type(row) is tuple and all(type(v) is int for v in row) for row in table)
-        assert not any(isinstance(value, sl.FiniteSemiring) for value in cache.values())
+    analysed = {id(s) for s in semirings}
+    for value, cache in _CACHES.items():
+        assert type(value) is tuple
+        for result in cache.values():
+            fields = result if type(result) is tuple else (result,)
+            assert not any(id(x) in analysed for x in (result, *fields))
 
 
 def test_cached_reports_match_uncached(corpus_small):
-    for s in list(corpus_small) + [zn(6), zn(8)]:
+    members = list(corpus_small) + [zn(6), zn(8)]
+    for s in members:
         cached = reports(s)
         assert reports(s) == cached, repr(s)
         with uncached():
             assert reports(s) == cached, repr(s)
-    check_entries()
+    check_entries(*members)
 
 
 def _relabelled(base):
@@ -92,8 +94,8 @@ def _relabelled(base):
 def _classify_transient(base):
     t = _relabelled(base)
     sl.classify(t)
-    assert id(t) in _CACHES
-    return weakref.ref(t), id(t)
+    assert value_of(t) in _CACHES
+    return weakref.ref(t)
 
 
 def _decompose_transient(base):
@@ -104,14 +106,14 @@ def _decompose_transient(base):
         pass
     else:
         raise AssertionError("decompose should reject a non quasi completely regular semiring")
-    return weakref.ref(t), id(t)
+    return weakref.ref(t)
 
 
 def _structure_transient(base):
     t = _relabelled(base)
     assert sl.decompose(t).base is t
     assert sl.search_structure_maps(t) is not None
-    return weakref.ref(t), id(t)
+    return weakref.ref(t)
 
 
 def test_no_scope_or_semiring_survives_the_call(z3, min_const):
@@ -120,59 +122,28 @@ def test_no_scope_or_semiring_survives_the_call(z3, min_const):
         (_decompose_transient, min_const),
         (_structure_transient, zn(6)),
     ):
-        ref, key = transient(base)
+        ref = transient(base)
         gc.collect()
-        assert ref() is None and key not in _CACHES
+        assert ref() is None
     with pytest.raises(UnknownTheoremId):
         sl.verify_equivalence(z3, "NOPE")
     check_entries()
 
 
-def test_a_dead_semirings_entry_is_dropped(z3):
-    t = _relabelled(z3)
-    sl.classify_element(t, 0)
-    key = id(t)
-    assert _CACHES[key][0]() is t
-    del t
-    assert key not in _CACHES
-
-
-def test_an_object_reusing_a_dead_semirings_id_gets_its_own_results():
-    # Z_3 is a skew-ring; the 3-chain under (max, min) is not
-    names = ("a", "b", "c")
-    chain = ((0, 1, 2), (1, 1, 2), (2, 2, 2)), ((0, 0, 0), (0, 1, 1), (0, 1, 2))
-    others = []
-    # whether the next object gets a dead one's address depends on the
-    # allocator's state, so kill a classified Z_3 again every 20 tries
-    for attempt in range(1000):
-        if attempt % 20 == 0:
-            dead = zn(3)
-            assert sl.classify(dead).holds("skew-ring")
-            key = id(dead)
-            del dead
-        s = sl.FiniteSemiring(names, *chain)
-        if id(s) == key:
-            break
-        others.append(s)
-    else:
-        pytest.fail("no semiring reused the id of a dead one")
-    assert not sl.classify(s).holds("skew-ring")
-    assert _CACHES[key][0]() is s
-
-
 def test_the_memo_keeps_at_most_its_bound_of_live_semirings(corpus_small):
     members = list(corpus_small)
     assert len(members) > 10 * _MEMO_SEMIRINGS
-    tables = []  # the additions the memo should keep, least recently used first
-    for k, s in enumerate(members):
+    used = []  # the values classify_element read, least recently used first
+    hits = 0
+    for s in members:
+        hits += s.add in used[-_MEMO_SEMIRINGS:]
         sl.classify_element(s, 0)
-        assert len(_CACHES) == min(k + 1, _MEMO_SEMIRINGS)
-        tables = ([t for t in tables if t != s.add] + [s.add])[-_MEMO_SEMIRINGS:]
-        assert list(_TABLE_CACHES) == tables
-    # the last ones first seen are the ones kept
-    assert list(_CACHES) == [id(s) for s in members[-_MEMO_SEMIRINGS:]]
-    assert len(tables) == _MEMO_SEMIRINGS
-    check_entries()
+        # the call reads the semiring, then its body the addition alone
+        used = [v for v in used if v not in (value_of(s), s.add)] + [value_of(s), s.add]
+        assert list(_CACHES) == used[-_MEMO_SEMIRINGS:]
+    # a kept addition that is read again moves to the end
+    assert hits > 0
+    check_entries(*members)
 
 
 def test_congruence_list_is_fresh_within_a_scope(z3):
@@ -211,10 +182,10 @@ def test_threads_share_the_cache_soundly(corpus_small):
 class Bodies:
     """How often the bodies of five memoized primitives ran on each semiring
     object, counted by replacing the `__wrapped__` body each memo runs on a
-    miss: classify and classify_element, keyed by the semiring, and orbit,
-    _principal_sets and green_star_plus, keyed by a table."""
+    miss: classify and classify_element, keyed by the semiring's value, and
+    orbit, _principal_sets and green_star_plus, keyed by a table."""
 
-    IDENTITY_KEYED = ("classify", "classify_element")
+    SEMIRING_KEYED = ("classify", "classify_element")
 
     def __init__(self, monkeypatch):
         self.seen = Counter()
@@ -288,15 +259,16 @@ def test_a_copy_with_another_addition_reuses_nothing(bodies):
 
 def test_an_equal_addition_copy_skips_only_the_additive_bodies(bodies):
     s = zn(6)
+    # an equal copy runs no body at all
+    for t in (sl.FiniteSemiring(s.names, s.add, s.mul), s.relabel(range(s.order))):
+        assert t is not s and value_of(t) == value_of(s)
+        assert bodies.cold(sl.classify, t)
+        assert _warm_counts(bodies, s, t) == {}, t
+    # other names or another multiplication run only the bodies that read them
     zero = tuple((0,) * s.order for _ in s.elements())
-    for t in (
-        sl.FiniteSemiring(s.names, s.add, s.mul),
-        s.relabel(range(s.order)),
-        sl.FiniteSemiring(tuple("uvwxyz"), s.add, s.mul),
-        sl.FiniteSemiring(s.names, s.add, zero),
-    ):
+    for t in (sl.FiniteSemiring(tuple("uvwxyz"), s.add, s.mul), sl.FiniteSemiring(s.names, s.add, zero)):
         cold = bodies.cold(sl.classify, t)
-        own = {name: k for name, k in cold.items() if name in Bodies.IDENTITY_KEYED}
+        own = {name: k for name, k in cold.items() if name in Bodies.SEMIRING_KEYED}
         assert _warm_counts(bodies, s, t) == own, t
 
 
@@ -334,7 +306,9 @@ def test_classify_analyses_each_addition_of_the_order4_corpus_once(bodies):
 def test_a_raising_call_leaves_a_sound_cache(bodies, min_const):
     with pytest.raises(NotQuasiCompletelyRegular):
         sl.decompose(min_const)
-    assert id(min_const) in _CACHES
+    # the analyses decompose ran are kept, its failed body is not
+    cache = _CACHES[value_of(min_const)]
+    assert (structure._decomposition_fields.__wrapped__, ()) not in cache
     report = sl.classify(min_const)
     with uncached():
         assert sl.classify(min_const) == report
