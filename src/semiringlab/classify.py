@@ -8,14 +8,18 @@ is exactly what a sweep is for.
 
 Additive quasi regularity (some multiple of each element is additively
 regular) holds on every finite carrier, so no predicate computes it:
-`elements.classify_element` asserts it for every element it analyses.
+`elements.element_classes` asserts it for every element it analyses.
 
 The existence conditions of QCR5 and QCI5 (a partition into quasi skew
 subsemirings, and a congruence with a b-lattice or idempotent quotient whose
 classes are quasi skew-rings or completely Archimedean) are decided over the
-orbit-idempotent partition P, never over all set partitions of the carrier.
-Each additive orbit {a, 2a, 3a, ...} holds exactly one additive idempotent
-e_a, and P puts a and b in one block iff e_a = e_b. Two lemmas:
+orbit-idempotent partition P and two generated congruences, never over all
+set partitions of the carrier. Each additive orbit {a, 2a, 3a, ...} holds
+exactly one additive idempotent e_a, and P puts a and b in one block iff
+e_a = e_b. The least idempotent congruence iota is generated by a+a ~ a and
+aa ~ a; the least b-lattice congruence beta adds a+b ~ b+a. A congruence
+has an idempotent quotient iff it contains iota, and a b-lattice quotient
+iff it contains beta. Three lemmas:
 
 - (A) A block closed under addition that holds a holds every multiple of a,
   so it holds e_a. A quasi skew-ring has exactly one additive idempotent, so
@@ -24,13 +28,24 @@ e_a, and P puts a and b in one block iff e_a = e_b. Two lemmas:
   candidate partition is therefore P itself.
 - (B) If the quotient by a congruence rho has idempotent addition, as a
   b-lattice and an idempotent semiring do, then a rho 2a rho 3a ..., so
-  a rho e_a and P refines rho. Such congruences are therefore found among
-  the coarsenings of P, one per set partition of the |E+| blocks of P.
+  a rho e_a and P refines rho. In particular P refines iota, which refines
+  beta.
+- (C) Let B be a block closed under addition and a an element of B. Then a
+  has the same additive orbit in B as in S, and the same commuting witness:
+  a witness makes its element an element of a subgroup of (S, +), so it is
+  a multiple of that element, and lies in B. So a has a completely regular
+  multiple in B iff it has one in S, and B is quasi completely regular iff
+  its elements are quasi completely regular in S.
 
-So QCR5 (iii) asks whether every block of P is a quasi skew subsemiring;
-QCR5 (v) and QCI5 (v) ask, besides, whether P is a congruence with an
-idempotent or b-lattice quotient; and QCR5 (iv) scans the Bell(|E+|)
-coarsenings of P.
+So QCR5 (iii) asks whether every block of P is a quasi skew subsemiring.
+QCR5 (v) and QCI5 (v) ask, besides, whether P is a congruence containing
+iota or beta; as P refines both, that is whether P equals iota or beta.
+QCR5 (iv) asks for a congruence containing beta whose classes are completely
+Archimedean subsemirings. The classes cover S, so by (C) S must be quasi
+completely regular, and then a class qualifies iff it has a single J*+
+class: only the J*+ check builds the class as a semiring. Its candidates
+are the coarsenings of beta, one per set partition of the blocks of beta,
+that are congruences.
 """
 
 from __future__ import annotations
@@ -47,18 +62,19 @@ from .kernel import (
     addition,
     is_b_lattice,
     memo,
-    orbit,
+    orbits,
     reduct_kind,
+    semigroup_inverses,
 )
 from .elements import (
     additive_idempotents,
-    additive_inverses,
+    element_classes,
     first_without_completely_regular_multiple,
-    is_completely_regular,
     reg_plus,
 )
 from .relations import (
     Partition,
+    generated_congruence,
     green_plus,
     green_star_plus,
     is_semiring_congruence_partition,
@@ -128,7 +144,7 @@ class TheoremReport:
 @memo(table=addition)
 def _additive_inverse_counts(s: FiniteSemiring) -> tuple[int, ...]:
     """|V+(a)| for each element a."""
-    return tuple(len(additive_inverses(s, a).inverses) for a in s.elements())
+    return tuple(len(semigroup_inverses(s.add, s.order, a)) for a in s.elements())
 
 
 @memo(table=addition)
@@ -137,7 +153,7 @@ def _first_without_quasi_inverse_multiple(s: FiniteSemiring) -> int | None:
     na+x+na = na and x+na+x = x, or None."""
     counts = _additive_inverse_counts(s)
     return next(
-        (a for a in s.elements() if all(counts[v] != 1 for v in orbit(s, a, ADD).values)),
+        (a for a, orb in enumerate(orbits(s, ADD)) if all(counts[v] != 1 for v in orb.values)),
         None,
     )
 
@@ -158,9 +174,9 @@ def _is_additively_quasi_inverse(s: FiniteSemiring):
 
 
 def _is_completely_regular(s: FiniteSemiring):
-    for a in s.elements():
-        if not is_completely_regular(s, a):
-            return False, f"{s.names[a]} is not completely regular"
+    for c in element_classes(s):
+        if not c.completely_regular:
+            return False, f"{s.names[c.element]} is not completely regular"
     return True, ""
 
 
@@ -318,14 +334,13 @@ def _is_quasi_skew_subsemiring(s: FiniteSemiring, block: frozenset[int]) -> bool
 
 
 @memo
-def _is_completely_archimedean_subsemiring(s: FiniteSemiring, block: frozenset[int]) -> bool:
-    # memoized by block: coarsenings of P share most of their blocks
+def _has_one_jstar_class(s: FiniteSemiring, block: frozenset[int]) -> bool:
+    """The block is a subsemiring with a single J*+ class. When S is quasi
+    completely regular, so is the block, by lemma (C), and this says the
+    block is a completely Archimedean subsemiring."""
+    # memoized by block: coarsenings of beta share most of their blocks
     sub = s.subsemiring(block)
-    return (
-        sub is not None
-        and _is_quasi_completely_regular(sub)[0]
-        and green_star_plus(sub, "J").num_blocks == 1
-    )
+    return sub is not None and green_star_plus(sub, "J").num_blocks == 1
 
 
 @memo(table=addition)
@@ -333,21 +348,26 @@ def _orbit_idempotent_partition(s: FiniteSemiring) -> Partition:
     """P: a and b share a block iff their additive orbits hold the same
     additive idempotent (see the module docstring)."""
     return Partition.from_block_of(
-        next(v for v in orbit(s, a, ADD).values if s.add[v][v] == v)
-        for a in s.elements()
+        next(v for v in orb.values if s.add[v][v] == v) for orb in orbits(s, ADD)
     )
 
 
-def _quotient_is_idempotent(s: FiniteSemiring, p: Partition) -> bool:
-    """For a congruence p: both reducts of S/p are bands."""
-    return all(p.same(s.add[a][a], a) and p.same(s.mul[a][a], a) for a in s.elements())
+def _band_pairs(s: FiniteSemiring) -> list[tuple[int, int]]:
+    """a+a ~ a and aa ~ a for every a."""
+    return [(s.add[a][a], a) for a in s.elements()] + [(s.mul[a][a], a) for a in s.elements()]
 
 
-def _quotient_is_b_lattice(s: FiniteSemiring, p: Partition) -> bool:
-    """For a congruence p: S/p has a semilattice sum and a band product."""
-    return _quotient_is_idempotent(s, p) and all(
-        p.same(s.add[a][b], s.add[b][a]) for a in s.elements() for b in range(a)
-    )
+@memo
+def _least_idempotent_congruence(s: FiniteSemiring) -> Partition:
+    """iota, generated by a+a ~ a and aa ~ a."""
+    return generated_congruence(s, _band_pairs(s))
+
+
+@memo
+def _least_b_lattice_congruence(s: FiniteSemiring) -> Partition:
+    """beta, generated by a+a ~ a, aa ~ a and a+b ~ b+a."""
+    commuting = [(s.add[a][b], s.add[b][a]) for a in s.elements() for b in range(a)]
+    return generated_congruence(s, _band_pairs(s) + commuting)
 
 
 def _is_union_of_quasi_skew_rings(s: FiniteSemiring) -> bool:
@@ -358,28 +378,27 @@ def _is_union_of_quasi_skew_rings(s: FiniteSemiring) -> bool:
     )
 
 
-def _is_congruence_of_quasi_skew_rings(s: FiniteSemiring, quotient_pred) -> bool:
-    """Some congruence whose classes are quasi skew subsemirings has a
-    quotient satisfying quotient_pred: by lemma (A) the only candidate is P."""
-    p = _orbit_idempotent_partition(s)
-    return (
-        _is_union_of_quasi_skew_rings(s)
-        and quotient_pred(s, p)
-        and is_semiring_congruence_partition(s, p)
-    )
+def _is_congruence_of_quasi_skew_rings(s: FiniteSemiring, least) -> bool:
+    """Some congruence whose classes are quasi skew subsemirings contains
+    least(s), iota or beta: by lemma (A) the only candidate is P, and P
+    refines least(s), so P qualifies iff it equals least(s)."""
+    return _is_union_of_quasi_skew_rings(s) and _orbit_idempotent_partition(s) == least(s)
 
 
 def _is_b_lattice_of_completely_archimedean(s: FiniteSemiring) -> bool:
-    """Some congruence with a b-lattice quotient has completely Archimedean
-    subsemirings as classes: by lemma (B) only the coarsenings of P are
-    candidates."""
-    p = _orbit_idempotent_partition(s)
-    for q in set_partitions(p.num_blocks):
-        rho = Partition.from_block_of(q.block_of[b] for b in p.block_of)
-        if (  # the quotient test first: it is the cheapest filter
-            _quotient_is_b_lattice(s, rho)
-            and is_semiring_congruence_partition(s, rho)
-            and all(_is_completely_archimedean_subsemiring(s, b) for b in rho.blocks())
+    """Some congruence with a b-lattice quotient, that is some congruence
+    containing beta, has completely Archimedean subsemirings as classes.
+    Every element lies in some class, so by lemma (C) S must be quasi
+    completely regular, and then each class needs one J*+ class alone."""
+    if first_without_completely_regular_multiple(s) is not None:
+        return False
+    beta = _least_b_lattice_congruence(s)
+    # finest first, so beta itself leads: on the quasi completely regular
+    # members of the test corpora it is J*+ and qualifies
+    for q in set_partitions(beta.num_blocks):
+        rho = Partition.from_block_of(q.block_of[b] for b in beta.block_of)
+        if is_semiring_congruence_partition(s, rho) and all(
+            _has_one_jstar_class(s, b) for b in rho.blocks()
         ):
             return True
     return False
@@ -403,7 +422,7 @@ def _qcr5_conditions(s: FiniteSemiring):
     classes_qsr = all(_is_quasi_skew_subsemiring(s, b) for b in hstar.blocks())
     union_qsr = _is_union_of_quasi_skew_rings(s)
     blattice_arch = _is_b_lattice_of_completely_archimedean(s)
-    idem_qsr = _is_congruence_of_quasi_skew_rings(s, _quotient_is_idempotent)
+    idem_qsr = _is_congruence_of_quasi_skew_rings(s, _least_idempotent_congruence)
     return (
         ("i", qcr, qcr_why),
         ("ii", classes_qsr, ""),
@@ -433,7 +452,7 @@ def _qci5_conditions(s: FiniteSemiring):
         for a in s.elements()
         for b in s.elements()
     )
-    blattice_qsr = _is_congruence_of_quasi_skew_rings(s, _quotient_is_b_lattice)
+    blattice_qsr = _is_congruence_of_quasi_skew_rings(s, _least_b_lattice_congruence)
     return (
         ("i", qcr and aqi, qcr_why or aqi_why),
         ("ii", qcr and elem_idem, ""),

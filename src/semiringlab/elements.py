@@ -4,6 +4,9 @@ On a finite carrier the cyclic additive subsemigroup of every element
 contains an idempotent, so every element has an additively regular multiple;
 index searches therefore terminate by scanning the orbit window instead of
 relying on a numeric bound.
+
+Each per-element analysis is one memoized vector over the carrier; the
+per-element functions check the index and read the vector.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedWitness
-from .kernel import ADD, FiniteSemiring, addition, memo, orbit, semigroup_inverses
+from .kernel import ADD, FiniteSemiring, addition, check_element, memo, orbits, semigroup_inverses
 
 
 @memo(table=addition)
@@ -27,18 +30,26 @@ class InverseSet:
 
 def additive_inverses(s: FiniteSemiring, a: int) -> InverseSet:
     """V+(a) = {x : a+x+a = a and x+a+x = x}, by exhaustive scan."""
+    check_element(s, a)
     return InverseSet(element=a, inverses=semigroup_inverses(s.add, s.order, a))
 
 
 @memo(table=addition)
-def is_additively_regular(s: FiniteSemiring, a: int) -> bool:
+def additive_regularity(s: FiniteSemiring) -> tuple[bool, ...]:
+    """Whether each element a has some x with a+x+a = a."""
     add = s.add
-    return any(add[add[a][x]][a] == a for x in s.elements())
+    return tuple(any(add[add[a][x]][a] == a for x in s.elements()) for a in s.elements())
+
+
+def is_additively_regular(s: FiniteSemiring, a: int) -> bool:
+    check_element(s, a)
+    return additive_regularity(s)[a]
 
 
 @memo(table=addition)
-def commuting_witness(s: FiniteSemiring, a: int) -> int | None:
-    """The unique x with a+x+a = a, a+x = x+a and x+a+x = x, or None.
+def commuting_witnesses(s: FiniteSemiring) -> tuple[int | None, ...]:
+    """For each element a, the unique x with a+x+a = a, a+x = x+a and
+    x+a+x = x, or None.
 
     Any x satisfying just the first two equations normalizes to this one via
     x + a + x, and a + x does not depend on the choice, so existence here is
@@ -47,26 +58,31 @@ def commuting_witness(s: FiniteSemiring, a: int) -> int | None:
     rather than swallowed.
     """
     add = s.add
-    hits = [
-        x for x in s.elements()
-        if add[add[a][x]][a] == a
-        and add[a][x] == add[x][a]
-        and add[add[x][a]][x] == x
-    ]
-    if len(hits) > 1:
-        raise MalformedWitness(
-            f"{len(hits)} witnesses {[s.names[x] for x in hits]} for element {s.names[a]}"
-        )
-    return hits[0] if hits else None
+    out = []
+    for a in s.elements():
+        hits = [
+            x for x in s.elements()
+            if add[add[a][x]][a] == a
+            and add[a][x] == add[x][a]
+            and add[add[x][a]][x] == x
+        ]
+        if len(hits) > 1:
+            raise MalformedWitness(
+                f"{len(hits)} witnesses {[s.names[x] for x in hits]} for element {s.names[a]}"
+            )
+        out.append(hits[0] if hits else None)
+    return tuple(out)
+
+
+def commuting_witness(s: FiniteSemiring, a: int) -> int | None:
+    check_element(s, a)
+    return commuting_witnesses(s)[a]
 
 
 def is_completely_regular(s: FiniteSemiring, a: int) -> bool:
     """a = a+x+a, a+x = x+a, a(a+x) = a+x for some (necessarily unique) x."""
-    x = commuting_witness(s, a)
-    if x is None:
-        return False
-    ax = s.add[a][x]
-    return s.mul[a][ax] == ax
+    check_element(s, a)
+    return element_classes(s)[a].completely_regular
 
 
 @dataclass(frozen=True)
@@ -89,55 +105,69 @@ class ElementClassification:
 
 
 @memo
-def classify_element(s: FiniteSemiring, a: int) -> ElementClassification:
-    aqr_index, _ = least_regular_multiple(s, a)
-    qcr_index = None
-    witness = None
-    for i, v in enumerate(orbit(s, a, ADD).values):
-        x = commuting_witness(s, v)
-        if x is not None and s.mul[v][s.add[v][x]] == s.add[v][x]:
-            qcr_index = i + 1
-            witness = x
-            break
-    return ElementClassification(
-        element=a,
-        additively_regular=aqr_index == 1,
-        additively_completely_regular=commuting_witness(s, a) is not None,
-        completely_regular=qcr_index == 1,
-        additively_quasi_regular_index=aqr_index,
-        quasi_completely_regular_index=qcr_index,
-        witness=witness,
+def element_classes(s: FiniteSemiring) -> tuple[ElementClassification, ...]:
+    """The classification of every element, by index."""
+    add, mul = s.add, s.mul
+    witnesses = commuting_witnesses(s)
+    completely_regular = tuple(
+        x is not None and mul[a][add[a][x]] == add[a][x] for a, x in enumerate(witnesses)
     )
+    out = []
+    for a, (orb, (aqr_index, _)) in enumerate(zip(orbits(s, ADD), least_regular_multiples(s))):
+        qcr_index = next((i + 1 for i, v in enumerate(orb.values) if completely_regular[v]), None)
+        out.append(ElementClassification(
+            element=a,
+            additively_regular=aqr_index == 1,
+            additively_completely_regular=witnesses[a] is not None,
+            completely_regular=qcr_index == 1,
+            additively_quasi_regular_index=aqr_index,
+            quasi_completely_regular_index=qcr_index,
+            witness=None if qcr_index is None else witnesses[orb.values[qcr_index - 1]],
+        ))
+    return tuple(out)
+
+
+def classify_element(s: FiniteSemiring, a: int) -> ElementClassification:
+    check_element(s, a)
+    return element_classes(s)[a]
 
 
 @memo(table=addition)
+def least_regular_multiples(s: FiniteSemiring) -> tuple[tuple[int, int], ...]:
+    """(p, pa) for each element a, with p the smallest positive index making
+    pa additively regular: the first additively regular element of the
+    additive orbit of a. It reads the addition alone, and so do the starred
+    Green relations built on it."""
+    regular = additive_regularity(s)
+    out = []
+    for orb in orbits(s, ADD):
+        p = next((i + 1 for i, v in enumerate(orb.values) if regular[v]), None)
+        assert p is not None, "finite additive orbits always contain a regular element"
+        out.append((p, orb.values[p - 1]))
+    return tuple(out)
+
+
 def least_regular_multiple(s: FiniteSemiring, a: int) -> tuple[int, int]:
-    """(p, pa) for the smallest positive p with pa additively regular: the
-    first additively regular element of the additive orbit of a. It reads
-    the addition alone, and so do the starred Green relations built on it."""
-    orb = orbit(s, a, ADD)
-    p = next((i + 1 for i, v in enumerate(orb.values) if is_additively_regular(s, v)), None)
-    assert p is not None, "finite additive orbits always contain a regular element"
-    return p, orb.values[p - 1]
+    check_element(s, a)
+    return least_regular_multiples(s)[a]
 
 
 @memo(table=addition)
 def reg_plus(s: FiniteSemiring) -> frozenset[int]:
     """Reg+(S), the additively regular elements."""
-    return frozenset(a for a in s.elements() if is_additively_regular(s, a))
+    return frozenset(a for a, regular in enumerate(additive_regularity(s)) if regular)
 
 
 def cr_set(s: FiniteSemiring) -> frozenset[int]:
     """Cr(S), the elements completely regular at index 1."""
-    return frozenset(a for a in s.elements() if is_completely_regular(s, a))
+    return frozenset(c.element for c in element_classes(s) if c.completely_regular)
 
 
 def first_without_completely_regular_multiple(s: FiniteSemiring) -> int | None:
     """The first element none of whose additive multiples is completely
     regular, or None when the semiring is quasi completely regular."""
     return next(
-        (a for a in s.elements()
-         if classify_element(s, a).quasi_completely_regular_index is None),
+        (c.element for c in element_classes(s) if c.quasi_completely_regular_index is None),
         None,
     )
 

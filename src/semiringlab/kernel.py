@@ -7,14 +7,19 @@ operation is a pure function.
 
 Memo: each primitive decorated with `memo` computes its result once per
 value it reads and argument tuple. By default that value is the whole
-semiring, `(s.names, s.add, s.mul)`: element analysis, quasi skew-ring
+semiring, `(s.names, s.add, s.mul)`: element classes, quasi skew-ring
 checks, the per-block checks of the theorem verifiers, class reports and
 decompositions. A primitive of a single reduct is keyed by that one table
-instead: orbits, reduct flags, E+ and Reg+, additive regularity and
-commuting witnesses, principal ideals, plain and starred Green relations,
-additive H-classes, orbit windows, the orbit-idempotent partition and the
-additive verdicts of `classify`. Its results are element indices, never
-names, so each caller words its own evidence.
+instead: orbits, reduct flags, E+ and Reg+, additive regularity, commuting
+witnesses and least regular multiples, principal ideals, plain and starred
+Green relations, additive H-classes, orbit windows, the orbit-idempotent
+partition and the additive verdicts of `classify`. Its results are element
+indices, never names, so each caller words its own evidence.
+
+A per-element analysis is memoized as one vector over the whole carrier,
+indexed by element (`orbits`, `element_classes`, ...): callers index the
+vector, and the per-element public names (`orbit`, `classify_element`, ...)
+are accessors that check the index first.
 
 Equal semirings, and for a single-reduct primitive every semiring with that
 table, share their results. The memo keeps the results of the
@@ -437,18 +442,34 @@ class Orbit:
         return self.values[self.mu + (i - self.mu) % self.lam]
 
 
-@memo(table=lambda s, a, which=ADD: s.table(which))
-def orbit(s: FiniteSemiring, a: int, which: str = ADD) -> Orbit:
+@memo(table=lambda s, which: s.table(which))
+def orbits(s: FiniteSemiring, which: str) -> tuple[Orbit, ...]:
+    """The orbit of every element under the chosen operation, by index."""
     table = s.table(which)
-    values = [a]
-    seen = {a: 0}
-    while True:
-        nxt = table[values[-1]][a]
-        if nxt in seen:
-            mu = seen[nxt]
-            return Orbit(values=tuple(values), mu=mu, lam=len(values) - mu)
-        seen[nxt] = len(values)
-        values.append(nxt)
+    out = []
+    for a in s.elements():
+        values = [a]
+        seen = {a: 0}
+        while True:
+            nxt = table[values[-1]][a]
+            if nxt in seen:
+                mu = seen[nxt]
+                out.append(Orbit(values=tuple(values), mu=mu, lam=len(values) - mu))
+                break
+            seen[nxt] = len(values)
+            values.append(nxt)
+    return tuple(out)
+
+
+def check_element(s: FiniteSemiring, a) -> None:
+    """Raise OutOfRange unless a indexes an element of s."""
+    if not (isinstance(a, int) and 0 <= a < s.order):
+        raise OutOfRange(f"element index {a!r} outside 0..{s.order - 1}")
+
+
+def orbit(s: FiniteSemiring, a: int, which: str = ADD) -> Orbit:
+    check_element(s, a)
+    return orbits(s, which)[a]
 
 
 def repeat(s: FiniteSemiring, a: int, k: int, which: str = ADD) -> int:

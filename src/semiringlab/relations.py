@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import BoundExceeded, NotBiIdeal, NotCongruence, NotEquivalence
 from .kernel import FiniteSemiring, addition, memo
-from .elements import additive_idempotents, least_regular_multiple
+from .elements import additive_idempotents, least_regular_multiples
 
 GREEN_KINDS = ("L", "R", "H", "D", "J")
 
@@ -147,7 +147,7 @@ def green_star_plus(s: FiniteSemiring, kind: str) -> Partition:
     and q are the least indices making pa and qb additively regular."""
     if kind not in GREEN_KINDS:
         raise ValueError(f"unknown Green relation kind {kind!r}")
-    rm = [least_regular_multiple(s, a)[1] for a in s.elements()]
+    rm = [v for _, v in least_regular_multiples(s)]
     if kind in ("L", "R", "J"):
         base = green_plus(s, kind)
         return Partition.from_block_of(base.block_of[r] for r in rm)
@@ -178,22 +178,47 @@ def is_semiring_congruence_partition(s: FiniteSemiring, p: Partition) -> bool:
     return True
 
 
+def generated_congruence(s: FiniteSemiring, pairs) -> Partition:
+    """The least semiring congruence containing `pairs` (after Freese,
+    Computing congruences efficiently, 2008). Each pair that joins two
+    classes queues its translates a+c ~ b+c, c+a ~ c+b, ac ~ bc and ca ~ cb
+    for every c: the joining pairs span each class, so once their translates
+    are related, every related pair's are."""
+    add, mul = s.add, s.mul
+    elements = s.elements()
+    block = list(elements)
+    todo = list(pairs)
+    while todo:
+        a, b = todo.pop()
+        keep, drop = block[a], block[b]
+        if keep == drop:
+            continue
+        block = [keep if k == drop else k for k in block]
+        for c in elements:
+            for x, y in (
+                (add[a][c], add[b][c]), (add[c][a], add[c][b]),
+                (mul[a][c], mul[b][c]), (mul[c][a], mul[c][b]),
+            ):
+                if block[x] != block[y]:
+                    todo.append((x, y))
+    return Partition.from_block_of(block)
+
+
 def set_partitions(n: int):
-    """Every partition of 0..n-1, once each, in lexicographic order of its
-    restricted growth string: a[0] = 0 and a[i] <= 1 + max(a[:i])."""
-    a = [0] * n
+    """Every partition of 0..n-1, once each, in decreasing lexicographic
+    order of its restricted growth string (a[0] = 0 and a[i] <= 1 +
+    max(a[:i])): the finest partition first, the coarsest last."""
+    a = list(range(n))
     while True:
         yield Partition(block_of=tuple(a))
         i = n - 1
-        while i >= 1:
-            if a[i] <= max(a[:i]):
-                a[i] += 1
-                for j in range(i + 1, n):
-                    a[j] = 0
-                break
+        while i >= 1 and a[i] == 0:
             i -= 1
-        else:
+        if i < 1:
             return
+        a[i] -= 1
+        for j in range(i + 1, n):
+            a[j] = max(a[:j]) + 1
 
 
 def enumerate_congruences(s: FiniteSemiring, bound: int = CONGRUENCE_BOUND) -> list[Congruence]:

@@ -32,10 +32,11 @@ from .kernel import (
     FiniteSemiring,
     PartialSemiring,
     addition,
+    check_element,
     is_b_lattice,
     is_idempotent_semiring,
     memo,
-    orbit,
+    orbits,
     validate_partial,
 )
 from .elements import (
@@ -86,7 +87,7 @@ def is_bi_ideal(s: FiniteSemiring, subset) -> bool:
 
 @memo(table=addition)
 def _orbit_windows(s: FiniteSemiring) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset(orbit(s, a, ADD).values) for a in s.elements())
+    return tuple(frozenset(orb.values) for orb in orbits(s, ADD))
 
 
 def is_nil_extension(s: FiniteSemiring, ideal) -> bool:
@@ -98,9 +99,16 @@ def is_nil_extension(s: FiniteSemiring, ideal) -> bool:
 
 
 @memo(table=addition)
-def additive_h_class(s: FiniteSemiring, a: int) -> frozenset[int]:
+def additive_h_classes(s: FiniteSemiring) -> tuple[frozenset[int], ...]:
+    """The H+-class of every element, by index."""
     h = green_plus(s, "H")
-    return frozenset(x for x in s.elements() if h.same(x, a))
+    blocks = h.blocks()
+    return tuple(blocks[b] for b in h.block_of)
+
+
+def additive_h_class(s: FiniteSemiring, a: int) -> frozenset[int]:
+    check_element(s, a)
+    return additive_h_classes(s)[a]
 
 
 def sub_skew_ring_conditions_by_idempotent(s: FiniteSemiring) -> dict[int, tuple[bool, bool]]:
@@ -126,9 +134,10 @@ def sub_skew_ring_conditions_by_idempotent(s: FiniteSemiring) -> dict[int, tuple
       both operations).
     """
     windows = _orbit_windows(s)
+    h_classes = additive_h_classes(s)
     at = {}
     for e in sorted(additive_idempotents(s)):
-        h = additive_h_class(s, e)
+        h = h_classes[e]
         least = s.closure({e})
         at[e] = (
             least <= h and all(window & least for window in windows),
@@ -173,7 +182,7 @@ def quasi_skew_ring_check(s: FiniteSemiring) -> QuasiSkewRingReport:
     kernel = None
     if cond_i:
         e = next(iter(idems))
-        kernel = additive_h_class(s, e)
+        kernel = additive_h_classes(s)[e]
         if not s.is_closed(kernel):
             raise InternalTheoremViolation(
                 f"kernel of {s!r} (H+-class of {s.names[e]}) is not closed under both operations"

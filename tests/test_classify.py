@@ -8,8 +8,10 @@ from semiringlab.errors import NotQuasiCompletelyRegular, UnknownTheoremId
 from semiringlab.classify import (
     CLASS_KEYS,
     THEOREM_IDS,
-    _is_completely_archimedean_subsemiring,
+    _is_quasi_completely_regular,
     _is_quasi_skew_subsemiring,
+    _least_b_lattice_congruence,
+    _least_idempotent_congruence,
     _orbit_idempotent_partition,
 )
 from semiringlab.kernel import is_b_lattice, is_idempotent_semiring
@@ -176,10 +178,19 @@ def orbit_idempotent_partition(s):
     return Partition.from_block_of(idempotent_of)
 
 
+def is_completely_archimedean_subsemiring(s, block):
+    """The definition: the block is closed, and as a semiring of its own it
+    is quasi completely regular with a single J*+ class."""
+    if not s.is_closed(block):
+        return False
+    sub = s.restrict(block)
+    return _is_quasi_completely_regular(sub)[0] and sl.green_star_plus(sub, "J").num_blocks == 1
+
+
 def existence_oracles(s):
     """QCR5 (iii), (iv), (v) and QCI5 (v) by scanning every set partition of
     the carrier, checking lemmas (A) and (B) of the classify docstring on the
-    way. The memo runs each block predicate once per block."""
+    way."""
     p = orbit_idempotent_partition(s)
     into_qsr = [
         q for q in set_partitions(s.order)
@@ -188,7 +199,7 @@ def existence_oracles(s):
     assert into_qsr in ([], [p]), "lemma (A)"
     found = {("QCR5", "iii"): bool(into_qsr)}
     for label, quotient_pred, block_pred in (
-        (("QCR5", "iv"), is_b_lattice, _is_completely_archimedean_subsemiring),
+        (("QCR5", "iv"), is_b_lattice, is_completely_archimedean_subsemiring),
         (("QCR5", "v"), is_idempotent_semiring, _is_quasi_skew_subsemiring),
         (("QCI5", "v"), is_b_lattice, _is_quasi_skew_subsemiring),
     ):
@@ -244,3 +255,40 @@ def test_existence_conditions_scan_only_coarsenings_of_the_idempotent_partition(
             report = sl.verify_equivalence(s, theorem)
             assert report.agreement, (theorem, s, report.verdicts)
             assert calls <= bell + 1, (theorem, s, calls)
+
+
+def meet(partitions):
+    """a ~ b iff a ~ b in every one of `partitions`."""
+    return Partition.from_block_of(zip(*(p.block_of for p in partitions)))
+
+
+def test_beta_and_iota_are_the_least_b_lattice_and_idempotent_congruences(corpus):
+    for s in corpus:
+        congruences = enumerate_congruences(s, bound=s.order)
+        for least, quotient_pred in (
+            (_least_b_lattice_congruence, is_b_lattice),
+            (_least_idempotent_congruence, is_idempotent_semiring),
+        ):
+            qualifying = [c.partition for c in congruences if quotient_pred(quotient(s, c))]
+            # the universal congruence always qualifies
+            assert qualifying, sl.serialize_srt(s)
+            assert least(s) == meet(qualifying), (least.__name__, sl.serialize_srt(s))
+        # QCR5 (iv) tries beta first, expecting the J*+ classes
+        if sl.classify(s).holds("quasi-completely-regular"):
+            assert _least_b_lattice_congruence(s) == sl.green_star_plus(s, "J"), sl.serialize_srt(s)
+
+
+def test_qcr5_iv_builds_no_block_semiring_on_a_non_qcr_member(monkeypatch, corpus, min_const):
+    members = [min_const] + [s for s in corpus if not sl.classify(s).holds("quasi-completely-regular")]
+    assert len(members) > 50
+    built = []
+    subsemiring = sl.FiniteSemiring.subsemiring
+
+    def counting(self, subset):
+        built.append(subset)
+        return subsemiring(self, subset)
+
+    monkeypatch.setattr(sl.FiniteSemiring, "subsemiring", counting)
+    for s in members:
+        assert not classify_module._is_b_lattice_of_completely_archimedean(s), sl.serialize_srt(s)
+    assert built == []

@@ -311,22 +311,24 @@ def test_console_entry_point(tmp_path, qsr3_file):
 
 
 def test_module_run_as_a_script(tmp_path, qsr3_file):
-    # `python -m semiringlab.cli` runs the same `run()` as the console script
+    # `python -m semiringlab.cli` and `python -m semiringlab` run the same
+    # `run()` as the console script
     env = dict(os.environ, PYTHONPATH=str(Path(sl.__file__).resolve().parent.parent))
     cases = [
         (str(tmp_path / "nope.srt"), 2, "", "error:"),
         (qsr3_file, 0, "verdict: true", ""),
     ]
-    for path, expected_code, expected_out, expected_err in cases:
-        result = subprocess.run(
-            [sys.executable, "-m", "semiringlab.cli", "validate", path],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert result.returncode == expected_code, (path, result.stderr)
-        assert expected_out in result.stdout
-        assert expected_err in result.stderr
+    for module in ("semiringlab.cli", "semiringlab"):
+        for path, expected_code, expected_out, expected_err in cases:
+            result = subprocess.run(
+                [sys.executable, "-m", module, "validate", path],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert result.returncode == expected_code, (module, path, result.stderr)
+            assert expected_out in result.stdout
+            assert expected_err in result.stderr
 
 
 NO_NUMPY_SCRIPT = """\

@@ -1,9 +1,16 @@
+import pytest
+
 import semiringlab as sl
 from semiringlab.elements import (
     commuting_witness,
+    is_additively_regular,
+    is_completely_regular,
     is_quasi_completely_regular_semiring,
     least_regular_multiple,
 )
+from semiringlab.errors import OutOfRange
+from semiringlab.kernel import orbit
+from semiringlab.structure import additive_h_class
 
 
 def names(s, subset):
@@ -96,3 +103,22 @@ def test_least_regular_multiple(qsr3):
     assert p == 3 and qsr3.names[value] == "0"
     q, value = least_regular_multiple(qsr3, qsr3.index("b"))
     assert q == 2 and qsr3.names[value] == "0"
+
+
+def test_per_element_entry_points_reject_indices_outside_the_carrier(qsr3):
+    entry_points = (
+        sl.classify_element,
+        sl.additive_inverses,
+        lambda s, a: sl.repeat(s, a, 2),
+        lambda s, a: orbit(s, a, sl.MUL),
+        is_additively_regular,
+        commuting_witness,
+        is_completely_regular,
+        least_regular_multiple,
+        additive_h_class,
+    )
+    for entry in entry_points:
+        for a in (-1, qsr3.order, None):
+            with pytest.raises(OutOfRange):
+                entry(qsr3, a)
+        entry(qsr3, qsr3.order - 1)

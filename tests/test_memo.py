@@ -182,18 +182,18 @@ def test_threads_share_the_cache_soundly(corpus_small):
 class Bodies:
     """How often the bodies of five memoized primitives ran on each semiring
     object, counted by replacing the `__wrapped__` body each memo runs on a
-    miss: classify and classify_element, keyed by the semiring's value, and
-    orbit, _principal_sets and green_star_plus, keyed by a table."""
+    miss: classify and element_classes, keyed by the semiring's value, and
+    orbits, _principal_sets and green_star_plus, keyed by a table."""
 
-    SEMIRING_KEYED = ("classify", "classify_element")
+    SEMIRING_KEYED = ("classify", "element_classes")
 
     def __init__(self, monkeypatch):
         self.seen = Counter()
         self._monkeypatch = monkeypatch
         for primitive in (
             classify_module.classify,
-            elements.classify_element,
-            kernel.orbit,
+            elements.element_classes,
+            kernel.orbits,
             relations._principal_sets,
             relations.green_star_plus,
         ):
@@ -218,7 +218,7 @@ class Bodies:
         self.seen.clear()
         call(s)
         counts = self.on(s)
-        assert set(counts) == {"classify", "classify_element", "orbit", "_principal_sets", "green_star_plus"}
+        assert set(counts) == {"classify", "element_classes", "orbits", "_principal_sets", "green_star_plus"}
         return counts
 
 

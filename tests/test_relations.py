@@ -4,7 +4,7 @@ import pytest
 
 import semiringlab as sl
 from semiringlab.errors import BoundExceeded, NotBiIdeal, NotCongruence
-from semiringlab.relations import Partition, is_semiring_congruence_partition
+from semiringlab.relations import Partition, generated_congruence, is_semiring_congruence_partition, set_partitions
 from semiringlab.elements import is_quasi_completely_regular_semiring
 from semiringlab.structure import is_strongly_additively_quasi_completely_inverse
 
@@ -111,6 +111,30 @@ def test_identity_and_universal_always_present(corpus_small):
         assert Partition.universal(s.order) in partitions
         assert partitions[0] == Partition.identity(s.order)
         assert partitions[-1] == Partition.universal(s.order)
+
+
+def test_set_partitions_run_finest_first():
+    for n, bell in enumerate((1, 1, 2, 5, 15, 52, 203)):
+        got = [p.block_of for p in set_partitions(n)]
+        assert len(set(got)) == len(got) == bell
+        assert got == sorted(got, reverse=True)
+        assert got[0] == tuple(range(n)) and got[-1] == (0,) * n
+
+
+def test_generated_congruence_is_the_least_containing_the_pairs(corpus_small):
+    checked = 0
+    for s in corpus_small[::3]:
+        congruences = [c.partition for c in sl.enumerate_congruences(s)]
+        for a, b, c, d in product(s.elements(), repeat=4):
+            if (a, b) > (c, d):
+                continue
+            containing = [p for p in congruences if p.same(a, b) and p.same(c, d)]
+            least = generated_congruence(s, [(a, b), (c, d)])
+            assert least in containing, sl.serialize_srt(s)
+            assert all(least.refines(p) for p in containing), sl.serialize_srt(s)
+            checked += 1
+    assert generated_congruence(s, []) == Partition.identity(s.order)
+    assert checked > 1000
 
 
 def test_one_element_has_exactly_one_congruence():
