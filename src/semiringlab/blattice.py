@@ -340,11 +340,9 @@ def family_spec(d: Decomposition, m: StructureMaps) -> StrongBLatticeSpec:
 def _family_presents(s: FiniteSemiring, d: Decomposition, m: StructureMaps) -> bool:
     """Does composing (Y, classes, maps) reproduce s exactly?"""
     try:
-        spec = family_spec(d, m)
-    except SemiringError:
-        return False
-    try:
-        composed = compose(spec)  # raises PreconditionFailed on an invalid spec
+        composed = compose(family_spec(d, m))  # PreconditionFailed on an invalid spec
+    except InternalTheoremViolation:
+        raise
     except SemiringError:
         return False
     if set(composed.names) != set(s.names):
@@ -712,6 +710,8 @@ def check_generalized_clifford_theorem(s: FiniteSemiring, bound: int = SEARCH_BO
     rhs = False
     try:
         d = decompose(s)
+    except InternalTheoremViolation:
+        raise
     except SemiringError:
         d = None
     if d is not None and all(not d.nil_indices(alpha) for alpha in range(d.y_order)):

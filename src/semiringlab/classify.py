@@ -60,11 +60,11 @@ from .kernel import (
     FiniteSemiring,
     ReductFlag,
     addition,
+    inverse_counts,
     is_b_lattice,
     memo,
     orbits,
     reduct_kind,
-    semigroup_inverses,
 )
 from .elements import (
     additive_idempotents,
@@ -142,16 +142,10 @@ class TheoremReport:
 
 
 @memo(table=addition)
-def _additive_inverse_counts(s: FiniteSemiring) -> tuple[int, ...]:
-    """|V+(a)| for each element a."""
-    return tuple(len(semigroup_inverses(s.add, s.order, a)) for a in s.elements())
-
-
-@memo(table=addition)
 def _first_without_quasi_inverse_multiple(s: FiniteSemiring) -> int | None:
     """The first element no multiple na of which admits exactly one x with
     na+x+na = na and x+na+x = x, or None."""
-    counts = _additive_inverse_counts(s)
+    counts = inverse_counts(s, ADD)
     return next(
         (a for a, orb in enumerate(orbits(s, ADD)) if all(counts[v] != 1 for v in orb.values)),
         None,
@@ -159,7 +153,7 @@ def _first_without_quasi_inverse_multiple(s: FiniteSemiring) -> int | None:
 
 
 def _is_additively_inverse(s: FiniteSemiring):
-    counts = _additive_inverse_counts(s)
+    counts = inverse_counts(s, ADD)
     bad = next((a for a in s.elements() if counts[a] != 1), None)
     if bad is None:
         return True, ""

@@ -5,16 +5,23 @@ Elements are dense indices 0..n-1 carrying display names; all reports speak
 in names. Every value here is immutable after construction and every
 operation is a pure function.
 
+One law checker, `validate`, serves total and partial tables: it reads an
+undefined entry as an absorbing value, so the laws bind wherever defined.
+The enumeration's incremental checks (`enumeration._assoc_ok_at`,
+`_distrib_ok_at`) are the one exception: they judge the triples of a table
+being filled, where a triple with an undefined evaluation passes.
+
 Memo: each primitive decorated with `memo` computes its result once per
 value it reads and argument tuple. By default that value is the whole
 semiring, `(s.names, s.add, s.mul)`: element classes, quasi skew-ring
 checks, the per-block checks of the theorem verifiers, class reports and
 decompositions. A primitive of a single reduct is keyed by that one table
-instead: orbits, reduct flags, E+ and Reg+, additive regularity, commuting
-witnesses and least regular multiples, principal ideals, plain and starred
-Green relations, additive H-classes, orbit windows, the orbit-idempotent
-partition and the additive verdicts of `classify`. Its results are element
-indices, never names, so each caller words its own evidence.
+instead: orbits, reduct flags, inverse counts, E+ and Reg+, additive
+regularity, commuting witnesses and least regular multiples, principal
+ideals, plain and starred Green relations, additive H-classes, orbit
+windows, the orbit-idempotent partition and the additive verdicts of
+`classify`. Its results are element indices, never names, so each caller
+words its own evidence.
 
 A per-element analysis is memoized as one vector over the whole carrier,
 indexed by element (`orbits`, `element_classes`, ...): callers index the
@@ -52,7 +59,6 @@ LAW_ADD_ASSOC = "add-associativity"
 LAW_MUL_ASSOC = "mul-associativity"
 LAW_LEFT_DIST = "left-distributivity"
 LAW_RIGHT_DIST = "right-distributivity"
-LAWS = (LAW_ADD_ASSOC, LAW_MUL_ASSOC, LAW_LEFT_DIST, LAW_RIGHT_DIST)
 
 
 # how many values the memo keeps results for; the least recently used is
@@ -108,15 +114,20 @@ def freeze_table(rows) -> Table:
     return tuple(tuple(row) for row in rows)
 
 
-def check_table(table: Table, n: int, what: str) -> None:
+def check_table(table: Table, n: int, what: str, undefined: bool = False) -> None:
+    """Shape and range of a Cayley table; `undefined` also admits None, for
+    the tables of a PartialSemiring."""
     if len(table) != n:
         raise DimensionMismatch(f"{what} table has {len(table)} rows, expected {n}")
     for i, row in enumerate(table):
         if len(row) != n:
             raise DimensionMismatch(f"{what} table row {i} has {len(row)} entries, expected {n}")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise OutOfRange(f"{what} table entry at ({i},{j}) is {v!r}, expected 0..{n - 1}")
+            if not (isinstance(v, int) and 0 <= v < n or undefined and v is None):
+                raise OutOfRange(
+                    f"{what} table entry at ({i},{j}) is {v!r}, expected 0..{n - 1}"
+                    + (" or undefined" if undefined else "")
+                )
 
 
 def check_names(names: tuple[str, ...]) -> None:
@@ -253,15 +264,8 @@ class PartialSemiring:
         n = len(self.names)
         if n:
             check_names(self.names)
-        for what, table in ((ADD, self.add), (MUL, self.mul)):
-            if len(table) != n:
-                raise DimensionMismatch(f"{what} table has {len(table)} rows, expected {n}")
-            for i, row in enumerate(table):
-                if len(row) != n:
-                    raise DimensionMismatch(f"{what} table row {i} has {len(row)} entries, expected {n}")
-                for j, v in enumerate(row):
-                    if v is not None and (not isinstance(v, int) or not 0 <= v < n):
-                        raise OutOfRange(f"{what} table entry at ({i},{j}) is {v!r}, expected 0..{n - 1} or undefined")
+        check_table(self.add, n, ADD, undefined=True)
+        check_table(self.mul, n, MUL, undefined=True)
 
     @property
     def order(self) -> int:
@@ -292,73 +296,47 @@ def validate_semiring(elements, add, mul) -> ValidationReport:
     return validate(s)
 
 
-def validate(s: FiniteSemiring) -> ValidationReport:
+def validate(s: FiniteSemiring | PartialSemiring) -> ValidationReport:
+    """The semiring laws of a total or partial table, wherever defined.
+
+    An undefined (None) entry reads as an absorbing value u = n, added as a
+    row and column only when a table holds one. An associative law then
+    fails when its two groupings differ, also when only one of them is
+    defined; a distributive law fails only when both of its sides are
+    defined and differ. On total tables these are the plain laws. Each
+    failed law reports its first witness in row-major (a, b, c) order."""
     n = s.order
     add, mul, names = s.add, s.mul, s.names
-    checks = (
-        (LAW_ADD_ASSOC, lambda a, b, c: add[add[a][b]][c] == add[a][add[b][c]]),
-        (LAW_MUL_ASSOC, lambda a, b, c: mul[mul[a][b]][c] == mul[a][mul[b][c]]),
-        (LAW_LEFT_DIST, lambda a, b, c: mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]),
-        (LAW_RIGHT_DIST, lambda a, b, c: mul[add[b][c]][a] == add[mul[b][a]][mul[c][a]]),
+    u = n
+    if any(None in row for row in add + mul):
+        pad = (u,) * (n + 1)
+        add, mul = (
+            tuple(tuple(u if v is None else v for v in row) + (u,) for row in table) + (pad,)
+            for table in (add, mul)
+        )
+    r = range(n)
+    scans = (
+        (LAW_ADD_ASSOC, ((a, b, c) for a in r for b in r for c in r
+                         if add[add[a][b]][c] != add[a][add[b][c]])),
+        (LAW_MUL_ASSOC, ((a, b, c) for a in r for b in r for c in r
+                         if mul[mul[a][b]][c] != mul[a][mul[b][c]])),
+        (LAW_LEFT_DIST, ((a, b, c) for a in r for b in r for c in r
+                         if (lhs := mul[a][add[b][c]]) != (rhs := add[mul[a][b]][mul[a][c]])
+                         and u not in (lhs, rhs))),
+        (LAW_RIGHT_DIST, ((a, b, c) for a in r for b in r for c in r
+                          if (lhs := mul[add[b][c]][a]) != (rhs := add[mul[b][a]][mul[c][a]])
+                          and u not in (lhs, rhs))),
     )
     failures = []
-    for law, holds in checks:
-        witness = next(
-            ((a, b, c) for a in range(n) for b in range(n) for c in range(n) if not holds(a, b, c)),
-            None,
-        )
+    for law, witnesses in scans:
+        witness = next(witnesses, None)
         if witness is not None:
             failures.append(LawFailure(law, tuple(names[x] for x in witness)))
     return ValidationReport.from_failures(failures)
 
 
-def _partial_value(table, x: int | None, y: int | None) -> tuple[bool, int | None]:
-    """Evaluate a two-step partial product; (defined, value)."""
-    if x is None or y is None:
-        return False, None
-    v = table[x][y]
-    return (v is not None), v
-
-
-def validate_partial(p: PartialSemiring) -> ValidationReport:
-    """Partial-law contract: if one grouping of an associative product is
-    defined so is the other and they agree; a distributive law only binds
-    when both of its sides are defined."""
-    n = p.order
-    failures = []
-    first = {law: None for law in LAWS}
-
-    def note(law, a, b, c):
-        if first[law] is None:
-            first[law] = (a, b, c)
-
-    for law, table in ((LAW_ADD_ASSOC, p.add), (LAW_MUL_ASSOC, p.mul)):
-        for a in range(n):
-            for b in range(n):
-                ab = table[a][b]
-                for c in range(n):
-                    bc = table[b][c]
-                    ldef, lval = _partial_value(table, ab, c)
-                    rdef, rval = _partial_value(table, a, bc)
-                    if ldef != rdef or (ldef and lval != rval):
-                        note(law, a, b, c)
-    for law, lhs, rhs in (
-        (LAW_LEFT_DIST, lambda a, b, c: _partial_value(p.mul, a, p.add[b][c]),
-         lambda a, b, c: _partial_value(p.add, p.mul[a][b], p.mul[a][c])),
-        (LAW_RIGHT_DIST, lambda a, b, c: _partial_value(p.mul, p.add[b][c], a),
-         lambda a, b, c: _partial_value(p.add, p.mul[b][a], p.mul[c][a])),
-    ):
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    ldef, lval = lhs(a, b, c)
-                    rdef, rval = rhs(a, b, c)
-                    if ldef and rdef and lval != rval:
-                        note(law, a, b, c)
-    for law in LAWS:
-        if first[law] is not None:
-            failures.append(LawFailure(law, tuple(p.names[x] for x in first[law])))
-    return ValidationReport.from_failures(failures)
+# the name the nil parts of a decomposition have always been checked by
+validate_partial = validate
 
 
 class ReductFlag(Enum):
@@ -385,6 +363,14 @@ def semigroup_inverses(table: Table, n: int, a: int) -> frozenset[int]:
 
 
 @memo(table=lambda s, which: s.table(which))
+def inverse_counts(s: FiniteSemiring, which: str) -> tuple[int, ...]:
+    """|V(a)|, the number of semigroup inverses, for every element of the
+    chosen reduct, by index."""
+    table = s.table(which)
+    return tuple(len(semigroup_inverses(table, s.order, a)) for a in s.elements())
+
+
+@memo(table=lambda s, which: s.table(which))
 def reduct_kind(s: FiniteSemiring, which: str) -> frozenset[ReductFlag]:
     """All structural flags of the chosen reduct; {PLAIN} when none hold."""
     table = s.table(which)
@@ -400,7 +386,7 @@ def reduct_kind(s: FiniteSemiring, which: str) -> frozenset[ReductFlag]:
         any(table[a][x] == e == table[x][a] for x in range(n)) for a in range(n)
     ):
         flags.add(ReductFlag.GROUP)
-    if all(len(semigroup_inverses(table, n, a)) == 1 for a in range(n)):
+    if all(count == 1 for count in inverse_counts(s, which)):
         flags.add(ReductFlag.INVERSE)
     return frozenset(flags) if flags else frozenset({ReductFlag.PLAIN})
 
@@ -415,7 +401,7 @@ def is_b_lattice(s: FiniteSemiring) -> bool:
 
 def is_idempotent_semiring(s: FiniteSemiring) -> bool:
     """Both reducts are bands (commutativity of addition not required)."""
-    return all(s.add[a][a] == a and s.mul[a][a] == a for a in s.elements())
+    return ReductFlag.BAND in reduct_kind(s, ADD) and ReductFlag.BAND in reduct_kind(s, MUL)
 
 
 @dataclass(frozen=True)

@@ -144,18 +144,14 @@ def _compose_equivalence(p: Partition, q: Partition) -> Partition:
 @memo(table=addition)
 def green_star_plus(s: FiniteSemiring, kind: str) -> Partition:
     """a related to b iff pa related to qb under the plain relation, where p
-    and q are the least indices making pa and qb additively regular."""
-    if kind not in GREEN_KINDS:
-        raise ValueError(f"unknown Green relation kind {kind!r}")
-    rm = [v for _, v in least_regular_multiples(s)]
-    if kind in ("L", "R", "J"):
-        base = green_plus(s, kind)
-        return Partition.from_block_of(base.block_of[r] for r in rm)
-    lstar = green_star_plus(s, "L")
-    rstar = green_star_plus(s, "R")
-    if kind == "H":
-        return Partition.from_block_of(zip(lstar.block_of, rstar.block_of))
-    return _compose_equivalence(lstar, rstar)
+    and q are the least indices making pa and qb additively regular.
+
+    This pullback is the starred relation of every kind. It preserves
+    meets, so H* is L* meet R*. And an element L- or R-related to a regular
+    element is regular, so it is its own least regular multiple and D* is
+    L* o R*."""
+    base = green_plus(s, kind)
+    return Partition.from_block_of(base.block_of[v] for _, v in least_regular_multiples(s))
 
 
 def is_semiring_congruence_partition(s: FiniteSemiring, p: Partition) -> bool:

@@ -218,6 +218,7 @@ class Decomposition:
     kernels: tuple[frozenset[int], ...]
     idempotents: tuple[int, ...]
     nil_parts: tuple[PartialSemiring, ...]
+    class_semirings: tuple[FiniteSemiring, ...]
 
     @property
     def y_order(self) -> int:
@@ -227,7 +228,8 @@ class Decomposition:
         return self.hstar.block_of[a]
 
     def class_semiring(self, alpha: int) -> FiniteSemiring:
-        return self.base.restrict(self.classes[alpha])
+        """T_alpha as a semiring, as `restrict` builds it."""
+        return self.class_semirings[alpha]
 
     def nil_indices(self, alpha: int) -> tuple[int, ...]:
         return tuple(sorted(self.classes[alpha] - self.kernels[alpha]))
@@ -283,6 +285,7 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
     kernels = []
     idempotents = []
     nil_parts = []
+    class_semirings = []
     for alpha, cls in enumerate(classes):
         t = s.subsemiring(cls)
         if t is None:
@@ -308,6 +311,7 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
         kernels.append(kernel)
         idempotents.append(e)
         nil_parts.append(nil)
+        class_semirings.append(t)
     if frozenset().union(*kernels) != reg_plus(s):
         _fail("union of class kernels differs from the additively regular part")
     # membership compatibility: T_alpha + T_beta lands in T_{alpha+beta}, same for products
@@ -318,7 +322,8 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
                 _fail("class membership is not compatible with addition")
             if hstar.block_of[s.mul[a][b]] != y.mul[alpha][beta]:
                 _fail("class membership is not compatible with multiplication")
-    return hstar, y, classes, tuple(kernels), tuple(idempotents), tuple(nil_parts)
+    return (hstar, y, classes, tuple(kernels), tuple(idempotents), tuple(nil_parts),
+            tuple(class_semirings))
 
 
 @memo(table=addition)

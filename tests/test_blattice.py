@@ -8,6 +8,8 @@ from semiringlab.blattice import _family_presents, family_spec
 from semiringlab.enumeration import canonical_form
 from semiringlab.errors import (
     DomainMismatch,
+    InternalTheoremViolation,
+    NotQuasiCompletelyRegular,
     OverlappingCarriers,
     PreconditionFailed,
     SearchBoundExceeded,
@@ -250,6 +252,36 @@ def test_a_decomposition_serves_only_its_own_semiring(monkeypatch):
         with pytest.raises(PreconditionFailed, match="does not belong"):
             sl.search_structure_maps(t)
     assert sl.check_main_theorem_conditions(s, d, m).all_hold
+
+
+def _raise(error):
+    def raising(*args):
+        raise error("raised on purpose")
+
+    return raising
+
+
+def test_an_internal_theorem_violation_is_never_swallowed(monkeypatch):
+    s = zn(6)
+    monkeypatch.setattr(blattice, "compose", _raise(InternalTheoremViolation))
+    with pytest.raises(InternalTheoremViolation):
+        sl.search_structure_maps(s)
+    with pytest.raises(InternalTheoremViolation):
+        sl.check_generalized_clifford_theorem(s)
+    monkeypatch.setattr(blattice, "decompose", _raise(InternalTheoremViolation))
+    with pytest.raises(InternalTheoremViolation):
+        sl.check_generalized_clifford_theorem(s)
+
+
+def test_any_other_semiring_error_still_means_no_family(monkeypatch):
+    s = zn(6)
+    monkeypatch.setattr(blattice, "compose", _raise(PreconditionFailed))
+    assert sl.search_structure_maps(s) is None
+    assert sl.check_generalized_clifford_theorem(s).verdicts == {
+        "generalized-clifford": True, "strong-b-lattice-of-skew-rings": False,
+    }
+    monkeypatch.setattr(blattice, "decompose", _raise(NotQuasiCompletelyRegular))
+    assert not sl.check_generalized_clifford_theorem(s).verdicts["strong-b-lattice-of-skew-rings"]
 
 
 def _pipeline(s):

@@ -1,14 +1,19 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
 import semiringlab as sl
-from semiringlab.errors import DimensionMismatch, OutOfRange
+from semiringlab.errors import DimensionMismatch, OutOfRange, SemiringError
 from semiringlab.kernel import (
     LAW_ADD_ASSOC,
     LAW_LEFT_DIST,
     LAW_MUL_ASSOC,
     LAW_RIGHT_DIST,
+    LawFailure,
     ReductFlag,
+    ValidationReport,
     orbit,
 )
 
@@ -107,6 +112,137 @@ def test_validate_partial_one_side_defined_fails():
     report = sl.validate_partial(p)
     assert not report.verdict
     assert any(f.law == LAW_ADD_ASSOC for f in report.failures)
+
+
+def _partial_value(table, x, y):
+    """Evaluate a two-step partial product; (defined, value)."""
+    if x is None or y is None:
+        return False, None
+    v = table[x][y]
+    return (v is not None), v
+
+
+def partial_law_oracle(p) -> ValidationReport:
+    """The partial-law contract by its definition: if one grouping of an
+    associative product is defined so is the other and they agree; a
+    distributive law only binds when both of its sides are defined. The
+    first witness per law, in row-major (a, b, c) order."""
+    n = p.order
+    laws = (LAW_ADD_ASSOC, LAW_MUL_ASSOC, LAW_LEFT_DIST, LAW_RIGHT_DIST)
+    first = {law: None for law in laws}
+
+    def note(law, a, b, c):
+        if first[law] is None:
+            first[law] = (a, b, c)
+
+    for law, table in ((LAW_ADD_ASSOC, p.add), (LAW_MUL_ASSOC, p.mul)):
+        for a in range(n):
+            for b in range(n):
+                ab = table[a][b]
+                for c in range(n):
+                    bc = table[b][c]
+                    ldef, lval = _partial_value(table, ab, c)
+                    rdef, rval = _partial_value(table, a, bc)
+                    if ldef != rdef or (ldef and lval != rval):
+                        note(law, a, b, c)
+    for law, lhs, rhs in (
+        (LAW_LEFT_DIST, lambda a, b, c: _partial_value(p.mul, a, p.add[b][c]),
+         lambda a, b, c: _partial_value(p.add, p.mul[a][b], p.mul[a][c])),
+        (LAW_RIGHT_DIST, lambda a, b, c: _partial_value(p.mul, p.add[b][c], a),
+         lambda a, b, c: _partial_value(p.add, p.mul[b][a], p.mul[c][a])),
+    ):
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    ldef, lval = lhs(a, b, c)
+                    rdef, rval = rhs(a, b, c)
+                    if ldef and rdef and lval != rval:
+                        note(law, a, b, c)
+    return ValidationReport.from_failures(
+        LawFailure(law, tuple(p.names[x] for x in first[law])) for law in laws if first[law] is not None
+    )
+
+
+def test_validate_partial_is_the_one_checker():
+    assert sl.validate_partial is sl.validate
+
+
+def test_validate_matches_the_partial_oracle_on_nil_parts(corpus, corpus_order5, corpus_order6):
+    nil_parts = 0
+    for s in corpus + corpus_order5 + corpus_order6:
+        try:
+            d = sl.decompose(s)
+        except SemiringError:
+            continue
+        for nil in d.nil_parts:
+            assert sl.validate(nil) == partial_law_oracle(nil), (s, nil)
+            nil_parts += bool(nil.order)
+    assert nil_parts > 100
+
+
+def test_validate_matches_the_partial_oracle_on_partial_restrictions(corpus_small):
+    # every subset of an order-3 member, with an entry defined only when it
+    # stays in the subset: the shape of a nil part, lawful or not
+    verdicts = set()
+    for s in corpus_small:
+        for k in range(s.order + 1):
+            for sub in combinations(s.elements(), k):
+                local = {g: i for i, g in enumerate(sub)}
+                p = sl.PartialSemiring(
+                    names=tuple(s.names[g] for g in sub),
+                    add=tuple(tuple(local.get(s.add[a][b]) for b in sub) for a in sub),
+                    mul=tuple(tuple(local.get(s.mul[a][b]) for b in sub) for a in sub),
+                )
+                report = sl.validate(p)
+                assert report == partial_law_oracle(p), (s, sub)
+                verdicts.add(report.verdict)
+    assert verdicts == {True, False}
+
+
+def test_validate_matches_the_partial_oracle_on_random_tables():
+    rng = random.Random(20261019)
+    failed_laws = set()
+    totals = 0
+    for _ in range(5000):
+        n = rng.randint(0, 5)
+        undefined = rng.choice((0.0, 0.0, 0.1, 0.3, 0.6, 1.0))
+
+        def table():
+            return tuple(
+                tuple(None if rng.random() < undefined else rng.randrange(n) for _ in range(n))
+                for _ in range(n)
+            )
+
+        names = tuple(f"x{i}" for i in range(n))
+        add, mul = table(), table()
+        p = sl.PartialSemiring(names=names, add=add, mul=mul)
+        report = sl.validate(p)
+        assert report == partial_law_oracle(p)
+        failed_laws.update(f.law for f in report.failures)
+        if n and not any(None in row for row in add + mul):
+            # a partial table with no undefined entry is judged as a total one
+            totals += 1
+            assert report == sl.validate_semiring(names, add, mul)
+            assert {f.law: f.witness for f in report.failures} == brute_first_witness(names, add, mul)
+    assert failed_laws == {LAW_ADD_ASSOC, LAW_MUL_ASSOC, LAW_LEFT_DIST, LAW_RIGHT_DIST}
+    assert totals > 1000
+
+
+def test_partial_semiring_rejects_malformed_tables():
+    good = ((1, None), (None, None))
+    with pytest.raises(DimensionMismatch, match="mul table has 1 rows, expected 2"):
+        sl.PartialSemiring(names=("a", "b"), add=good, mul=((None, None),))
+    with pytest.raises(DimensionMismatch, match="add table row 1 has 1 entries, expected 2"):
+        sl.PartialSemiring(names=("a", "b"), add=((1, None), (None,)), mul=good)
+    with pytest.raises(OutOfRange, match=r"add table entry at \(0,1\) is 2, expected 0..1 or undefined"):
+        sl.PartialSemiring(names=("a", "b"), add=((1, 2), (None, None)), mul=good)
+    with pytest.raises(OutOfRange, match=r"mul table entry at \(1,0\) is 'a', expected 0..1 or undefined"):
+        sl.PartialSemiring(names=("a", "b"), add=good, mul=((None, None), ("a", None)))
+    with pytest.raises(OutOfRange, match=r"entry at \(0,0\) is -1"):
+        sl.PartialSemiring(names=("a", "b"), add=((-1, None), (None, None)), mul=good)
+    # a total table admits no undefined entry
+    with pytest.raises(OutOfRange, match=r"add table entry at \(0,1\) is None, expected 0..1$"):
+        sl.FiniteSemiring(names=("a", "b"), add=good, mul=((0, 0), (0, 0)))
 
 
 def test_reduct_kind_examples(boolean, z2, qsr3):

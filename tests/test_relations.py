@@ -62,10 +62,15 @@ def _join(p, q):
     return Partition.from_block_of([find(x) for x in range(p.n)])
 
 
-def test_d_is_join_of_l_and_r(corpus_small):
-    for s in corpus_small:
+def test_d_is_join_of_l_and_r(corpus):
+    # green_star_plus pulls every kind back through least regular multiples;
+    # these are the definitions of starred H and D as meet and join
+    for s in corpus:
         for green in (sl.green_plus, sl.green_star_plus):
-            assert green(s, "D") == _join(green(s, "L"), green(s, "R")), (green.__name__, s)
+            l, r = green(s, "L"), green(s, "R")
+            assert green(s, "D") == _join(l, r), (green.__name__, s)
+            assert green(s, "H") == Partition.from_block_of(zip(l.block_of, r.block_of)), (
+                green.__name__, s)
 
 
 def congruence_oracle(s):

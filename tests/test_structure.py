@@ -119,6 +119,8 @@ def test_decompose_membership_compatibility(corpus_small):
                 assert d.class_of(s.mul[a][b]) == y.mul[alpha][beta]
         for alpha in range(d.y_order):
             t = d.class_semiring(alpha)
+            # built once by decompose, equal to the restriction to the class
+            assert t is d.class_semiring(alpha) and t == s.restrict(d.classes[alpha])
             assert sl.is_nil_extension(t, sl.skew_ring_kernel(t))
         assert frozenset().union(*d.kernels) == sl.reg_plus(s)
 
