@@ -103,12 +103,36 @@ def _check_spec_shape(spec: StrongBLatticeSpec) -> None:
                 )
 
 
+def _frame_failures(y: FiniteSemiring, components) -> list[LawFailure]:
+    """The conditions of a spec that no map enters, with the first witness
+    of each: the indexing semiring is a semiring and a b-lattice, and every
+    component is a semiring."""
+    failures = []
+    if not validate(y).verdict:
+        failures.append(LawFailure("indexing-semiring", y.names))
+    elif not is_b_lattice(y):
+        failures.append(LawFailure("indexing-b-lattice", y.names))
+    else:
+        # alpha+beta == alpha+beta+alpha*beta holds in every b-lattice;
+        # checked rather than assumed
+        bad = next(((alpha, beta) for alpha in y.elements() for beta in y.elements()
+                    if y.add[y.add[alpha][beta]][y.mul[alpha][beta]] != y.add[alpha][beta]), None)
+        if bad is not None:
+            failures.append(LawFailure("b-lattice-arithmetic", (y.names[bad[0]], y.names[bad[1]])))
+    bad = next((alpha for alpha, comp in enumerate(components) if not validate(comp).verdict), None)
+    if bad is not None:
+        failures.append(LawFailure("component-validity", (y.names[bad],)))
+    return failures
+
+
 def validate_spec(spec: StrongBLatticeSpec) -> ValidationReport:
     """Injectivity, homomorphism property, identity, composition and
     product-containment conditions of the strong b-lattice definition."""
     _check_spec_shape(spec)
     y = spec.blattice
-    failures: list[LawFailure] = []
+    failures = _frame_failures(y, spec.components)
+    if failures:
+        return ValidationReport.from_failures(failures)
     seen: set[str] = set()
 
     def fail(condition, *witness):
@@ -116,24 +140,6 @@ def validate_spec(spec: StrongBLatticeSpec) -> ValidationReport:
         if condition not in seen:
             seen.add(condition)
             failures.append(LawFailure(condition, tuple(str(w) for w in witness)))
-
-    if not validate(y).verdict:
-        fail("indexing-semiring", *y.names)
-    elif not is_b_lattice(y):
-        fail("indexing-b-lattice", *y.names)
-    else:
-        for alpha in y.elements():
-            for beta in y.elements():
-                ab, prod = y.add[alpha][beta], y.mul[alpha][beta]
-                if y.add[ab][prod] != ab:
-                    # alpha+beta == alpha+beta+alpha*beta holds in every
-                    # b-lattice; checked rather than assumed
-                    fail("b-lattice-arithmetic", y.names[alpha], y.names[beta])
-    for alpha, comp in enumerate(spec.components):
-        if not validate(comp).verdict:
-            fail("component-validity", y.names[alpha])
-    if failures:
-        return ValidationReport.from_failures(failures)
 
     for alpha, beta in comparable_pairs(y, include_diagonal=True):
         comp_a, comp_b = spec.components[alpha], spec.components[beta]
@@ -337,25 +343,108 @@ def family_spec(d: Decomposition, m: StructureMaps) -> StrongBLatticeSpec:
     )
 
 
+def _class_maps(d: Decomposition, m: StructureMaps) -> dict[tuple[int, int], dict[int, int]]:
+    """phi_{alpha,beta} on T_alpha for every comparable pair alpha <= beta,
+    in base-carrier indices, read from m as `family_spec` reads it: the
+    identity on the diagonal, whatever m.phi holds there. DomainMismatch
+    when a map sends an element of its class outside the target class,
+    MissingMap when a comparable pair has no map."""
+    y = d.blattice
+    for (alpha, beta), f in m.phi.items():
+        if alpha != beta and any(f.get(g) not in d.classes[beta] for g in d.classes[alpha]):
+            raise DomainMismatch(
+                f"map ({y.names[alpha]}, {y.names[beta]}) leaves class {y.names[beta]}"
+            )
+    maps = {}
+    for alpha, beta in comparable_pairs(y, include_diagonal=True):
+        if alpha == beta:
+            maps[alpha, beta] = {g: g for g in d.classes[alpha]}
+        elif (alpha, beta) in m.phi:
+            f = m.phi[alpha, beta]
+            maps[alpha, beta] = {g: f[g] for g in d.classes[alpha]}
+        else:
+            raise MissingMap(y.names[alpha], y.names[beta])
+    return maps
+
+
 def _family_presents(s: FiniteSemiring, d: Decomposition, m: StructureMaps) -> bool:
-    """Does composing (Y, classes, maps) reproduce s exactly?"""
+    """Is s the semiring that `compose` builds from `family_spec(d, m)`?
+    Decided on the tables of s, building nothing.
+
+    For a in T_alpha and b in T_beta, with delta = alpha+beta and
+    gamma = alpha*beta, compose adds and multiplies in T_delta and solves
+    the product back into T_gamma:
+
+        a + b = phi_{alpha,delta}(a) + phi_{beta,delta}(b)
+        phi_{gamma,delta}(ab) = phi_{alpha,delta}(a) * phi_{beta,delta}(b)
+
+    with the identity on the diagonal. So the family presents s iff both
+    hold in s for every a and b, and the maps meet the conditions
+    `validate_spec` puts on them: injective homomorphisms that compose, and
+    for alpha+beta <= gamma, alpha*beta <= gamma and products
+    phi_{alpha,gamma}(a) * phi_{beta,gamma}(b) in the image of
+    phi_{alpha*beta,gamma}. The caller checks once per search that Y is a
+    b-lattice (`_frame_failures(y, ())`).
+
+    A family compose rejects (`_class_maps` raising) presents nothing; an
+    InternalTheoremViolation propagates. A family that presents s makes it
+    a strong b-lattice of its classes, which are semirings when s is. So
+    whether they are, which compose checks first, matters only when s fails
+    `validate`: the family then presents nothing if some class fails too,
+    and is an InternalTheoremViolation if none does.
+    """
     try:
-        composed = compose(family_spec(d, m))  # PreconditionFailed on an invalid spec
+        phi = _class_maps(d, m)
     except InternalTheoremViolation:
         raise
     except SemiringError:
         return False
-    if set(composed.names) != set(s.names):
-        return False
-    idx = {name: i for i, name in enumerate(composed.names)}
+    y = d.blattice
+    add, mul = s.add, s.mul
+    for (alpha, beta), f in phi.items():
+        if alpha == beta:
+            continue
+        if len(set(f.values())) != len(f):
+            return False
+        cls = d.classes[alpha]
+        if any(f[add[x][x2]] != add[f[x]][f[x2]] or f[mul[x][x2]] != mul[f[x]][f[x2]]
+               for x in cls for x2 in cls):
+            return False
+        for gamma in y.elements():
+            g = phi.get((beta, gamma)) if gamma != beta else None
+            if g is not None and any(g[f[x]] != phi[alpha, gamma][x] for x in cls):
+                return False
+    for alpha in y.elements():
+        for beta in y.elements():
+            delta, prod = y.add[alpha][beta], y.mul[alpha][beta]
+            for gamma in y.elements():
+                if not leq(y, delta, gamma):
+                    continue
+                if not leq(y, prod, gamma):
+                    return False
+                image = set(phi[prod, gamma].values())
+                fa, fb = phi[alpha, gamma], phi[beta, gamma]
+                if any(mul[fa[a]][fb[b]] not in image
+                       for a in d.classes[alpha] for b in d.classes[beta]):
+                    return False
+    block_of = d.hstar.block_of
     for a in s.elements():
+        alpha = block_of[a]
         for b in s.elements():
-            ca, cb = idx[s.names[a]], idx[s.names[b]]
-            if composed.names[composed.add[ca][cb]] != s.names[s.add[a][b]]:
+            beta = block_of[b]
+            delta, gamma = y.add[alpha][beta], y.mul[alpha][beta]
+            va, vb = phi[alpha, delta][a], phi[beta, delta][b]
+            if add[a][b] != add[va][vb] or phi[gamma, delta].get(mul[a][b]) != mul[va][vb]:
                 return False
-            if composed.names[composed.mul[ca][cb]] != s.names[s.mul[a][b]]:
-                return False
-    return True
+    check = validate(s)
+    if check.verdict:
+        return True
+    if not _frame_failures(y, d.class_semirings):
+        raise InternalTheoremViolation(
+            f"composed system is not a semiring: {check.failures[0].law} "
+            f"at {check.failures[0].witness}"
+        )
+    return False
 
 
 CONDITION_KEYS = ("i", "ii-mono", "ii1", "ii2", "ii3", "ii4", "ii5", "iii")
@@ -600,8 +689,9 @@ def verify_strong_blattice(s: FiniteSemiring, d: Decomposition, m: StructureMaps
     The theorem says this equals the conjunction of its conditions; both are
     computed independently and a mismatch is surfaced as a finding.
     """
-    direct = _family_presents(s, d, m)
+    # the conditions first: they raise unless d decomposes s
     conditions = check_main_theorem_conditions(s, d, m)
+    direct = not _frame_failures(d.blattice, ()) and _family_presents(s, d, m)
     if direct != conditions.all_hold:
         warnings.warn(
             TheoremViolationWarning(
@@ -634,7 +724,7 @@ def _forced_theta(s: FiniteSemiring, d: Decomposition) -> dict[tuple[int, int], 
 
 def _search_family(s: FiniteSemiring, d: Decomposition) -> StructureMaps | None:
     theta = _forced_theta(s, d)
-    if theta is None:
+    if theta is None or _frame_failures(d.blattice, ()):
         return None
     y = d.blattice
     pairs = [(a, b) for a, b in comparable_pairs(y)]

@@ -36,6 +36,16 @@ iff it contains beta. Three lemmas:
   a multiple of that element, and lies in B. So a has a completely regular
   multiple in B iff it has one in S, and B is quasi completely regular iff
   its elements are quasi completely regular in S.
+- (D) Let B be a block closed under both operations and e an additive
+  idempotent in B. Then the H+-class of e in B is its H+-class in S cut
+  down to B. The H+-class of e in S is the maximal subgroup of (S, +) at e;
+  its part in B is closed under addition, and a closed subset of a finite
+  group is a subgroup, so it is a subgroup of (B, +) at e and lies in the
+  H+-class of e in B. That class in turn is a subgroup of (S, +) at e, so it
+  lies in the H+-class of e in S. The closure of {e} is the same in B as in
+  S, as B is closed, and by (C) the additive orbit windows of B are the
+  windows in S of its elements. So whether B is a quasi skew-ring is read
+  off the analysis of S, and no block is built as a semiring for it.
 
 So QCR5 (iii) asks whether every block of P is a quasi skew subsemiring.
 QCR5 (v) and QCI5 (v) ask, besides, whether P is a congruence containing
@@ -65,6 +75,7 @@ from .kernel import (
     memo,
     orbits,
     reduct_kind,
+    semigroup_inverses,
 )
 from .elements import (
     additive_idempotents,
@@ -199,10 +210,11 @@ def _is_regular_part_inverse_subsemiring(s: FiniteSemiring):
                 return False, f"{s.names[a]}+{s.names[b]} leaves Reg+"
             if s.mul[a][b] not in regset:
                 return False, f"{s.names[a]}*{s.names[b]} leaves Reg+"
-    sub = s.restrict(regset)
-    ok, why = _is_additively_inverse(sub)
-    if not ok:
-        return False, f"Reg+ additive reduct not inverse: {why}"
+    # an inverse of a in Reg+ is an inverse of a in S that lies in Reg+
+    for a in regs:
+        count = len(semigroup_inverses(s.add, s.order, a) & regset)
+        if count != 1:
+            return False, f"Reg+ additive reduct not inverse: {s.names[a]} has {count} additive inverses"
     return True, ""
 
 
@@ -322,9 +334,10 @@ def _some_multiple_equal(s: FiniteSemiring, u: int, v: int) -> bool:
 
 @memo
 def _is_quasi_skew_subsemiring(s: FiniteSemiring, block: frozenset[int]) -> bool:
+    """The block is a subsemiring and a quasi skew-ring, decided on s by
+    lemma (D) without building it."""
     # memoized by block: QCR5 (iii) and (v) meet the same blocks
-    sub = s.subsemiring(block)
-    return sub is not None and quasi_skew_ring_check(sub).skew_ring_absorbs_multiples
+    return s.is_closed(block) and quasi_skew_ring_check(s, block).skew_ring_absorbs_multiples
 
 
 @memo

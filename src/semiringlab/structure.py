@@ -75,14 +75,20 @@ def is_k_ideal(s: FiniteSemiring, subset) -> bool:
     return True
 
 
+def _absorbs(s: FiniteSemiring, ideal, carrier) -> bool:
+    """ideal + x, x + ideal, ideal * x and x * ideal lie in ideal for every
+    x of carrier."""
+    return all(
+        s.add[a][x] in ideal and s.add[x][a] in ideal
+        and s.mul[a][x] in ideal and s.mul[x][a] in ideal
+        for a in ideal
+        for x in carrier
+    )
+
+
 def is_bi_ideal(s: FiniteSemiring, subset) -> bool:
     sub = _check_subset(s, subset)
-    return all(
-        s.add[a][x] in sub and s.add[x][a] in sub
-        and s.mul[a][x] in sub and s.mul[x][a] in sub
-        for a in sub
-        for x in s.elements()
-    )
+    return _absorbs(s, sub, s.elements())
 
 
 @memo(table=addition)
@@ -111,7 +117,9 @@ def additive_h_class(s: FiniteSemiring, a: int) -> frozenset[int]:
     return additive_h_classes(s)[a]
 
 
-def sub_skew_ring_conditions_by_idempotent(s: FiniteSemiring) -> dict[int, tuple[bool, bool]]:
+def sub_skew_ring_conditions_by_idempotent(
+    s: FiniteSemiring, block: frozenset[int] | None = None
+) -> dict[int, tuple[bool, bool]]:
     """(absorbing, nil_ext) at each additive idempotent e: some sub-skew-ring
     at e meets every additive orbit window {a, 2a, 3a, ...}; some
     sub-skew-ring at e meeting every window is a bi-ideal.
@@ -132,25 +140,36 @@ def sub_skew_ring_conditions_by_idempotent(s: FiniteSemiring) -> dict[int, tuple
       all of H_e. The second condition therefore holds iff H_e itself
       meets every window and is a bi-ideal (which makes it closed under
       both operations).
+
+    Given a block, a subset of s closed under both operations, the
+    conditions are those of the block as a semiring of its own, read off
+    s's analysis by lemma (D) of `classify`: its idempotents are the
+    additive idempotents of s in the block, H_e is the H+-class of e in s
+    cut down to the block, the closure of {e} is the same, and its windows
+    are the windows of its elements.
     """
-    windows = _orbit_windows(s)
+    carrier = frozenset(s.elements()) if block is None else block
+    of = _orbit_windows(s)
+    windows = {of[a] for a in carrier}
     h_classes = additive_h_classes(s)
     at = {}
-    for e in sorted(additive_idempotents(s)):
-        h = h_classes[e]
+    for e in sorted(additive_idempotents(s) & carrier):
+        h = h_classes[e] & carrier
         least = s.closure({e})
         at[e] = (
             least <= h and all(window & least for window in windows),
-            all(window & h for window in windows) and is_bi_ideal(s, h),
+            all(window & h for window in windows) and _absorbs(s, h, carrier),
         )
     return at
 
 
-def sub_skew_ring_conditions(s: FiniteSemiring) -> tuple[bool, bool]:
+def sub_skew_ring_conditions(
+    s: FiniteSemiring, block: frozenset[int] | None = None
+) -> tuple[bool, bool]:
     """(absorbing, nil_ext): conditions (ii) and (iii) of a quasi skew-ring,
     each decided on its own at every additive idempotent (see
-    `sub_skew_ring_conditions_by_idempotent`)."""
-    at = sub_skew_ring_conditions_by_idempotent(s).values()
+    `sub_skew_ring_conditions_by_idempotent`, also for `block`)."""
+    at = sub_skew_ring_conditions_by_idempotent(s, block).values()
     return any(absorbing for absorbing, _ in at), any(nil_ext for _, nil_ext in at)
 
 
@@ -169,23 +188,32 @@ class QuasiSkewRingReport:
         return self.unique_additive_idempotent
 
 
+def _named(s: FiniteSemiring, block: frozenset[int] | None) -> str:
+    return repr(s) if block is None else f"{{{', '.join(s.names[i] for i in sorted(block))}}} in {s!r}"
+
+
 @memo
-def quasi_skew_ring_check(s: FiniteSemiring) -> QuasiSkewRingReport:
-    idems = additive_idempotents(s)
+def quasi_skew_ring_check(s: FiniteSemiring, block: frozenset[int] | None = None) -> QuasiSkewRingReport:
+    """The three shapes of a quasi skew-ring on s, or, given a block closed
+    under both operations, on the block as a semiring of its own, read off
+    s without building it (see `sub_skew_ring_conditions_by_idempotent`);
+    the kernel is then a set of indices of s."""
+    carrier = frozenset(s.elements()) if block is None else block
+    idems = additive_idempotents(s) & carrier
     cond_i = len(idems) == 1  # additive quasi regularity is automatic on a finite carrier
-    cond_ii, cond_iii = sub_skew_ring_conditions(s)
+    cond_ii, cond_iii = sub_skew_ring_conditions(s, block)
     if not (cond_i == cond_ii == cond_iii):
         raise InternalTheoremViolation(
-            f"quasi-skew-ring conditions disagree on {s!r}: "
+            f"quasi-skew-ring conditions disagree on {_named(s, block)}: "
             f"unique-idempotent={cond_i} skew-ring-multiples={cond_ii} nil-extension={cond_iii}"
         )
     kernel = None
     if cond_i:
         e = next(iter(idems))
-        kernel = additive_h_classes(s)[e]
+        kernel = additive_h_classes(s)[e] & carrier
         if not s.is_closed(kernel):
             raise InternalTheoremViolation(
-                f"kernel of {s!r} (H+-class of {s.names[e]}) is not closed under both operations"
+                f"kernel of {_named(s, block)} (H+-class of {s.names[e]}) is not closed under both operations"
             )
     return QuasiSkewRingReport(
         unique_additive_idempotent=cond_i,

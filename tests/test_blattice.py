@@ -15,8 +15,9 @@ from semiringlab.errors import (
     SearchBoundExceeded,
     TheoremViolationWarning,
 )
+from semiringlab.kernel import LawFailure
 
-from conftest import QSR3_TEXT, zn
+from conftest import QSR3_TEXT, TWO_CHAIN_Y, Z3_SRT, family_presents_by_compose, zn
 
 ONE_COMPONENT_QSR3_SBL = (
     "blattice:\nelements: y\nadd:\ny\nmul:\ny\ncomponent y:\n" + QSR3_TEXT
@@ -263,7 +264,8 @@ def _raise(error):
 
 def test_an_internal_theorem_violation_is_never_swallowed(monkeypatch):
     s = zn(6)
-    monkeypatch.setattr(blattice, "compose", _raise(InternalTheoremViolation))
+    # the leaf check reads the family's maps through _class_maps
+    monkeypatch.setattr(blattice, "_class_maps", _raise(InternalTheoremViolation))
     with pytest.raises(InternalTheoremViolation):
         sl.search_structure_maps(s)
     with pytest.raises(InternalTheoremViolation):
@@ -275,7 +277,7 @@ def test_an_internal_theorem_violation_is_never_swallowed(monkeypatch):
 
 def test_any_other_semiring_error_still_means_no_family(monkeypatch):
     s = zn(6)
-    monkeypatch.setattr(blattice, "compose", _raise(PreconditionFailed))
+    monkeypatch.setattr(blattice, "_class_maps", _raise(PreconditionFailed))
     assert sl.search_structure_maps(s) is None
     assert sl.check_generalized_clifford_theorem(s).verdicts == {
         "generalized-clifford": True, "strong-b-lattice-of-skew-rings": False,
@@ -480,3 +482,111 @@ def test_compose_left_inverse_to_decomposition(spec_test_set):
             comp_a, comp_b = spec.components[alpha], spec.components[beta]
             for x, img in enumerate(images):
                 assert recovered[s.index(comp_a.names[x])] == s.index(comp_b.names[img])
+
+
+def _component(name, text):
+    return f"component {name}:\n{text}"
+
+
+def _z2z2(p):
+    """Z_2 x Z_2 with elements {p}00, {p}01, {p}10, {p}11."""
+    e = [f"{p}{i}{j}" for i in "01" for j in "01"]
+    add = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+    mul = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
+    rows = lambda table: "".join(" ".join(e[v] for v in row) + "\n" for row in table)
+    return f"elements: {' '.join(e)}\nadd:\n{rows(add)}mul:\n{rows(mul)}"
+
+
+# Z_3 over Z_3 along a 2-chain; negation on Z_3 keeps sums, not products
+Z3_CHAIN_SBL = (
+    "blattice:\n" + TWO_CHAIN_Y
+    + _component("p", Z3_SRT)
+    + _component("q", Z3_SRT.replace("t0", "u0").replace("t1", "u1").replace("t2", "u2"))
+    + "map p q:\nt0 -> u0\nt1 -> u1\nt2 -> u2\n"
+)
+
+Z2_TEXT = "elements: {0}0 {0}1\nadd:\n{0}0 {0}1\n{0}1 {0}0\nmul:\n{0}0 {0}0\n{0}0 {0}1\n"
+
+# Z_2, Z_2 and Z_2 x Z_2 along a 3-chain, products in the upper class; Z_2
+# has three monomorphisms into Z_2 x Z_2, so a map can be one and still
+# break the composition
+Z2_Z2_Z2Z2_CHAIN_SBL = (
+    "blattice:\nelements: p q r\nadd:\np q r\nq q r\nr r r\nmul:\np q r\nq q r\nr r r\n"
+    + _component("p", Z2_TEXT.format("g")) + _component("q", Z2_TEXT.format("k"))
+    + _component("r", _z2z2("l"))
+    + "map p q:\ng0 -> k0\ng1 -> k1\nmap p r:\ng0 -> l00\ng1 -> l11\n"
+    + "map q r:\nk0 -> l00\nk1 -> l11\n"
+)
+
+# Z_2 into Z_2 x Z_2 along a 2-chain with products in the lower class: the
+# image of the map must absorb products, as {h00, h01} does and {h00, h11}
+# does not
+Z2_INTO_Z2Z2_LOW_SBL = (
+    "blattice:\n" + TWO_CHAIN_Y
+    + _component("p", Z2_TEXT.format("g"))
+    + _component("q", _z2z2("h"))
+    + "map p q:\ng0 -> h00\ng1 -> h01\n"
+)
+
+
+def _rewired(s, m, source, target, changes):
+    """m with the map between the classes of the named elements changed at
+    the named elements."""
+    d = m.decomposition
+    pair = (d.class_of(s.index(source)), d.class_of(s.index(target)))
+    phi = {p: dict(f) for p, f in m.phi.items()}
+    for x, img in changes.items():
+        phi[pair][s.index(x)] = s.index(img)
+    return sl.StructureMaps(decomposition=d, phi=phi)
+
+
+@pytest.mark.parametrize("sbl, source, target, changes", [
+    # not injective
+    (QSR3_CHAIN_SBL, "a", "A", {"b": "O"}),
+    # breaks addition only: 1 + 1 = 0
+    (None, "z", "0", {"z": "1"}),
+    # breaks multiplication only
+    (Z3_CHAIN_SBL, "t0", "u0", {"t1": "u2", "t2": "u1"}),
+    # every map a monomorphism, but phi_{q,r} phi_{p,q} != phi_{p,r}
+    (Z2_Z2_Z2Z2_CHAIN_SBL, "g0", "l00", {"g1": "l01"}),
+    # a monomorphism whose image does not absorb the products (condition 3)
+    (Z2_INTO_Z2Z2_LOW_SBL, "g0", "h00", {"g1": "h11"}),
+])
+def test_hand_broken_families_get_compose_s_verdict(composed_gc, sbl, source, target, changes):
+    s = composed_gc if sbl is None else sl.compose(sl.parse_sbl(sbl))
+    d, m = _pipeline(s)
+    bad = _rewired(s, m, source, target, changes)
+    assert bad.phi != m.phi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TheoremViolationWarning)
+        assert sl.verify_strong_blattice(s, d, bad) is family_presents_by_compose(s, d, bad) is False
+
+
+def test_a_diagonal_map_is_the_identity_whatever_m_holds(composed_gc):
+    s = composed_gc
+    d, m = _pipeline(s)
+    # compose reads the diagonal as the identity and ignores m there; the
+    # theorem's conditions (i) and (ii)(1) do not
+    bad = _rewired(s, m, "0", "1", {"0": "1", "1": "0"})
+    assert bad.phi != m.phi
+    with pytest.warns(TheoremViolationWarning, match="disagrees"):
+        assert sl.verify_strong_blattice(s, d, bad) is family_presents_by_compose(s, d, bad) is True
+
+
+def test_a_presenting_family_of_a_non_semiring_is_a_theorem_violation(monkeypatch, composed_gc):
+    s = composed_gc
+    d, m = _pipeline(s)
+    validate = blattice.validate
+    broken = sl.ValidationReport.from_failures([LawFailure("add-associativity", ("z", "z", "z"))])
+
+    def failing(*targets):
+        return lambda t: broken if any(t == x for x in targets) else validate(t)
+
+    # compose builds s from valid classes, so s must be a semiring
+    monkeypatch.setattr(blattice, "validate", failing(s))
+    for presents in (_family_presents, family_presents_by_compose):
+        with pytest.raises(InternalTheoremViolation):
+            presents(s, d, m)
+    # with a class that is no semiring compose refuses the spec: no family
+    monkeypatch.setattr(blattice, "validate", failing(s, d.class_semiring(0)))
+    assert _family_presents(s, d, m) is family_presents_by_compose(s, d, m) is False

@@ -1,0 +1,127 @@
+"""The block, Reg+ and family checks of the verifiers read their conditions
+off the tables of s and build no semiring; each agrees with the build-based
+definition it replaced."""
+
+import pytest
+
+import semiringlab as sl
+from semiringlab import blattice
+from semiringlab.blattice import _family_presents, _search_family
+from semiringlab.classify import (
+    _has_one_jstar_class,
+    _is_quasi_skew_subsemiring,
+    _is_regular_part_inverse_subsemiring,
+    _orbit_idempotent_partition,
+)
+from semiringlab.errors import SemiringError
+from semiringlab.kernel import FiniteSemiring
+
+from conftest import (
+    family_presents_by_compose,
+    quasi_skew_subsemiring_by_building,
+    regular_part_inverse_by_building,
+    zn,
+)
+
+SAQCI = "strongly-additively-quasi-completely-inverse"
+
+
+def test_block_and_reg_plus_checks_match_the_built_semirings(
+    corpus_small, corpus_order4_all, corpus_order5, corpus_order6
+):
+    members = list(corpus_small) + list(corpus_order4_all) + list(corpus_order5) + list(corpus_order6)
+    closed = open_ = reg_false = 0
+    for s in members:
+        blocks = set(sl.green_star_plus(s, "H").blocks()) | set(_orbit_idempotent_partition(s).blocks())
+        for block in blocks:
+            sub = s.subsemiring(block)
+            assert _is_quasi_skew_subsemiring(s, block) == quasi_skew_subsemiring_by_building(s, block)
+            if sub is None:
+                open_ += 1
+                continue
+            closed += 1
+            # the whole report, its kernel carried back into the indices of s
+            new, old = sl.quasi_skew_ring_check(s, block), sl.quasi_skew_ring_check(sub)
+            ordered = sorted(block)
+            assert new.unique_additive_idempotent == old.unique_additive_idempotent
+            assert new.skew_ring_absorbs_multiples == old.skew_ring_absorbs_multiples
+            assert new.nil_extension_of_skew_ring == old.nil_extension_of_skew_ring
+            assert new.kernel == (None if old.kernel is None else frozenset(ordered[i] for i in old.kernel))
+        got = _is_regular_part_inverse_subsemiring(s)
+        assert got == regular_part_inverse_by_building(s), sl.serialize_srt(s)
+        reg_false += not got[0]
+    assert closed > 10000 and open_ > 100 and reg_false > 100
+
+
+def test_every_search_leaf_agrees_with_compose(monkeypatch, corpus_order4_all):
+    """At every leaf of the family search over the order-4 corpus, the check
+    on the tables of s gives compose's verdict, and compose never finds the
+    composed system to break the semiring laws."""
+    verdicts = []
+
+    def checked(s, d, m):
+        got = _family_presents(s, d, m)
+        # an InternalTheoremViolation from compose fails the test here
+        assert got == family_presents_by_compose(s, d, m), sl.serialize_srt(s)
+        verdicts.append(got)
+        return got
+
+    monkeypatch.setattr(blattice, "_family_presents", checked)
+    for s in corpus_order4_all:
+        try:
+            d = sl.decompose(s)
+        except SemiringError:
+            continue
+        _search_family(s, d)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """How many FiniteSemiring objects are constructed, and how many blocks
+    _has_one_jstar_class built as semirings."""
+    counts = {"semirings": 0, "jstar": 0}
+    post_init = FiniteSemiring.__post_init__
+    body = _has_one_jstar_class.__wrapped__
+
+    def counting(self):
+        counts["semirings"] += 1
+        post_init(self)
+
+    def jstar(s, block):
+        counts["jstar"] += s.is_closed(block)
+        return body(s, block)
+
+    monkeypatch.setattr(FiniteSemiring, "__post_init__", counting)
+    monkeypatch.setattr(_has_one_jstar_class, "__wrapped__", jstar)
+    return counts
+
+
+def _built_by(counts, call):
+    before = dict(counts)
+    call()
+    return {k: counts[k] - before[k] for k in counts}
+
+
+def test_the_verifiers_build_only_the_jstar_classes(builds, corpus_small, corpus_order4):
+    members = list(corpus_small) + list(corpus_order4) + [zn(6), zn(8)]
+    tally = {"qcr": 0, "not-qcr": 0, "families": 0}
+    for s in members:
+        report = sl.classify(s)
+        qcr5 = _built_by(builds, lambda: sl.verify_equivalence(s, "QCR5"))
+        # the J*+ check of QCR5 (iv) alone builds, and only where S is
+        # quasi completely regular
+        assert qcr5["semirings"] == qcr5["jstar"], sl.serialize_srt(s)
+        if not report.holds("quasi-completely-regular"):
+            assert qcr5["semirings"] == 0
+            tally["not-qcr"] += 1
+        else:
+            tally["qcr"] += 1
+        assert _built_by(builds, lambda: sl.verify_equivalence(s, "SAQCI3"))["semirings"] == 0
+        if report.holds(SAQCI):
+            d = sl.decompose(s)
+            m = sl.search_structure_maps(s)
+            if m is not None:
+                assert _built_by(builds, lambda: _family_presents(s, d, m))["semirings"] == 0
+                tally["families"] += 1
+    assert min(tally.values()) > 20, tally
