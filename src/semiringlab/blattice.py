@@ -129,17 +129,26 @@ def validate_spec(spec: StrongBLatticeSpec) -> ValidationReport:
     """Injectivity, homomorphism property, identity, composition and
     product-containment conditions of the strong b-lattice definition."""
     _check_spec_shape(spec)
-    y = spec.blattice
-    failures = _frame_failures(y, spec.components)
+    failures = _frame_failures(spec.blattice, spec.components)
     if failures:
         return ValidationReport.from_failures(failures)
     seen: set[str] = set()
+    for failure in _map_failures(spec):
+        # first witness per condition, like the semiring law checks
+        if failure.law not in seen:
+            seen.add(failure.law)
+            failures.append(failure)
+    return ValidationReport.from_failures(failures)
+
+
+def _map_failures(spec: StrongBLatticeSpec):
+    """Yield a LawFailure for each violation of the conditions the maps
+    enter, in the order `validate_spec` reports them. The spec must have
+    passed `_check_spec_shape`."""
+    y = spec.blattice
 
     def fail(condition, *witness):
-        # first witness per condition, like the semiring law checks
-        if condition not in seen:
-            seen.add(condition)
-            failures.append(LawFailure(condition, tuple(str(w) for w in witness)))
+        return LawFailure(condition, tuple(str(w) for w in witness))
 
     for alpha, beta in comparable_pairs(y, include_diagonal=True):
         comp_a, comp_b = spec.components[alpha], spec.components[beta]
@@ -147,24 +156,24 @@ def validate_spec(spec: StrongBLatticeSpec) -> ValidationReport:
         if alpha == beta:
             for x in comp_a.elements():
                 if images[x] != x:
-                    fail("condition-1-identity", y.names[alpha], comp_a.names[x])
+                    yield fail("condition-1-identity", y.names[alpha], comp_a.names[x])
                     break
             continue
         hit: dict[int, int] = {}
         for x in comp_a.elements():
             if images[x] in hit:
-                fail("monomorphism-injectivity", y.names[alpha], y.names[beta],
-                     comp_a.names[hit[images[x]]], comp_a.names[x])
+                yield fail("monomorphism-injectivity", y.names[alpha], y.names[beta],
+                           comp_a.names[hit[images[x]]], comp_a.names[x])
                 break
             hit[images[x]] = x
         for x in comp_a.elements():
             for x2 in comp_a.elements():
                 if images[comp_a.add[x][x2]] != comp_b.add[images[x]][images[x2]]:
-                    fail("monomorphism-add", y.names[alpha], y.names[beta],
-                         comp_a.names[x], comp_a.names[x2])
+                    yield fail("monomorphism-add", y.names[alpha], y.names[beta],
+                               comp_a.names[x], comp_a.names[x2])
                 if images[comp_a.mul[x][x2]] != comp_b.mul[images[x]][images[x2]]:
-                    fail("monomorphism-mul", y.names[alpha], y.names[beta],
-                         comp_a.names[x], comp_a.names[x2])
+                    yield fail("monomorphism-mul", y.names[alpha], y.names[beta],
+                               comp_a.names[x], comp_a.names[x2])
 
     for alpha in y.elements():
         for beta in y.elements():
@@ -178,8 +187,8 @@ def validate_spec(spec: StrongBLatticeSpec) -> ValidationReport:
                 f_ag = spec.component_map(alpha, gamma)
                 for x in spec.components[alpha].elements():
                     if f_bg[f_ab[x]] != f_ag[x]:
-                        fail("condition-2-composition", y.names[alpha], y.names[beta],
-                             y.names[gamma], spec.components[alpha].names[x])
+                        yield fail("condition-2-composition", y.names[alpha], y.names[beta],
+                                   y.names[gamma], spec.components[alpha].names[x])
                         break
 
     for alpha in y.elements():
@@ -190,7 +199,7 @@ def validate_spec(spec: StrongBLatticeSpec) -> ValidationReport:
                 if not leq(y, delta, gamma):
                     continue
                 if not leq(y, prod_idx, gamma):
-                    fail("condition-3-order", y.names[alpha], y.names[beta], y.names[gamma])
+                    yield fail("condition-3-order", y.names[alpha], y.names[beta], y.names[gamma])
                     continue
                 f_ag = spec.component_map(alpha, gamma)
                 f_bg = spec.component_map(beta, gamma)
@@ -200,10 +209,9 @@ def validate_spec(spec: StrongBLatticeSpec) -> ValidationReport:
                 for a in spec.components[alpha].elements():
                     for b in spec.components[beta].elements():
                         if comp_g.mul[f_ag[a]][f_bg[b]] not in image_p:
-                            fail("condition-3-containment", y.names[alpha], y.names[beta],
-                                 y.names[gamma], spec.components[alpha].names[a],
-                                 spec.components[beta].names[b])
-    return ValidationReport.from_failures(failures)
+                            yield fail("condition-3-containment", y.names[alpha], y.names[beta],
+                                       y.names[gamma], spec.components[alpha].names[a],
+                                       spec.components[beta].names[b])
 
 
 def compose(spec: StrongBLatticeSpec) -> FiniteSemiring:
@@ -343,30 +351,6 @@ def family_spec(d: Decomposition, m: StructureMaps) -> StrongBLatticeSpec:
     )
 
 
-def _class_maps(d: Decomposition, m: StructureMaps) -> dict[tuple[int, int], dict[int, int]]:
-    """phi_{alpha,beta} on T_alpha for every comparable pair alpha <= beta,
-    in base-carrier indices, read from m as `family_spec` reads it: the
-    identity on the diagonal, whatever m.phi holds there. DomainMismatch
-    when a map sends an element of its class outside the target class,
-    MissingMap when a comparable pair has no map."""
-    y = d.blattice
-    for (alpha, beta), f in m.phi.items():
-        if alpha != beta and any(f.get(g) not in d.classes[beta] for g in d.classes[alpha]):
-            raise DomainMismatch(
-                f"map ({y.names[alpha]}, {y.names[beta]}) leaves class {y.names[beta]}"
-            )
-    maps = {}
-    for alpha, beta in comparable_pairs(y, include_diagonal=True):
-        if alpha == beta:
-            maps[alpha, beta] = {g: g for g in d.classes[alpha]}
-        elif (alpha, beta) in m.phi:
-            f = m.phi[alpha, beta]
-            maps[alpha, beta] = {g: f[g] for g in d.classes[alpha]}
-        else:
-            raise MissingMap(y.names[alpha], y.names[beta])
-    return maps
-
-
 def _family_presents(s: FiniteSemiring, d: Decomposition, m: StructureMaps) -> bool:
     """Is s the semiring that `compose` builds from `family_spec(d, m)`?
     Decided on the tables of s, building nothing.
@@ -378,55 +362,36 @@ def _family_presents(s: FiniteSemiring, d: Decomposition, m: StructureMaps) -> b
         a + b = phi_{alpha,delta}(a) + phi_{beta,delta}(b)
         phi_{gamma,delta}(ab) = phi_{alpha,delta}(a) * phi_{beta,delta}(b)
 
-    with the identity on the diagonal. So the family presents s iff both
-    hold in s for every a and b, and the maps meet the conditions
-    `validate_spec` puts on them: injective homomorphisms that compose, and
-    for alpha+beta <= gamma, alpha*beta <= gamma and products
-    phi_{alpha,gamma}(a) * phi_{beta,gamma}(b) in the image of
-    phi_{alpha*beta,gamma}. The caller checks once per search that Y is a
-    b-lattice (`_frame_failures(y, ())`).
+    with the identity on the diagonal, as `family_spec` reads it. So the
+    family presents s iff the spec passes the map conditions of
+    `validate_spec` and both equations hold in s for every a and b. The
+    components of the spec are the class semirings `decompose` keeps, and
+    the caller checks once per search that Y is a b-lattice
+    (`_frame_failures(y, ())`).
 
-    A family compose rejects (`_class_maps` raising) presents nothing; an
-    InternalTheoremViolation propagates. A family that presents s makes it
-    a strong b-lattice of its classes, which are semirings when s is. So
-    whether they are, which compose checks first, matters only when s fails
-    `validate`: the family then presents nothing if some class fails too,
-    and is an InternalTheoremViolation if none does.
+    A family compose rejects (`family_spec` or the shape check raising)
+    presents nothing; an InternalTheoremViolation propagates. A family that
+    presents s makes it a strong b-lattice of its classes, which are
+    semirings when s is. So whether they are, which compose checks first,
+    matters only when s fails `validate`: the family then presents nothing
+    if some class fails too, and is an InternalTheoremViolation if none does.
     """
     try:
-        phi = _class_maps(d, m)
+        spec = family_spec(d, m)
+        _check_spec_shape(spec)
     except InternalTheoremViolation:
         raise
     except SemiringError:
         return False
+    if next(_map_failures(spec), None) is not None:
+        return False
     y = d.blattice
     add, mul = s.add, s.mul
-    for (alpha, beta), f in phi.items():
-        if alpha == beta:
-            continue
-        if len(set(f.values())) != len(f):
-            return False
-        cls = d.classes[alpha]
-        if any(f[add[x][x2]] != add[f[x]][f[x2]] or f[mul[x][x2]] != mul[f[x]][f[x2]]
-               for x in cls for x2 in cls):
-            return False
-        for gamma in y.elements():
-            g = phi.get((beta, gamma)) if gamma != beta else None
-            if g is not None and any(g[f[x]] != phi[alpha, gamma][x] for x in cls):
-                return False
-    for alpha in y.elements():
-        for beta in y.elements():
-            delta, prod = y.add[alpha][beta], y.mul[alpha][beta]
-            for gamma in y.elements():
-                if not leq(y, delta, gamma):
-                    continue
-                if not leq(y, prod, gamma):
-                    return False
-                image = set(phi[prod, gamma].values())
-                fa, fb = phi[alpha, gamma], phi[beta, gamma]
-                if any(mul[fa[a]][fb[b]] not in image
-                       for a in d.classes[alpha] for b in d.classes[beta]):
-                    return False
+    orders = [sorted(cls) for cls in d.classes]
+    # phi_{alpha,beta} in indices of s
+    phi = {(alpha, beta): {g: orders[beta][i] for g, i in zip(orders[alpha], f)}
+           for alpha, beta in comparable_pairs(y, include_diagonal=True)
+           for f in (spec.component_map(alpha, beta),)}
     block_of = d.hstar.block_of
     for a in s.elements():
         alpha = block_of[a]
@@ -434,7 +399,8 @@ def _family_presents(s: FiniteSemiring, d: Decomposition, m: StructureMaps) -> b
             beta = block_of[b]
             delta, gamma = y.add[alpha][beta], y.mul[alpha][beta]
             va, vb = phi[alpha, delta][a], phi[beta, delta][b]
-            if add[a][b] != add[va][vb] or phi[gamma, delta].get(mul[a][b]) != mul[va][vb]:
+            # decompose keeps ab in T_gamma
+            if add[a][b] != add[va][vb] or phi[gamma, delta][mul[a][b]] != mul[va][vb]:
                 return False
     check = validate(s)
     if check.verdict:

@@ -332,11 +332,9 @@ def _some_multiple_equal(s: FiniteSemiring, u: int, v: int) -> bool:
     return False
 
 
-@memo
 def _is_quasi_skew_subsemiring(s: FiniteSemiring, block: frozenset[int]) -> bool:
     """The block is a subsemiring and a quasi skew-ring, decided on s by
     lemma (D) without building it."""
-    # memoized by block: QCR5 (iii) and (v) meet the same blocks
     return s.is_closed(block) and quasi_skew_ring_check(s, block).skew_ring_absorbs_multiples
 
 
