@@ -328,12 +328,14 @@ def build_phi(d: Decomposition, theta, varphi) -> StructureMaps:
 
 
 def family_spec(d: Decomposition, m: StructureMaps) -> StrongBLatticeSpec:
-    """Reindex a structure-map family as a composable spec over the classes."""
+    """Reindex a structure-map family as a composable spec over the classes.
+    An identity diagonal map is omitted, as the spec reads it; any other
+    diagonal map is kept, so `validate_spec` rejects it."""
     orders = [sorted(cls) for cls in d.classes]
     local = [{g: i for i, g in enumerate(order)} for order in orders]
     maps = {}
     for (alpha, beta), f in m.phi.items():
-        if alpha == beta:
+        if alpha == beta and all(f.get(g) == g for g in orders[alpha]):
             continue
         images = []
         for g in orders[alpha]:
@@ -362,7 +364,7 @@ def _family_presents(s: FiniteSemiring, d: Decomposition, m: StructureMaps) -> b
         a + b = phi_{alpha,delta}(a) + phi_{beta,delta}(b)
         phi_{gamma,delta}(ab) = phi_{alpha,delta}(a) * phi_{beta,delta}(b)
 
-    with the identity on the diagonal, as `family_spec` reads it. So the
+    with the identity on the diagonal, which `validate_spec` requires. So the
     family presents s iff the spec passes the map conditions of
     `validate_spec` and both equations hold in s for every a and b. The
     components of the spec are the class semirings `decompose` keeps, and

@@ -54,8 +54,9 @@ QCR5 (iv) asks for a congruence containing beta whose classes are completely
 Archimedean subsemirings. The classes cover S, so by (C) S must be quasi
 completely regular, and then a class qualifies iff it has a single J*+
 class: only the J*+ check builds the class as a semiring. Its candidates
-are the coarsenings of beta, one per set partition of the blocks of beta,
-that are congruences.
+are the congruences above beta, which `relations.congruences_above`
+yields lazily with beta first, so the scan stops at the first one that
+qualifies.
 """
 
 from __future__ import annotations
@@ -85,11 +86,10 @@ from .elements import (
 )
 from .relations import (
     Partition,
+    congruences_above,
     generated_congruence,
     green_plus,
     green_star_plus,
-    is_semiring_congruence_partition,
-    set_partitions,
 )
 from .structure import (
     commuting_additive_idempotents,
@@ -343,7 +343,7 @@ def _has_one_jstar_class(s: FiniteSemiring, block: frozenset[int]) -> bool:
     """The block is a subsemiring with a single J*+ class. When S is quasi
     completely regular, so is the block, by lemma (C), and this says the
     block is a completely Archimedean subsemiring."""
-    # memoized by block: coarsenings of beta share most of their blocks
+    # memoized by block: the congruences above beta share most of their blocks
     sub = s.subsemiring(block)
     return sub is not None and green_star_plus(sub, "J").num_blocks == 1
 
@@ -397,16 +397,12 @@ def _is_b_lattice_of_completely_archimedean(s: FiniteSemiring) -> bool:
     completely regular, and then each class needs one J*+ class alone."""
     if first_without_completely_regular_multiple(s) is not None:
         return False
-    beta = _least_b_lattice_congruence(s)
-    # finest first, so beta itself leads: on the quasi completely regular
-    # members of the test corpora it is J*+ and qualifies
-    for q in set_partitions(beta.num_blocks):
-        rho = Partition.from_block_of(q.block_of[b] for b in beta.block_of)
-        if is_semiring_congruence_partition(s, rho) and all(
-            _has_one_jstar_class(s, b) for b in rho.blocks()
-        ):
-            return True
-    return False
+    # beta itself leads: on the quasi completely regular members of the test
+    # corpora it is J*+ and qualifies, so no other congruence is built
+    return any(
+        all(_has_one_jstar_class(s, b) for b in rho.blocks())
+        for rho in congruences_above(s, _least_b_lattice_congruence(s))
+    )
 
 
 def _qsr3_conditions(s: FiniteSemiring):

@@ -1,5 +1,6 @@
 """Green's relations on the additive reduct, starred variants through least
-regular multiples, and semiring congruence machinery."""
+regular multiples, and semiring congruences: the least one containing given
+pairs, and by those closures every one containing a given congruence."""
 
 from __future__ import annotations
 
@@ -200,21 +201,28 @@ def generated_congruence(s: FiniteSemiring, pairs) -> Partition:
     return Partition.from_block_of(block)
 
 
-def set_partitions(n: int):
-    """Every partition of 0..n-1, once each, in decreasing lexicographic
-    order of its restricted growth string (a[0] = 0 and a[i] <= 1 +
-    max(a[:i])): the finest partition first, the coarsest last."""
-    a = list(range(n))
-    while True:
-        yield Partition(block_of=tuple(a))
-        i = n - 1
-        while i >= 1 and a[i] == 0:
-            i -= 1
-        if i < 1:
-            return
-        a[i] -= 1
-        for j in range(i + 1, n):
-            a[j] = max(a[:j]) + 1
+def congruences_above(s: FiniteSemiring, theta: Partition):
+    """Every semiring congruence that contains the congruence theta, once
+    each, theta first.
+
+    Each congruence yielded is joined with each pair of its blocks, through
+    their least elements, by `generated_congruence`; new joins are yielded
+    later. Adding the pairs of any congruence containing theta one at a
+    time climbs a chain from theta to it, so every one is reached. The cost
+    follows the number of congruences found, up to Bell(n)."""
+    seen = {theta}
+    stack = [theta]
+    while stack:
+        rho = stack.pop()
+        yield rho
+        blocks = [sorted(b) for b in rho.blocks()]
+        pairs = [(b[0], x) for b in blocks for x in b[1:]]
+        for i, b in enumerate(blocks):
+            for c in blocks[i + 1:]:
+                joined = generated_congruence(s, pairs + [(b[0], c[0])])
+                if joined not in seen:
+                    seen.add(joined)
+                    stack.append(joined)
 
 
 def enumerate_congruences(s: FiniteSemiring, bound: int = CONGRUENCE_BOUND) -> list[Congruence]:
@@ -223,8 +231,10 @@ def enumerate_congruences(s: FiniteSemiring, bound: int = CONGRUENCE_BOUND) -> l
     n = s.order
     if n > bound:
         raise BoundExceeded(f"order {n} exceeds congruence enumeration bound {bound}")
-    found = [p for p in set_partitions(n) if is_semiring_congruence_partition(s, p)]
-    found.sort(key=lambda p: (n - p.num_blocks, p.block_of))
+    found = sorted(
+        congruences_above(s, Partition.identity(n)),
+        key=lambda p: (n - p.num_blocks, p.block_of),
+    )
     return [Congruence(partition=p, is_semiring_congruence=True) for p in found]
 
 

@@ -9,7 +9,8 @@ maximal additive subgroup H_e, never by searching the subsets of H_e (see
 
 The decomposition re-verifies every invariant eagerly before returning; the
 cost is a few O(n^2) table scans and buys trustworthy theorem tests
-downstream.
+downstream. Each class is checked on the tables and analysis of s itself;
+it is built as a semiring only to be kept in `class_semirings`.
 """
 
 from __future__ import annotations
@@ -318,21 +319,16 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
         t = s.subsemiring(cls)
         if t is None:
             _fail(f"class {alpha} is not closed under both operations")
-        ordered = sorted(cls)
-        try:
-            local_kernel = skew_ring_kernel(t)
-        except NotQuasiSkewRing:
+        # read off s by lemma (D) of `classify`; the report raises unless its
+        # unique-idempotent and nil-extension shapes agree
+        report = quasi_skew_ring_check(s, cls)
+        if not report.verdict:
             _fail(f"class {alpha} is not a quasi skew-ring")
-        kernel = frozenset(ordered[i] for i in local_kernel)
-        idems = additive_idempotents(t)
-        if len(idems) != 1:
-            _fail(f"class {alpha} has {len(idems)} additive idempotents")
-        e = ordered[next(iter(idems))]
-        local_reg = frozenset(ordered[i] for i in reg_plus(t))
-        if kernel != local_reg:
+        kernel = report.kernel
+        (e,) = additive_idempotents(s) & cls
+        class_reg = frozenset(a for a in cls if any(s.add[s.add[a][x]][a] == a for x in cls))
+        if kernel != class_reg:
             _fail(f"kernel of class {alpha} differs from its additively regular part")
-        if not is_nil_extension(t, local_kernel):
-            _fail(f"class {alpha} is not a nil-extension of its kernel")
         nil = _nil_partial(s, cls, kernel)
         if not validate_partial(nil).verdict:
             _fail(f"nil part of class {alpha} violates the partial semiring laws")

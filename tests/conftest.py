@@ -50,6 +50,24 @@ def direct_product(s, t):
     )
 
 
+def set_partitions(n):
+    """Every partition of 0..n-1, once each, in decreasing lexicographic
+    order of its restricted growth string (a[0] = 0 and a[i] <= 1 +
+    max(a[:i])): the finest partition first, the coarsest last. The
+    brute-force oracle of the congruence engine."""
+    a = list(range(n))
+    while True:
+        yield sl.Partition(block_of=tuple(a))
+        i = n - 1
+        while i >= 1 and a[i] == 0:
+            i -= 1
+        if i < 1:
+            return
+        a[i] -= 1
+        for j in range(i + 1, n):
+            a[j] = max(a[:j]) + 1
+
+
 def sample_in_full(n, count, seed):
     """sample_semirings with a shortfall raised as an error, so a fixture
     can never shrink unnoticed."""

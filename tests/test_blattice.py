@@ -562,19 +562,19 @@ def test_hand_broken_families_get_compose_s_verdict(composed_gc, sbl, source, ta
         assert sl.verify_strong_blattice(s, d, bad) is family_presents_by_compose(s, d, bad) is False
 
 
-def test_a_diagonal_map_is_the_identity_whatever_m_holds(composed_gc):
+def test_a_diagonal_map_that_is_not_the_identity_presents_nothing(composed_gc):
     s = composed_gc
     d, m = _pipeline(s)
-    # compose reads the diagonal as the identity and ignores m there; the
-    # theorem's conditions (i) and (ii)(1) do not
+    # family_spec keeps the swapped diagonal, validate_spec rejects it under
+    # condition-1-identity, and the theorem's conditions (i) and (ii)(1)
+    # fail with it, so the verdicts agree and nothing is warned
     bad = _rewired(s, m, "0", "1", {"0": "1", "1": "0"})
     assert bad.phi != m.phi
+    report = sl.validate_spec(family_spec(d, bad))
+    assert "condition-1-identity" in {f.law for f in report.failures}
     with warnings.catch_warnings():
-        # known defect: verify_strong_blattice reports this malformed family
-        # as a conditions-disagree TheoremViolationWarning, as if it were a
-        # counterexample to the theorem; only the verdicts are pinned here
-        warnings.simplefilter("ignore", TheoremViolationWarning)
-        assert sl.verify_strong_blattice(s, d, bad) is family_presents_by_compose(s, d, bad) is True
+        warnings.simplefilter("error", TheoremViolationWarning)
+        assert sl.verify_strong_blattice(s, d, bad) is family_presents_by_compose(s, d, bad) is False
 
 
 def test_a_presenting_family_of_a_non_semiring_is_a_theorem_violation(monkeypatch, composed_gc):

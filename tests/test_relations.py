@@ -4,9 +4,17 @@ import pytest
 
 import semiringlab as sl
 from semiringlab.errors import BoundExceeded, NotBiIdeal, NotCongruence
-from semiringlab.relations import Partition, generated_congruence, is_semiring_congruence_partition, set_partitions
+from semiringlab.classify import _least_b_lattice_congruence, _least_idempotent_congruence
+from semiringlab.relations import (
+    Partition,
+    congruences_above,
+    generated_congruence,
+    is_semiring_congruence_partition,
+)
 from semiringlab.elements import is_quasi_completely_regular_semiring
 from semiringlab.structure import is_strongly_additively_quasi_completely_inverse
+
+from conftest import set_partitions
 
 
 def blocks_by_name(s, partition):
@@ -126,6 +134,25 @@ def test_set_partitions_run_finest_first():
         assert got[0] == tuple(range(n)) and got[-1] == (0,) * n
 
 
+def test_congruences_above_match_the_bell_scan(corpus_small, corpus_order5, corpus_order6):
+    """Above the identity, iota and beta, the engine yields exactly the
+    congruences of the set partition scan that contain its start, the start
+    first and each once; enumerate_congruences sorts the first of them."""
+    for s in corpus_small + corpus_order5 + corpus_order6:
+        scan = [p for p in set_partitions(s.order) if is_semiring_congruence_partition(s, p)]
+        for theta in (
+            Partition.identity(s.order),
+            _least_idempotent_congruence(s),
+            _least_b_lattice_congruence(s),
+        ):
+            got = list(congruences_above(s, theta))
+            assert got[0] == theta, sl.serialize_srt(s)
+            assert len(set(got)) == len(got), sl.serialize_srt(s)
+            assert set(got) == {p for p in scan if theta.refines(p)}, sl.serialize_srt(s)
+        finest_first = sorted(scan, key=lambda p: (s.order - p.num_blocks, p.block_of))
+        assert [c.partition for c in sl.enumerate_congruences(s)] == finest_first
+
+
 def test_generated_congruence_is_the_least_containing_the_pairs(corpus_small):
     checked = 0
     for s in corpus_small[::3]:
@@ -148,14 +175,14 @@ def test_one_element_has_exactly_one_congruence():
 
 
 def test_congruence_bound():
-    s = sl.FiniteSemiring(
-        names=tuple("abcdefg"),
-        add=tuple(tuple(0 for _ in range(7)) for _ in range(7)),
-        mul=tuple(tuple(0 for _ in range(7)) for _ in range(7)),
-    )
-    with pytest.raises(BoundExceeded):
-        sl.enumerate_congruences(s)
-    assert sl.enumerate_congruences(s, bound=7)
+    constant = tuple(tuple(0 for _ in range(7)) for _ in range(7))
+    left_zero = tuple(tuple(a for _ in range(7)) for a in range(7))
+    for table in (constant, left_zero):
+        s = sl.FiniteSemiring(names=tuple("abcdefg"), add=table, mul=table)
+        with pytest.raises(BoundExceeded):
+            sl.enumerate_congruences(s)
+        # every partition is a congruence of both: Bell(7)
+        assert len(sl.enumerate_congruences(s, bound=7)) == 877
 
 
 def test_is_idempotent_separating(qsr3, boolean):
