@@ -5,12 +5,18 @@ search for such a family on a decomposed semiring.
 
 Throughout, alpha <= beta means alpha + beta == beta in the indexing
 b-lattice (the order of its additive semilattice).
+
+The map conditions (`_map_failures`) and the compose formula (`_composed`)
+run on one carrier, in its own indices: a spec's components placed side by
+side (`_glue`) for `validate_spec` and `compose`, or a decomposed s itself,
+whose classes are closed, for the family check.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     DomainMismatch,
@@ -24,8 +30,11 @@ from .errors import (
     TheoremViolationWarning,
 )
 from .kernel import (
+    ADD,
+    MUL,
     FiniteSemiring,
     LawFailure,
+    PartialSemiring,
     ValidationReport,
     is_b_lattice,
     validate,
@@ -133,7 +142,7 @@ def validate_spec(spec: StrongBLatticeSpec) -> ValidationReport:
     if failures:
         return ValidationReport.from_failures(failures)
     seen: set[str] = set()
-    for failure in _map_failures(spec):
+    for failure in _map_failures(spec.blattice, *_glue(spec)):
         # first witness per condition, like the semiring law checks
         if failure.law not in seen:
             seen.add(failure.law)
@@ -141,55 +150,68 @@ def validate_spec(spec: StrongBLatticeSpec) -> ValidationReport:
     return ValidationReport.from_failures(failures)
 
 
-def _map_failures(spec: StrongBLatticeSpec):
+def _glue(spec: StrongBLatticeSpec):
+    """The components side by side on one carrier, for a spec that passed
+    `_check_spec_shape`: a partial semiring whose tables are defined only
+    inside a class, the index range of each class, and every comparable
+    map, diagonal included, in carrier indices."""
+    offsets = list(accumulate((comp.order for comp in spec.components), initial=0))
+    total = offsets.pop()
+    classes = tuple(range(o, o + comp.order) for o, comp in zip(offsets, spec.components))
+
+    def glued(which):
+        return [(None,) * o + tuple(o + v for v in row) + (None,) * (total - o - comp.order)
+                for o, comp in zip(offsets, spec.components) for row in comp.table(which)]
+
+    t = PartialSemiring(names=tuple(name for comp in spec.components for name in comp.names),
+                        add=glued(ADD), mul=glued(MUL))
+    maps = {(alpha, beta): {offsets[alpha] + x: offsets[beta] + img
+                            for x, img in enumerate(spec.component_map(alpha, beta))}
+            for alpha, beta in comparable_pairs(spec.blattice, include_diagonal=True)}
+    return t, classes, maps
+
+
+def _map_failures(y: FiniteSemiring, t, classes, maps):
     """Yield a LawFailure for each violation of the conditions the maps
-    enter, in the order `validate_spec` reports them. The spec must have
-    passed `_check_spec_shape`."""
-    y = spec.blattice
+    enter, in the order `validate_spec` reports them. The classes of the
+    carrier t are closed, each listed in ascending order, and `maps` holds
+    every comparable map, diagonal included, from a class into a class."""
+    add, mul, names = t.add, t.mul, t.names
 
     def fail(condition, *witness):
-        return LawFailure(condition, tuple(str(w) for w in witness))
+        return LawFailure(condition, witness)
 
     for alpha, beta in comparable_pairs(y, include_diagonal=True):
-        comp_a, comp_b = spec.components[alpha], spec.components[beta]
-        images = spec.component_map(alpha, beta)
+        f = maps[alpha, beta]
         if alpha == beta:
-            for x in comp_a.elements():
-                if images[x] != x:
-                    yield fail("condition-1-identity", y.names[alpha], comp_a.names[x])
-                    break
+            moved = next((x for x in classes[alpha] if f[x] != x), None)
+            if moved is not None:
+                yield fail("condition-1-identity", y.names[alpha], names[moved])
             continue
         hit: dict[int, int] = {}
-        for x in comp_a.elements():
-            if images[x] in hit:
+        for x in classes[alpha]:
+            if f[x] in hit:
                 yield fail("monomorphism-injectivity", y.names[alpha], y.names[beta],
-                           comp_a.names[hit[images[x]]], comp_a.names[x])
+                           names[hit[f[x]]], names[x])
                 break
-            hit[images[x]] = x
-        for x in comp_a.elements():
-            for x2 in comp_a.elements():
-                if images[comp_a.add[x][x2]] != comp_b.add[images[x]][images[x2]]:
-                    yield fail("monomorphism-add", y.names[alpha], y.names[beta],
-                               comp_a.names[x], comp_a.names[x2])
-                if images[comp_a.mul[x][x2]] != comp_b.mul[images[x]][images[x2]]:
-                    yield fail("monomorphism-mul", y.names[alpha], y.names[beta],
-                               comp_a.names[x], comp_a.names[x2])
+            hit[f[x]] = x
+        for x in classes[alpha]:
+            for x2 in classes[alpha]:
+                if f[add[x][x2]] != add[f[x]][f[x2]]:
+                    yield fail("monomorphism-add", y.names[alpha], y.names[beta], names[x], names[x2])
+                if f[mul[x][x2]] != mul[f[x]][f[x2]]:
+                    yield fail("monomorphism-mul", y.names[alpha], y.names[beta], names[x], names[x2])
 
-    for alpha in y.elements():
-        for beta in y.elements():
-            if not leq(y, alpha, beta):
+    for alpha, beta in comparable_pairs(y, include_diagonal=True):
+        for gamma in y.elements():
+            if not leq(y, beta, gamma):
                 continue
-            for gamma in y.elements():
-                if not leq(y, beta, gamma):
-                    continue
-                f_ab = spec.component_map(alpha, beta)
-                f_bg = spec.component_map(beta, gamma)
-                f_ag = spec.component_map(alpha, gamma)
-                for x in spec.components[alpha].elements():
-                    if f_bg[f_ab[x]] != f_ag[x]:
-                        yield fail("condition-2-composition", y.names[alpha], y.names[beta],
-                                   y.names[gamma], spec.components[alpha].names[x])
-                        break
+            f_ab, f_bg, f_ag = maps[alpha, beta], maps[beta, gamma], maps[alpha, gamma]
+            for x in classes[alpha]:
+                if f_bg[f_ab[x]] != f_ag[x]:
+                    yield fail("condition-2-composition", y.names[alpha], y.names[beta],
+                               y.names[gamma], names[x])
+                    break
 
     for alpha in y.elements():
         for beta in y.elements():
@@ -201,17 +223,46 @@ def _map_failures(spec: StrongBLatticeSpec):
                 if not leq(y, prod_idx, gamma):
                     yield fail("condition-3-order", y.names[alpha], y.names[beta], y.names[gamma])
                     continue
-                f_ag = spec.component_map(alpha, gamma)
-                f_bg = spec.component_map(beta, gamma)
-                f_pg = spec.component_map(prod_idx, gamma)
-                image_p = set(f_pg)
-                comp_g = spec.components[gamma]
-                for a in spec.components[alpha].elements():
-                    for b in spec.components[beta].elements():
-                        if comp_g.mul[f_ag[a]][f_bg[b]] not in image_p:
+                f_ag, f_bg = maps[alpha, gamma], maps[beta, gamma]
+                image_p = set(maps[prod_idx, gamma].values())
+                for a in classes[alpha]:
+                    for b in classes[beta]:
+                        if mul[f_ag[a]][f_bg[b]] not in image_p:
                             yield fail("condition-3-containment", y.names[alpha], y.names[beta],
-                                       y.names[gamma], spec.components[alpha].names[a],
-                                       spec.components[beta].names[b])
+                                       y.names[gamma], names[a], names[b])
+
+
+def _composed(y: FiniteSemiring, t, classes, maps):
+    """Yield (a, b, a + b, ab) for every a and b of the carrier t, row-major,
+    as the strong b-lattice glues them: for a in T_alpha and b in T_beta,
+    with delta = alpha+beta and gamma = alpha*beta, add and multiply the
+    images in T_delta and solve the product back into T_gamma:
+
+        a + b = phi_{alpha,delta}(a) + phi_{beta,delta}(b)
+        phi_{gamma,delta}(ab) = phi_{alpha,delta}(a) * phi_{beta,delta}(b)
+
+    `classes` and `maps` are as `_map_failures` reads them."""
+    home = {x: alpha for alpha, cls in enumerate(classes) for x in cls}
+    for a in range(t.order):
+        alpha = home[a]
+        for b in range(t.order):
+            beta = home[b]
+            delta, gamma = y.add[alpha][beta], y.mul[alpha][beta]
+            va, vb = maps[alpha, delta][a], maps[beta, delta][b]
+            target = t.mul[va][vb]
+            f_gd = maps[gamma, delta]
+            hits = [c for c in classes[gamma] if f_gd[c] == target]
+            if not hits:
+                raise NoProductWitness(
+                    f"no element of component {y.names[gamma]} maps onto the product "
+                    f"{t.names[target]} of {t.names[a]} and {t.names[b]}"
+                )
+            if len(hits) > 1:
+                raise InternalTheoremViolation(
+                    f"injective map yielded {len(hits)} product witnesses for "
+                    f"{t.names[a]} * {t.names[b]}"
+                )
+            yield a, b, t.add[va][vb], hits[0]
 
 
 def compose(spec: StrongBLatticeSpec) -> FiniteSemiring:
@@ -222,45 +273,12 @@ def compose(spec: StrongBLatticeSpec) -> FiniteSemiring:
         raise PreconditionFailed(
             f"spec fails validation: {report.failures[0].law} at {report.failures[0].witness}"
         )
-    y = spec.blattice
-    offset = []
-    total = 0
-    for comp in spec.components:
-        offset.append(total)
-        total += comp.order
-    names = tuple(name for comp in spec.components for name in comp.names)
-    home = tuple(alpha for alpha, comp in enumerate(spec.components) for _ in comp.names)
-
-    def glob(alpha: int, local: int) -> int:
-        return offset[alpha] + local
-
-    add = [[0] * total for _ in range(total)]
-    mul = [[0] * total for _ in range(total)]
-    for ga in range(total):
-        alpha, a = home[ga], ga - offset[home[ga]]
-        for gb in range(total):
-            beta, b = home[gb], gb - offset[home[gb]]
-            delta = y.add[alpha][beta]
-            va = spec.component_map(alpha, delta)[a]
-            vb = spec.component_map(beta, delta)[b]
-            comp_d = spec.components[delta]
-            add[ga][gb] = glob(delta, comp_d.add[va][vb])
-            gamma = y.mul[alpha][beta]
-            target = comp_d.mul[va][vb]
-            f_gd = spec.component_map(gamma, delta)
-            hits = [c for c in spec.components[gamma].elements() if f_gd[c] == target]
-            if not hits:
-                raise NoProductWitness(
-                    f"no element of component {y.names[gamma]} maps onto the product "
-                    f"{comp_d.names[target]} of {names[ga]} and {names[gb]}"
-                )
-            if len(hits) > 1:
-                raise InternalTheoremViolation(
-                    f"injective map yielded {len(hits)} product witnesses for "
-                    f"{names[ga]} * {names[gb]}"
-                )
-            mul[ga][gb] = glob(gamma, hits[0])
-    out = FiniteSemiring(names=names, add=tuple(map(tuple, add)), mul=tuple(map(tuple, mul)))
+    t, classes, maps = _glue(spec)
+    add = [[0] * t.order for _ in t.names]
+    mul = [[0] * t.order for _ in t.names]
+    for a, b, total, product in _composed(spec.blattice, t, classes, maps):
+        add[a][b], mul[a][b] = total, product
+    out = FiniteSemiring(names=t.names, add=add, mul=mul)
     check = validate(out)
     if not check.verdict:
         raise InternalTheoremViolation(
@@ -328,9 +346,10 @@ def build_phi(d: Decomposition, theta, varphi) -> StructureMaps:
 
 
 def family_spec(d: Decomposition, m: StructureMaps) -> StrongBLatticeSpec:
-    """Reindex a structure-map family as a composable spec over the classes.
-    An identity diagonal map is omitted, as the spec reads it; any other
-    diagonal map is kept, so `validate_spec` rejects it."""
+    """A structure-map family as a spec for `.sbl` export: the class
+    semirings, built here, and each map reindexed into them. An identity
+    diagonal map is omitted, as the spec reads it; any other diagonal map is
+    kept, so `validate_spec` rejects it."""
     orders = [sorted(cls) for cls in d.classes]
     local = [{g: i for i, g in enumerate(order)} for order in orders]
     maps = {}
@@ -354,60 +373,42 @@ def family_spec(d: Decomposition, m: StructureMaps) -> StrongBLatticeSpec:
 
 
 def _family_presents(s: FiniteSemiring, d: Decomposition, m: StructureMaps) -> bool:
-    """Is s the semiring that `compose` builds from `family_spec(d, m)`?
-    Decided on the tables of s, building nothing.
-
-    For a in T_alpha and b in T_beta, with delta = alpha+beta and
-    gamma = alpha*beta, compose adds and multiplies in T_delta and solves
-    the product back into T_gamma:
-
-        a + b = phi_{alpha,delta}(a) + phi_{beta,delta}(b)
-        phi_{gamma,delta}(ab) = phi_{alpha,delta}(a) * phi_{beta,delta}(b)
-
-    with the identity on the diagonal, which `validate_spec` requires. So the
-    family presents s iff the spec passes the map conditions of
-    `validate_spec` and both equations hold in s for every a and b. The
-    components of the spec are the class semirings `decompose` keeps, and
-    the caller checks once per search that Y is a b-lattice
+    """Is s the semiring that `compose` builds from Y, the classes and the
+    family? Decided on the tables of s, building nothing: the classes of s
+    are closed, so their tables are those of s, and s itself is the carrier
+    of the map conditions (`_map_failures`) and of the compose formula
+    (`_composed`). The caller checks once per search that Y is a b-lattice
     (`_frame_failures(y, ())`).
 
-    A family compose rejects (`family_spec` or the shape check raising)
-    presents nothing; an InternalTheoremViolation propagates. A family that
-    presents s makes it a strong b-lattice of its classes, which are
-    semirings when s is. So whether they are, which compose checks first,
-    matters only when s fails `validate`: the family then presents nothing
-    if some class fails too, and is an InternalTheoremViolation if none does.
+    The maps are read from `m.phi` on the comparable pairs only. A missing
+    pair, or an image outside its target class, is no family; a missing
+    diagonal map is the identity. An InternalTheoremViolation propagates. A
+    family that presents s makes it a strong b-lattice of its classes, which
+    are semirings when s is. So whether they are, which compose checks
+    first, matters only when s fails `validate`: the family then presents
+    nothing if some class fails too, and is an InternalTheoremViolation if
+    none does.
     """
-    try:
-        spec = family_spec(d, m)
-        _check_spec_shape(spec)
-    except InternalTheoremViolation:
-        raise
-    except SemiringError:
-        return False
-    if next(_map_failures(spec), None) is not None:
-        return False
     y = d.blattice
-    add, mul = s.add, s.mul
-    orders = [sorted(cls) for cls in d.classes]
-    # phi_{alpha,beta} in indices of s
-    phi = {(alpha, beta): {g: orders[beta][i] for g, i in zip(orders[alpha], f)}
-           for alpha, beta in comparable_pairs(y, include_diagonal=True)
-           for f in (spec.component_map(alpha, beta),)}
-    block_of = d.hstar.block_of
-    for a in s.elements():
-        alpha = block_of[a]
-        for b in s.elements():
-            beta = block_of[b]
-            delta, gamma = y.add[alpha][beta], y.mul[alpha][beta]
-            va, vb = phi[alpha, delta][a], phi[beta, delta][b]
-            # decompose keeps ab in T_gamma
-            if add[a][b] != add[va][vb] or phi[gamma, delta][mul[a][b]] != mul[va][vb]:
-                return False
+    classes = [sorted(cls) for cls in d.classes]
+    maps = {}
+    for alpha, beta in comparable_pairs(y, include_diagonal=True):
+        f = m.phi.get((alpha, beta))
+        if f is None and alpha != beta:
+            return False
+        images = {x: x if f is None else f.get(x) for x in classes[alpha]}
+        if any(img not in d.classes[beta] for img in images.values()):
+            return False
+        maps[alpha, beta] = images
+    if next(_map_failures(y, s, classes, maps), None) is not None:
+        return False
+    if any(s.add[a][b] != total or s.mul[a][b] != product
+           for a, b, total, product in _composed(y, s, classes, maps)):
+        return False
     check = validate(s)
     if check.verdict:
         return True
-    if not _frame_failures(y, d.class_semirings):
+    if not _frame_failures(y, [d.class_semiring(alpha) for alpha in y.elements()]):
         raise InternalTheoremViolation(
             f"composed system is not a semiring: {check.failures[0].law} "
             f"at {check.failures[0].witness}"

@@ -26,8 +26,8 @@ def _logical_lines(text: str):
 
 
 def _parse_srt_lines(lines, source, terminators=()):
-    """Consume one semiring from an iterator of logical lines; returns the
-    semiring and the first unconsumed (lineno, content) or None."""
+    """Parse one semiring from an iterable of logical lines; a line after it
+    must start with one of the terminators."""
     lines = iter(lines)
 
     def next_line():
@@ -48,7 +48,6 @@ def _parse_srt_lines(lines, source, terminators=()):
     n = len(names)
 
     tables = {}
-    pushback = None
     for section in ("add", "mul"):
         item = next_line()
         if item is None:
@@ -82,14 +81,11 @@ def _parse_srt_lines(lines, source, terminators=()):
         lineno, content = item
         if not any(content.startswith(t) for t in terminators):
             raise ParseError(f"unexpected trailing content {content!r}", line=lineno, source=source)
-        pushback = item
-    return FiniteSemiring(names=names, add=tables["add"], mul=tables["mul"]), pushback
+    return FiniteSemiring(names=names, add=tables["add"], mul=tables["mul"])
 
 
 def parse_srt(text: str, source: str = "<string>") -> FiniteSemiring:
-    semiring, trailing = _parse_srt_lines(_logical_lines(text), source)
-    assert trailing is None
-    return semiring
+    return _parse_srt_lines(_logical_lines(text), source)
 
 
 def load_srt(path) -> FiniteSemiring:
@@ -139,7 +135,7 @@ def parse_sbl(text: str, source: str = "<string>") -> StrongBLatticeSpec:
             source=source,
         )
     pos += 1
-    blattice, _ = _parse_srt_lines(lines[pos:], source, terminators=_SBL_HEADS)
+    blattice = _parse_srt_lines(lines[pos:], source, terminators=_SBL_HEADS)
     # an .srt block spans 1 + (1 + n) + (1 + n) logical lines
     pos += 1 + 2 * (blattice.order + 1)
 
@@ -157,7 +153,7 @@ def parse_sbl(text: str, source: str = "<string>") -> StrongBLatticeSpec:
             if alpha in components:
                 raise ParseError(f"duplicate component block for {alpha!r}", line=lineno, source=source)
             pos += 1
-            comp, _ = _parse_srt_lines(lines[pos:], source, terminators=_SBL_HEADS)
+            comp = _parse_srt_lines(lines[pos:], source, terminators=_SBL_HEADS)
             components[alpha] = comp
             pos += 1 + 2 * (comp.order + 1)
         elif content.startswith("map ") and content.endswith(":"):

@@ -177,13 +177,19 @@ def is_semiring_congruence_partition(s: FiniteSemiring, p: Partition) -> bool:
 
 def generated_congruence(s: FiniteSemiring, pairs) -> Partition:
     """The least semiring congruence containing `pairs` (after Freese,
-    Computing congruences efficiently, 2008). Each pair that joins two
-    classes queues its translates a+c ~ b+c, c+a ~ c+b, ac ~ bc and ca ~ cb
-    for every c: the joining pairs span each class, so once their translates
-    are related, every related pair's are."""
+    Computing congruences efficiently, 2008)."""
+    return _closure(s, list(s.elements()), pairs)
+
+
+def _closure(s: FiniteSemiring, block: list[int], pairs) -> Partition:
+    """The least congruence containing the congruence whose block vector is
+    `block` and the pairs. Each pair that joins two classes queues its
+    translates a+c ~ b+c, c+a ~ c+b, ac ~ bc and ca ~ cb for every c: the
+    joining pairs, with pairs of the starting congruence, span each class,
+    and the translates of those are related already, so once the joining
+    pairs' translates are related, every related pair's are."""
     add, mul = s.add, s.mul
     elements = s.elements()
-    block = list(elements)
     todo = list(pairs)
     while todo:
         a, b = todo.pop()
@@ -206,20 +212,20 @@ def congruences_above(s: FiniteSemiring, theta: Partition):
     each, theta first.
 
     Each congruence yielded is joined with each pair of its blocks, through
-    their least elements, by `generated_congruence`; new joins are yielded
-    later. Adding the pairs of any congruence containing theta one at a
-    time climbs a chain from theta to it, so every one is reached. The cost
-    follows the number of congruences found, up to Bell(n)."""
+    their least elements, by a closure started from its own blocks; new
+    joins are yielded later. Adding the pairs of any congruence containing
+    theta one at a time climbs a chain from theta to it, so every one is
+    reached. The cost follows the number of congruences found, up to
+    Bell(n)."""
     seen = {theta}
     stack = [theta]
     while stack:
         rho = stack.pop()
         yield rho
-        blocks = [sorted(b) for b in rho.blocks()]
-        pairs = [(b[0], x) for b in blocks for x in b[1:]]
-        for i, b in enumerate(blocks):
-            for c in blocks[i + 1:]:
-                joined = generated_congruence(s, pairs + [(b[0], c[0])])
+        leasts = [min(b) for b in rho.blocks()]
+        for i, b in enumerate(leasts):
+            for c in leasts[i + 1:]:
+                joined = _closure(s, list(rho.block_of), [(b, c)])
                 if joined not in seen:
                     seen.add(joined)
                     stack.append(joined)

@@ -9,8 +9,8 @@ maximal additive subgroup H_e, never by searching the subsets of H_e (see
 
 The decomposition re-verifies every invariant eagerly before returning; the
 cost is a few O(n^2) table scans and buys trustworthy theorem tests
-downstream. Each class is checked on the tables and analysis of s itself;
-it is built as a semiring only to be kept in `class_semirings`.
+downstream. Each class is checked on the tables and analysis of s itself,
+and is built as a semiring only on request (`Decomposition.class_semiring`).
 """
 
 from __future__ import annotations
@@ -247,7 +247,6 @@ class Decomposition:
     kernels: tuple[frozenset[int], ...]
     idempotents: tuple[int, ...]
     nil_parts: tuple[PartialSemiring, ...]
-    class_semirings: tuple[FiniteSemiring, ...]
 
     @property
     def y_order(self) -> int:
@@ -257,8 +256,8 @@ class Decomposition:
         return self.hstar.block_of[a]
 
     def class_semiring(self, alpha: int) -> FiniteSemiring:
-        """T_alpha as a semiring, as `restrict` builds it."""
-        return self.class_semirings[alpha]
+        """T_alpha as a semiring, built on each call."""
+        return self.base.restrict(self.classes[alpha])
 
     def nil_indices(self, alpha: int) -> tuple[int, ...]:
         return tuple(sorted(self.classes[alpha] - self.kernels[alpha]))
@@ -314,11 +313,10 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
     kernels = []
     idempotents = []
     nil_parts = []
-    class_semirings = []
+    # unchecked, because they cannot fail: Y is the quotient by a congruence,
+    # so class membership follows Y's tables, and Y is idempotent, so each
+    # class is closed (a + b lies in class alpha + alpha = alpha)
     for alpha, cls in enumerate(classes):
-        t = s.subsemiring(cls)
-        if t is None:
-            _fail(f"class {alpha} is not closed under both operations")
         # read off s by lemma (D) of `classify`; the report raises unless its
         # unique-idempotent and nil-extension shapes agree
         report = quasi_skew_ring_check(s, cls)
@@ -335,19 +333,9 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
         kernels.append(kernel)
         idempotents.append(e)
         nil_parts.append(nil)
-        class_semirings.append(t)
     if frozenset().union(*kernels) != reg_plus(s):
         _fail("union of class kernels differs from the additively regular part")
-    # membership compatibility: T_alpha + T_beta lands in T_{alpha+beta}, same for products
-    for a in s.elements():
-        for b in s.elements():
-            alpha, beta = hstar.block_of[a], hstar.block_of[b]
-            if hstar.block_of[s.add[a][b]] != y.add[alpha][beta]:
-                _fail("class membership is not compatible with addition")
-            if hstar.block_of[s.mul[a][b]] != y.mul[alpha][beta]:
-                _fail("class membership is not compatible with multiplication")
-    return (hstar, y, classes, tuple(kernels), tuple(idempotents), tuple(nil_parts),
-            tuple(class_semirings))
+    return hstar, y, classes, tuple(kernels), tuple(idempotents), tuple(nil_parts)
 
 
 @memo(table=addition)

@@ -264,8 +264,8 @@ def _raise(error):
 
 def test_an_internal_theorem_violation_is_never_swallowed(monkeypatch):
     s = zn(6)
-    # the leaf check reads the family's maps through family_spec
-    monkeypatch.setattr(blattice, "family_spec", _raise(InternalTheoremViolation))
+    # the leaf check runs the map conditions on the tables of s
+    monkeypatch.setattr(blattice, "_map_failures", _raise(InternalTheoremViolation))
     with pytest.raises(InternalTheoremViolation):
         sl.search_structure_maps(s)
     with pytest.raises(InternalTheoremViolation):
@@ -277,11 +277,6 @@ def test_an_internal_theorem_violation_is_never_swallowed(monkeypatch):
 
 def test_any_other_semiring_error_still_means_no_family(monkeypatch):
     s = zn(6)
-    monkeypatch.setattr(blattice, "family_spec", _raise(PreconditionFailed))
-    assert sl.search_structure_maps(s) is None
-    assert sl.check_generalized_clifford_theorem(s).verdicts == {
-        "generalized-clifford": True, "strong-b-lattice-of-skew-rings": False,
-    }
     monkeypatch.setattr(blattice, "decompose", _raise(NotQuasiCompletelyRegular))
     assert not sl.check_generalized_clifford_theorem(s).verdicts["strong-b-lattice-of-skew-rings"]
 

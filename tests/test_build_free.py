@@ -2,6 +2,8 @@
 off the tables of s and build no semiring; each agrees with the build-based
 definition it replaced."""
 
+import random
+
 import pytest
 
 import semiringlab as sl
@@ -17,6 +19,7 @@ from semiringlab.errors import SemiringError
 from semiringlab.kernel import FiniteSemiring
 
 from conftest import (
+    clear_memo,
     family_presents_by_compose,
     quasi_skew_subsemiring_by_building,
     regular_part_inverse_by_building,
@@ -76,6 +79,30 @@ def test_every_search_leaf_agrees_with_compose(monkeypatch, corpus_order4_all):
     assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
+def test_one_image_perturbations_agree_with_compose(corpus_small, corpus_order4):
+    """Every presenting family, with one image moved to a random element of
+    s (inside or outside the target class, diagonal pairs included), gets
+    compose's verdict from the check on the tables of s."""
+    rng = random.Random(20261019)
+    verdicts = []
+    for s in list(corpus_small) + list(corpus_order4):
+        if not sl.classify(s).holds(SAQCI):
+            continue
+        m = sl.search_structure_maps(s)
+        if m is None:
+            continue
+        d = m.decomposition
+        for pair in sorted(m.phi):
+            for x in sorted(m.phi[pair]):
+                phi = {p: dict(f) for p, f in m.phi.items()}
+                phi[pair][x] = rng.randrange(s.order)
+                bad = sl.StructureMaps(decomposition=d, phi=phi)
+                got = _family_presents(s, d, bad)
+                assert got == family_presents_by_compose(s, d, bad), (sl.serialize_srt(s), pair, x)
+                verdicts.append(got)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """How many FiniteSemiring objects are constructed, and how many blocks
@@ -101,6 +128,19 @@ def _built_by(counts, call):
     before = dict(counts)
     call()
     return {k: counts[k] - before[k] for k in counts}
+
+
+def test_decompose_builds_only_the_quotient(builds, corpus_small, corpus_order4):
+    """decompose reads every class off s: on a quasi completely regular
+    member the one semiring it builds is the b-lattice Y."""
+    decomposed = 0
+    for s in list(corpus_small) + list(corpus_order4) + [zn(6), zn(8)]:
+        if not sl.classify(s).holds("quasi-completely-regular"):
+            continue
+        clear_memo()
+        assert _built_by(builds, lambda: sl.decompose(s))["semirings"] == 1, sl.serialize_srt(s)
+        decomposed += 1
+    assert decomposed > 100
 
 
 def test_the_verifiers_build_only_the_jstar_classes(builds, corpus_small, corpus_order4):
