@@ -8,8 +8,9 @@ b-lattice (the order of its additive semilattice).
 
 The map conditions (`_map_failures`) and the compose formula (`_composed`)
 run on one carrier, in its own indices: a spec's components placed side by
-side (`_glue`) for `validate_spec` and `compose`, or a decomposed s itself,
-whose classes are closed, for the family check.
+side (`_glue`) for `validate_spec` and `compose`; a decomposed s itself,
+whose classes are closed, for the family check; and s with its kernels as
+the classes for the kernel family of the main theorem's condition (i).
 """
 
 from __future__ import annotations
@@ -233,8 +234,9 @@ def _map_failures(y: FiniteSemiring, t, classes, maps):
 
 
 def _composed(y: FiniteSemiring, t, classes, maps):
-    """Yield (a, b, a + b, ab) for every a and b of the carrier t, row-major,
-    as the strong b-lattice glues them: for a in T_alpha and b in T_beta,
+    """Yield (a, b, a + b, ab) for every a and b of the union of the classes,
+    row-major in ascending order (all of t when the classes cover it), as
+    the strong b-lattice glues them: for a in T_alpha and b in T_beta,
     with delta = alpha+beta and gamma = alpha*beta, add and multiply the
     images in T_delta and solve the product back into T_gamma:
 
@@ -243,9 +245,9 @@ def _composed(y: FiniteSemiring, t, classes, maps):
 
     `classes` and `maps` are as `_map_failures` reads them."""
     home = {x: alpha for alpha, cls in enumerate(classes) for x in cls}
-    for a in range(t.order):
+    for a in sorted(home):
         alpha = home[a]
-        for b in range(t.order):
+        for b in sorted(home):
             beta = home[b]
             delta, gamma = y.add[alpha][beta], y.mul[alpha][beta]
             va, vb = maps[alpha, delta][a], maps[beta, delta][b]
@@ -290,20 +292,13 @@ def compose(spec: StrongBLatticeSpec) -> FiniteSemiring:
 
 @dataclass(frozen=True)
 class StructureMaps:
-    """Full element maps T_alpha -> T_beta in base-carrier indices for every
-    comparable pair (diagonal included); the kernel restriction is the theta
-    family, the nil-part restriction the varphi family."""
+    """Element maps T_alpha -> T_beta in base-carrier indices, one for each
+    comparable pair; a diagonal map may be omitted, as it is the identity.
+    Restricted to the kernels they are the theta family of the main
+    theorem, restricted to the nil parts its varphi family."""
 
     decomposition: Decomposition
     phi: dict[tuple[int, int], dict[int, int]]
-
-    def theta(self, alpha: int, beta: int) -> dict[int, int]:
-        f = self.phi[(alpha, beta)]
-        return {r: f[r] for r in sorted(self.decomposition.kernels[alpha])}
-
-    def varphi(self, alpha: int, beta: int) -> dict[int, int]:
-        f = self.phi[(alpha, beta)]
-        return {x: f[x] for x in self.decomposition.nil_indices(alpha)}
 
 
 def build_phi(d: Decomposition, theta, varphi) -> StructureMaps:
@@ -372,6 +367,27 @@ def family_spec(d: Decomposition, m: StructureMaps) -> StrongBLatticeSpec:
     )
 
 
+def _family_maps(d: Decomposition, m: StructureMaps):
+    """Read m's family by the one shape rule: (maps, None), with every
+    comparable map, diagonal included, on its class in s's indices, or
+    (None, witness) when there is no family. A missing diagonal map is the
+    identity, as `StrongBLatticeSpec` reads it; a missing non-diagonal pair,
+    or a class element without an image, is no family; entries outside the
+    class are ignored, as pairs that are not comparable are."""
+    y = d.blattice
+    maps = {}
+    for alpha, beta in comparable_pairs(y, include_diagonal=True):
+        identity = {x: x for x in d.classes[alpha]} if alpha == beta else {}
+        f = m.phi.get((alpha, beta), identity)
+        cls = sorted(d.classes[alpha])
+        missing = next((x for x in cls if x not in f), None)
+        if missing is not None:
+            return None, (f"no image of {d.base.names[missing]} for pair "
+                          f"({y.names[alpha]}, {y.names[beta]})")
+        maps[alpha, beta] = {x: f[x] for x in cls}
+    return maps, None
+
+
 def _family_presents(s: FiniteSemiring, d: Decomposition, m: StructureMaps) -> bool:
     """Is s the semiring that `compose` builds from Y, the classes and the
     family? Decided on the tables of s, building nothing: the classes of s
@@ -380,26 +396,20 @@ def _family_presents(s: FiniteSemiring, d: Decomposition, m: StructureMaps) -> b
     (`_composed`). The caller checks once per search that Y is a b-lattice
     (`_frame_failures(y, ())`).
 
-    The maps are read from `m.phi` on the comparable pairs only. A missing
-    pair, or an image outside its target class, is no family; a missing
-    diagonal map is the identity. An InternalTheoremViolation propagates. A
-    family that presents s makes it a strong b-lattice of its classes, which
-    are semirings when s is. So whether they are, which compose checks
+    A family of no shape (`_family_maps`), or with an image outside its
+    target class, presents nothing. An InternalTheoremViolation propagates.
+    A family that presents s makes it a strong b-lattice of its classes,
+    which are semirings when s is. So whether they are, which compose checks
     first, matters only when s fails `validate`: the family then presents
     nothing if some class fails too, and is an InternalTheoremViolation if
     none does.
     """
     y = d.blattice
+    maps, _ = _family_maps(d, m)
+    if maps is None or any(img not in d.classes[beta]
+                           for (_, beta), f in maps.items() for img in f.values()):
+        return False
     classes = [sorted(cls) for cls in d.classes]
-    maps = {}
-    for alpha, beta in comparable_pairs(y, include_diagonal=True):
-        f = m.phi.get((alpha, beta))
-        if f is None and alpha != beta:
-            return False
-        images = {x: x if f is None else f.get(x) for x in classes[alpha]}
-        if any(img not in d.classes[beta] for img in images.values()):
-            return False
-        maps[alpha, beta] = images
     if next(_map_failures(y, s, classes, maps), None) is not None:
         return False
     if any(s.add[a][b] != total or s.mul[a][b] != product
@@ -448,6 +458,11 @@ def check_main_theorem_conditions(
     """Evaluate conditions (i), (ii)(1)-(5) and (iii) of the decomposition
     theorem literally for the candidate family.
 
+    The family is read as the family check reads it (`_family_maps`); one
+    of no shape fails "ii-mono" alone. The kernel family of (i) is checked
+    by the map conditions and the compose formula of any strong b-lattice,
+    on s with the kernels as its classes.
+
     The (ii) preamble's requirement that each nil-part map be a semiring
     monomorphism, together with injectivity of the assembled class map, is
     reported under the key "ii-mono"; injectivity of the assembled map does
@@ -467,17 +482,13 @@ def check_main_theorem_conditions(
     def in_nil(x, alpha):
         return x in d.classes[alpha] and x not in d.kernels[alpha]
 
-    def phi(alpha, beta, x):
-        return m.phi[(alpha, beta)].get(x)
+    maps, shape = _family_maps(d, m)
+    if maps is None:
+        fail("ii-mono", shape)
+        return ConditionReport(verdicts=verdicts, witnesses=witnesses)
 
-    pairs = list(comparable_pairs(y, include_diagonal=True))
-    for alpha, beta in pairs:
-        if (alpha, beta) not in m.phi:
-            fail("ii-mono", f"no map for pair ({y.names[alpha]}, {y.names[beta]})")
-            return ConditionReport(verdicts=verdicts, witnesses=witnesses)
-        if set(m.phi[(alpha, beta)]) != d.classes[alpha]:
-            fail("ii-mono", f"map domain for ({y.names[alpha]}, {y.names[beta]}) is not the class")
-            return ConditionReport(verdicts=verdicts, witnesses=witnesses)
+    def phi(alpha, beta, x):
+        return maps[alpha, beta][x]
 
     # (i) the additively regular part is a generalized Clifford bi-ideal and
     # the kernel maps present it as a strong b-lattice of skew-rings
@@ -496,46 +507,29 @@ def check_main_theorem_conditions(
         fail("i", "Reg+ is not a bi-ideal")
     elif not is_nil_extension(s, regs):
         fail("i", "some element has no multiple in Reg+")
-    for alpha, beta in pairs:
-        theta = m.theta(alpha, beta)
-        if alpha == beta:
-            if any(theta[r] != r for r in theta):
-                fail("i", f"kernel map ({y.names[alpha]},{y.names[alpha]}) is not the identity")
-            continue
-        if any(img not in d.kernels[beta] for img in theta.values()):
-            fail("i", f"theta ({y.names[alpha]},{y.names[beta]}) leaves the kernel")
-            continue
-        if len(set(theta.values())) != len(theta):
-            fail("i", f"theta ({y.names[alpha]},{y.names[beta]}) is not injective")
-        for r in theta:
-            for r2 in theta:
-                if theta[s.add[r][r2]] != s.add[theta[r]][theta[r2]]:
-                    fail("i", f"theta ({y.names[alpha]},{y.names[beta]}) breaks addition at "
-                              f"({names[r]},{names[r2]})")
-                if theta[s.mul[r][r2]] != s.mul[theta[r]][theta[r2]]:
-                    fail("i", f"theta ({y.names[alpha]},{y.names[beta]}) breaks multiplication at "
-                              f"({names[r]},{names[r2]})")
-    for r in sorted(regs):
-        for r2 in sorted(regs):
-            alpha, beta = d.class_of(r), d.class_of(r2)
-            delta = y.add[alpha][beta]
-            gamma = y.mul[alpha][beta]
-            ta = phi(alpha, delta, r)
-            tb = phi(beta, delta, r2)
-            if ta is None or tb is None:
-                continue
-            if s.add[r][r2] != s.add[ta][tb]:
-                fail("i", f"kernel family misses {names[r]}+{names[r2]}")
-            prod = s.mul[r][r2]
-            if phi(gamma, delta, prod) != s.mul[ta][tb]:
-                fail("i", f"kernel family misses {names[r]}*{names[r2]}")
+    kernels = [sorted(kernel) for kernel in d.kernels]
+    theta = {(alpha, beta): {r: f[r] for r in kernels[alpha]} for (alpha, beta), f in maps.items()}
+    # first, so that no lookup of the map check or the formula can miss
+    leaving = next(((alpha, beta) for (alpha, beta), f in theta.items()
+                    if any(img not in d.kernels[beta] for img in f.values())), None)
+    if leaving is not None:
+        alpha, beta = leaving
+        fail("i", f"theta ({y.names[alpha]},{y.names[beta]}) leaves the kernel")
+    elif (failure := next(_map_failures(y, s, kernels, theta), None)) is not None:
+        fail("i", f"kernel family fails {failure.law} at {failure.witness}")
+    else:
+        for a, b, total, product in _composed(y, s, kernels, theta):
+            if s.add[a][b] != total:
+                fail("i", f"kernel family misses {names[a]}+{names[b]}")
+            if s.mul[a][b] != product:
+                fail("i", f"kernel family misses {names[a]}*{names[b]}")
 
     # (ii) preamble: each varphi injective and a homomorphism wherever the
     # nil part defines the operation; the assembled class map injective
-    for alpha, beta in pairs:
+    for alpha, beta in maps:
         if alpha == beta:
             continue
-        f = m.phi[(alpha, beta)]
+        f = maps[alpha, beta]
         imgs = list(f.values())
         if len(set(imgs)) != len(imgs):
             fail("ii-mono", f"assembled map ({y.names[alpha]},{y.names[beta]}) is not injective")
@@ -571,30 +565,24 @@ def check_main_theorem_conditions(
                         if in_nil(s.add[a][b], delta):
                             continue
                         fa, fb = phi(alpha, gamma, a), phi(beta, gamma, b)
-                        if fa is None or fb is None:
-                            continue
                         if in_nil(s.add[fa][fb], gamma):
                             fail("ii2", f"{names[a]}+{names[b]} left the nil part but the "
                                         f"images' sum stays nil in {y.names[gamma]}")
 
     # (ii)(3) composition on nil parts, membership-sensitively
-    for alpha, beta in pairs:
+    for alpha, beta in maps:
         for gamma in y.elements():
             if not leq(y, beta, gamma):
                 continue
             for a in d.nil_indices(alpha):
                 img = phi(alpha, beta, a)
-                if img is None:
-                    continue
                 if in_nil(img, beta):
                     if phi(beta, gamma, img) != phi(alpha, gamma, a):
                         fail("ii3", f"varphi composition breaks at {names[a]} via "
                                     f"({y.names[alpha]},{y.names[beta]},{y.names[gamma]})")
-                else:
-                    further = phi(alpha, gamma, a)
-                    if further is not None and in_nil(further, gamma):
-                        fail("ii3", f"{names[a]} maps out of the nil part at {y.names[beta]} "
-                                    f"but back into it at {y.names[gamma]}")
+                elif in_nil(phi(alpha, gamma, a), gamma):
+                    fail("ii3", f"{names[a]} maps out of the nil part at {y.names[beta]} "
+                                f"but back into it at {y.names[gamma]}")
 
     # (ii)(4) products of nil elements, membership-sensitively
     for alpha in y.elements():
@@ -608,8 +596,6 @@ def check_main_theorem_conditions(
                     for b in d.nil_indices(beta):
                         prod = s.mul[a][b]
                         fa, fb = phi(alpha, gamma, a), phi(beta, gamma, b)
-                        if fa is None or fb is None:
-                            continue
                         if in_nil(prod, gamma_idx):
                             if s.mul[fa][fb] != phi(gamma_idx, gamma, prod):
                                 fail("ii4", f"({names[a]}*{names[b]}) does not track through "
@@ -628,8 +614,6 @@ def check_main_theorem_conditions(
             for a in d.nil_indices(alpha):
                 for b in d.nil_indices(beta):
                     fa, fb = phi(alpha, delta, a), phi(beta, delta, b)
-                    if fa is None or fb is None:
-                        continue
                     if in_nil(s.add[a][b], delta) and s.add[a][b] != s.add[fa][fb]:
                         fail("ii5", f"{names[a]}+{names[b]} is not realized by the maps")
                     prod = s.mul[a][b]
@@ -638,14 +622,11 @@ def check_main_theorem_conditions(
 
     # (iii) the maps commute with the kernel retraction
     p = psi(s, d)
-    for alpha, beta in pairs:
+    for alpha, beta in maps:
         if alpha == beta:
             continue
         for a in d.nil_indices(alpha):
-            img = phi(alpha, beta, a)
-            if img is None:
-                continue
-            if p(img) != phi(alpha, beta, p(a)):
+            if p(phi(alpha, beta, a)) != phi(alpha, beta, p(a)):
                 fail("iii", f"psi does not commute with the map at {names[a]} for "
                             f"({y.names[alpha]},{y.names[beta]})")
 

@@ -362,7 +362,6 @@ def _band_pairs(s: FiniteSemiring) -> list[tuple[int, int]]:
     return [(s.add[a][a], a) for a in s.elements()] + [(s.mul[a][a], a) for a in s.elements()]
 
 
-@memo
 def _least_idempotent_congruence(s: FiniteSemiring) -> Partition:
     """iota, generated by a+a ~ a and aa ~ a."""
     return generated_congruence(s, _band_pairs(s))

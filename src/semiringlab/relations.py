@@ -82,7 +82,6 @@ class Partition:
 @dataclass(frozen=True)
 class Congruence:
     partition: Partition
-    is_semiring_congruence: bool
 
 
 @memo(table=addition)
@@ -241,7 +240,7 @@ def enumerate_congruences(s: FiniteSemiring, bound: int = CONGRUENCE_BOUND) -> l
         congruences_above(s, Partition.identity(n)),
         key=lambda p: (n - p.num_blocks, p.block_of),
     )
-    return [Congruence(partition=p, is_semiring_congruence=True) for p in found]
+    return [Congruence(partition=p) for p in found]
 
 
 def is_idempotent_separating(s: FiniteSemiring, c: Congruence) -> bool:
@@ -263,14 +262,14 @@ def rees_congruence(s: FiniteSemiring, ideal) -> Congruence:
     marker = min(ideal)
     p = Partition.from_block_of([marker if i in ideal else i for i in s.elements()])
     assert is_semiring_congruence_partition(s, p), "Rees partition of a bi-ideal is a congruence"
-    return Congruence(partition=p, is_semiring_congruence=True)
+    return Congruence(partition=p)
 
 
 def quotient(s: FiniteSemiring, c: Congruence) -> FiniteSemiring:
     """Block semiring; block names join member names with '|'. A joined name
     that an earlier block already took gets primes (') until it is unused."""
     p = c.partition
-    if not c.is_semiring_congruence or not is_semiring_congruence_partition(s, p):
+    if not is_semiring_congruence_partition(s, p):
         raise NotCongruence("partition is not compatible with both tables")
     blocks = p.blocks()
     reps = [min(b) for b in blocks]

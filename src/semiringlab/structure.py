@@ -23,6 +23,7 @@ from .errors import (
     EmptySubset,
     InternalTheoremViolation,
     NotBiIdeal,
+    NotCongruence,
     NotQuasiCompletelyRegular,
     NotQuasiSkewRing,
     PreconditionFailed,
@@ -45,7 +46,7 @@ from .elements import (
     is_quasi_completely_regular_semiring,
     reg_plus,
 )
-from .relations import Congruence, Partition, green_plus, green_star_plus, is_semiring_congruence_partition, quotient
+from .relations import Congruence, Partition, green_plus, green_star_plus, quotient
 
 
 def _check_subset(s: FiniteSemiring, subset) -> frozenset[int]:
@@ -304,9 +305,10 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
             "some element has no completely regular additive multiple"
         )
     hstar = green_star_plus(s, "H")
-    if not is_semiring_congruence_partition(s, hstar):
+    try:
+        y = quotient(s, Congruence(partition=hstar))
+    except NotCongruence:
         _fail("starred additive H-relation is not a semiring congruence")
-    y = quotient(s, Congruence(partition=hstar, is_semiring_congruence=True))
     if not is_idempotent_semiring(y):
         _fail("quotient by the starred H-relation is not an idempotent semiring")
     classes = hstar.blocks()
@@ -364,9 +366,6 @@ class PsiMap:
 
     def __call__(self, a: int) -> int:
         return self.images[a]
-
-    def fixed_points(self) -> frozenset[int]:
-        return frozenset(a for a, img in enumerate(self.images) if a == img)
 
 
 def psi(s: FiniteSemiring, d: Decomposition) -> PsiMap:

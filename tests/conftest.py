@@ -436,26 +436,56 @@ def regular_part_inverse_by_building(s):
     return True, ""
 
 
+def _same_by_names(t, s):
+    """Do t and s have the same elements and the same tables, read by name?"""
+    if set(t.names) != set(s.names):
+        return False
+    idx = {name: i for i, name in enumerate(t.names)}
+    for a in s.elements():
+        for b in s.elements():
+            ta, tb = idx[s.names[a]], idx[s.names[b]]
+            if t.names[t.add[ta][tb]] != s.names[s.add[a][b]]:
+                return False
+            if t.names[t.mul[ta][tb]] != s.names[s.mul[a][b]]:
+                return False
+    return True
+
+
+def _composes_to(make_spec, s):
+    """Does `compose` build s, read by names, from the spec `make_spec()`
+    returns? A spec that cannot be made, or that compose rejects, builds
+    nothing; an InternalTheoremViolation propagates."""
+    try:
+        composed = sl.compose(make_spec())
+    except sl.errors.InternalTheoremViolation:
+        raise
+    except sl.errors.SemiringError:
+        return False
+    return _same_by_names(composed, s)
+
+
 def family_presents_by_compose(s, d, m):
     """Does composing (Y, classes, maps) with `compose` reproduce s exactly?
     A spec compose rejects presents nothing; an InternalTheoremViolation
     propagates."""
     from semiringlab.blattice import family_spec
 
-    try:
-        composed = sl.compose(family_spec(d, m))
-    except sl.errors.InternalTheoremViolation:
-        raise
-    except sl.errors.SemiringError:
-        return False
-    if set(composed.names) != set(s.names):
-        return False
-    idx = {name: i for i, name in enumerate(composed.names)}
-    for a in s.elements():
-        for b in s.elements():
-            ca, cb = idx[s.names[a]], idx[s.names[b]]
-            if composed.names[composed.add[ca][cb]] != s.names[s.add[a][b]]:
-                return False
-            if composed.names[composed.mul[ca][cb]] != s.names[s.mul[a][b]]:
-                return False
-    return True
+    return _composes_to(lambda: family_spec(d, m), s)
+
+
+def kernel_family_presents_by_building(s, d, m):
+    """The kernel part of the main theorem's condition (i), by building:
+    does composing Y, each kernel built as a semiring and the maps
+    restricted to the kernels, in kernel-local indices, reproduce Reg+ of s?
+    A map that leaves a kernel presents nothing."""
+    kernels = [sorted(kernel) for kernel in d.kernels]
+    local = [{r: i for i, r in enumerate(kernel)} for kernel in kernels]
+    maps = {}
+    for (alpha, beta), f in m.phi.items():
+        images = [local[beta].get(f[r]) for r in kernels[alpha]]
+        if None in images:
+            return False
+        maps[alpha, beta] = tuple(images)
+    components = tuple(s.restrict(kernel) for kernel in kernels)
+    return _composes_to(lambda: sl.StrongBLatticeSpec(d.blattice, components, maps),
+                        s.restrict(sl.reg_plus(s)))

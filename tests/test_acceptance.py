@@ -107,7 +107,7 @@ def test_acceptance_4_greatest_idempotent_separating_congruence(corpus):
         if not is_semiring_congruence_partition(s, hstar):
             failures.append(("not a congruence", sl.serialize_srt(s)))
             continue
-        hcong = sl.Congruence(hstar, True)
+        hcong = sl.Congruence(hstar)
         if not sl.is_idempotent_separating(s, hcong):
             failures.append(("not idempotent separating", sl.serialize_srt(s)))
             continue

@@ -17,7 +17,14 @@ from semiringlab.errors import (
 )
 from semiringlab.kernel import LawFailure
 
-from conftest import QSR3_TEXT, TWO_CHAIN_Y, Z3_SRT, family_presents_by_compose, zn
+from conftest import (
+    QSR3_TEXT,
+    TWO_CHAIN_Y,
+    Z3_SRT,
+    family_presents_by_compose,
+    kernel_family_presents_by_building,
+    zn,
+)
 
 ONE_COMPONENT_QSR3_SBL = (
     "blattice:\nelements: y\nadd:\ny\nmul:\ny\ncomponent y:\n" + QSR3_TEXT
@@ -589,3 +596,66 @@ def test_a_presenting_family_of_a_non_semiring_is_a_theorem_violation(monkeypatc
     # with a class that is no semiring compose refuses the spec: no family
     monkeypatch.setattr(blattice, "validate", failing(s, d.class_semiring(0)))
     assert _family_presents(s, d, m) is family_presents_by_compose(s, d, m) is False
+
+
+@pytest.fixture(scope="module")
+def presenting_families(corpus_small, corpus_order4):
+    """(s, d, m) for every member of the order 1-3 corpora and the order-4
+    sample that some family m presents."""
+    from semiringlab.structure import is_strongly_additively_quasi_completely_inverse
+
+    out = []
+    for s in corpus_small + corpus_order4:
+        if is_strongly_additively_quasi_completely_inverse(s):
+            m = sl.search_structure_maps(s)
+            if m is not None:
+                out.append((s, m.decomposition, m))
+    return out
+
+
+def test_a_family_s_shape_is_read_by_one_rule(presenting_families):
+    """A family without its diagonal maps, or with an entry outside a class,
+    is the family itself to the direct check, the theorem's conditions and
+    compose alike, so no theorem violation is warned."""
+    variants = 0
+    for s, d, m in presenting_families:
+        families = [{pair: f for pair, f in m.phi.items() if pair[0] != pair[1]}]
+        (alpha, beta) = min(m.phi)
+        outside = next((x for x in s.elements() if x not in d.classes[alpha]), None)
+        if outside is not None:
+            extra = {pair: dict(f) for pair, f in m.phi.items()}
+            extra[alpha, beta][outside] = outside
+            families.append(extra)
+        for phi in families:
+            variant = sl.StructureMaps(decomposition=d, phi=phi)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", TheoremViolationWarning)
+                direct = sl.verify_strong_blattice(s, d, variant)
+            conditions = sl.check_main_theorem_conditions(s, d, variant)
+            assert direct is conditions.all_hold is family_presents_by_compose(s, d, variant) is True
+            variants += 1
+    assert variants > len(presenting_families)
+
+
+def test_condition_i_kernel_family_agrees_with_building(presenting_families):
+    """(i) on each family and on every change of one kernel element's image
+    within its target class agrees with composing the kernels as semirings.
+    The Reg+ parts of (i) hold on these semirings, so the kernel family
+    alone decides (i), and its kernel maps are forced (theta(r) = r + e),
+    so every change breaks it."""
+    checked = failed = 0
+    for s, d, m in presenting_families:
+        families = [m.phi]
+        for (alpha, beta), f in sorted(m.phi.items()):
+            for r in sorted(d.kernels[alpha]):
+                for img in sorted(d.classes[beta] - {f[r]}):
+                    phi = {pair: dict(g) for pair, g in m.phi.items()}
+                    phi[alpha, beta][r] = img
+                    families.append(phi)
+        for phi in families:
+            family = sl.StructureMaps(decomposition=d, phi=phi)
+            expected = kernel_family_presents_by_building(s, d, family)
+            assert sl.check_main_theorem_conditions(s, d, family).verdicts["i"] is expected
+            checked += 1
+            failed += not expected
+    assert 0 < failed == checked - len(presenting_families)

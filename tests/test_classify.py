@@ -199,7 +199,7 @@ def existence_oracles(s):
     assert into_qsr in ([], [p]), "lemma (A)"
     found = {("QCR5", "iii"): bool(into_qsr)}
     congruences = [
-        sl.Congruence(q, True) for q in set_partitions(s.order)
+        sl.Congruence(q) for q in set_partitions(s.order)
         if is_semiring_congruence_partition(s, q)
     ]
     for label, quotient_pred, block_pred in (

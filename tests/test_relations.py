@@ -186,11 +186,11 @@ def test_congruence_bound():
 
 
 def test_is_idempotent_separating(qsr3, boolean):
-    eps = sl.Congruence(Partition.identity(3), True)
+    eps = sl.Congruence(Partition.identity(3))
     assert sl.is_idempotent_separating(qsr3, eps)
-    omega_bool = sl.Congruence(Partition.universal(2), True)
+    omega_bool = sl.Congruence(Partition.universal(2))
     assert not sl.is_idempotent_separating(boolean, omega_bool)
-    omega_qsr3 = sl.Congruence(Partition.universal(3), True)
+    omega_qsr3 = sl.Congruence(Partition.universal(3))
     assert sl.is_idempotent_separating(qsr3, omega_qsr3)
 
 
@@ -212,11 +212,11 @@ def test_quotient(qsr3):
     assert q.order == 2
     assert q.names == ("a", "b|0")
     assert sl.validate(q).verdict
-    eps = sl.Congruence(Partition.identity(3), True)
+    eps = sl.Congruence(Partition.identity(3))
     assert sl.quotient(qsr3, eps).order == 3
-    omega = sl.Congruence(Partition.universal(3), True)
+    omega = sl.Congruence(Partition.universal(3))
     assert sl.quotient(qsr3, omega).order == 1
-    bad = sl.Congruence(Partition.from_block_of((0, 0, 1)), True)
+    bad = sl.Congruence(Partition.from_block_of((0, 0, 1)))
     with pytest.raises(NotCongruence):
         sl.quotient(qsr3, bad)
 
@@ -226,7 +226,7 @@ def test_quotient_block_names_stay_distinct():
     # name of the third element
     chain = tuple(tuple(max(i, j) for j in range(3)) for i in range(3))
     s = sl.FiniteSemiring(names=("a", "b", "a|b"), add=chain, mul=chain)
-    c = sl.Congruence(Partition.from_block_of((0, 0, 1)), True)
+    c = sl.Congruence(Partition.from_block_of((0, 0, 1)))
     assert c in sl.enumerate_congruences(s)
     q = sl.quotient(s, c)
     assert q.names == ("a|b", "a|b'")
@@ -248,7 +248,7 @@ def test_hstar_congruence_for_qci_members(corpus_small):
         if not is_semiring_congruence_partition(s, hstar):
             findings.append(s)
             continue
-        q = sl.quotient(s, sl.Congruence(hstar, True))
+        q = sl.quotient(s, sl.Congruence(hstar))
         assert sl.is_b_lattice(q)
     assert checked > 10
     # the qsr3 claims the congruence property for quasi completely inverse
@@ -262,7 +262,7 @@ def test_hstar_greatest_idempotent_separating_saqci(corpus_small):
             continue
         hstar = sl.green_star_plus(s, "H")
         assert is_semiring_congruence_partition(s, hstar)
-        hcong = sl.Congruence(hstar, True)
+        hcong = sl.Congruence(hstar)
         assert sl.is_idempotent_separating(s, hcong)
         for c in sl.enumerate_congruences(s):
             if sl.is_idempotent_separating(s, c):
@@ -290,7 +290,7 @@ def test_hstar_greatest_extends_to_order_six(corpus_order5, corpus_order6):
         checked += 1
         hstar = sl.green_star_plus(s, "H")
         assert is_semiring_congruence_partition(s, hstar)
-        assert sl.is_idempotent_separating(s, sl.Congruence(hstar, True))
+        assert sl.is_idempotent_separating(s, sl.Congruence(hstar))
         for c in sl.enumerate_congruences(s, bound=6):
             if sl.is_idempotent_separating(s, c):
                 assert c.partition.refines(hstar)
