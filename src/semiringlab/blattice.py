@@ -68,7 +68,8 @@ def comparable_pairs(y: FiniteSemiring, include_diagonal: bool = False):
 class StrongBLatticeSpec:
     """An indexing b-lattice, one component semiring per index, and for each
     comparable pair an element map given in component-local indices. Diagonal
-    maps may be omitted; they are the identity."""
+    maps may be omitted; they are the identity. A map for a pair that is not
+    comparable is a shape error to `validate_spec` and `compose`."""
 
     blattice: FiniteSemiring
     components: tuple[FiniteSemiring, ...]
@@ -98,6 +99,15 @@ def _check_spec_shape(spec: StrongBLatticeSpec) -> None:
                     f"{y.names[seen[name]]} and {y.names[alpha]}"
                 )
             seen[name] = alpha
+    comparable = set(comparable_pairs(y))
+    for alpha, beta in spec.maps:
+        # a diagonal map is judged by the identity condition
+        if alpha != beta and (alpha, beta) not in comparable:
+            names = dict(enumerate(y.names))
+            raise DomainMismatch(
+                f"map {names.get(alpha, alpha)} -> {names.get(beta, beta)} is given for a "
+                f"pair that is not comparable in the b-lattice"
+            )
     for alpha, beta in comparable_pairs(y):
         images = spec.component_map(alpha, beta)
         if len(images) != spec.components[alpha].order:
@@ -344,11 +354,14 @@ def family_spec(d: Decomposition, m: StructureMaps) -> StrongBLatticeSpec:
     """A structure-map family as a spec for `.sbl` export: the class
     semirings, built here, and each map reindexed into them. An identity
     diagonal map is omitted, as the spec reads it; any other diagonal map is
-    kept, so `validate_spec` rejects it."""
+    kept, so `validate_spec` rejects it. A map for a pair that is not
+    comparable is dropped, as every check of a family ignores it."""
     orders = [sorted(cls) for cls in d.classes]
     local = [{g: i for i, g in enumerate(order)} for order in orders]
     maps = {}
     for (alpha, beta), f in m.phi.items():
+        if not leq(d.blattice, alpha, beta):
+            continue
         if alpha == beta and all(f.get(g) == g for g in orders[alpha]):
             continue
         images = []

@@ -8,14 +8,18 @@ new cell. The exhaustive search fills row-major in ascending value order; the
 sampler grows the leading block in a seeded value order and takes the first
 completion.
 
-Exhaustive generation works over additive isomorphism classes. One
-lexicographic pass over the associative tables groups them into orbits under
-relabelling; the first table of each orbit is its least row-major encoding
-and stands for the orbit. Distributivity needs no search: x(y+z) = xy+xz for
-all y, z exactly when row x of the multiplication is an endomorphism of
-(S,+), and the right law says the same of column x. So each representative
-addition computes its endomorphisms once and keeps every associative
-multiplication whose rows and columns all lie among them. Labeled counts
+Exhaustive generation works over additive isomorphism classes. The
+additions are the semigroups up to isomorphism: the row-major fill, given
+every carrier permutation, keeps only the tables that are the least encoding
+of their orbit under relabelling (the lex-leader constraint of Distler and
+Kelsey), and prunes a partial table as soon as a permutation carries its
+filled prefix to a smaller one. The labeled associative tables are the
+orbits of these representatives. Distributivity needs no search: x(y+z) =
+xy+xz for all y, z exactly when row x of the multiplication is an
+endomorphism of (S,+), and the right law says the same of column x. So each
+row or column that occurs among the labeled tables is tested once per
+representative, and the representative's hits are the tables that hold no
+row or column failing the test, read off one bitset per map. Labeled counts
 follow from the same pass: each representative's hits count once per member
 of its orbit.
 
@@ -24,12 +28,14 @@ carrier permutation; the gathers are built once per order up to
 `SAMPLE_BOUND` and cached. The canonical encoding puts the addition first, so
 its minimum over all carrier permutations is reached exactly at the
 permutations that carry the addition onto its least relabelling, and only
-those compete on the multiplication. The exhaustive search therefore keeps
-each representative addition as it is and relabels its hits by the
-automorphisms of the addition alone, which gives the same bytes as
-`canonical_form`. When every permutation is an automorphism (the left- and
-right-zero additions), the least relabelling of a multiplication is the
-least member of its orbit, which the orbit pass has already recorded.
+those compete on the multiplication. Those permutations and the least
+addition are memoized per addition, so the members of a corpus, sorted
+addition first, share them. The exhaustive search keeps each representative
+addition as it is and relabels its hits by the automorphisms of the
+addition alone, which gives the same bytes as `canonical_form`. When every
+permutation is an automorphism (the left- and right-zero additions), the
+least relabelling of a multiplication is the least member of its orbit,
+which the orbit pass has already recorded.
 """
 
 from __future__ import annotations
@@ -39,11 +45,11 @@ import random
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from operator import itemgetter
 
 from .errors import BoundExceeded, DimensionMismatch, OutOfRange, SampleShortfallWarning, UnknownClassName
-from .kernel import FiniteSemiring
+from .kernel import FiniteSemiring, addition, memo
 from .classify import CLASS_KEYS, classify
 
 FULL_ENUMERATION_BOUND = 4
@@ -75,18 +81,28 @@ def _relabelling(p):
 
 @lru_cache(maxsize=None)
 def _cached_relabellings(n: int) -> tuple:
+    """The relabellings of an n x n encoding by every carrier permutation, in
+    lexicographic order of the permutation, built once per order (720 at
+    order 6, about 0.7 MB). Only orders up to `SAMPLE_BOUND` come here; the
+    40320 of order 8 would take about 50 MB."""
     return tuple(map(_relabelling, permutations(range(n))))
 
 
-def _relabellings(n: int):
-    """The relabellings of an n x n encoding by every carrier permutation, in
-    lexicographic order of the permutation. They are built once per order up
-    to `SAMPLE_BOUND` and cached (720 at order 6, about 0.7 MB); above it they
-    are built as they are consumed and never held all at once, since the
-    40320 of order 8 would take about 50 MB."""
-    if n > SAMPLE_BOUND:
-        return map(_relabelling, permutations(range(n)))
-    return _cached_relabellings(n)
+@memo(table=addition)
+def _least_addition(s: FiniteSemiring) -> tuple[bytes, tuple]:
+    """The least relabelling of s's addition, as a row-major encoding, and
+    the relabellings that carry the addition onto it, for an order up to
+    `SAMPLE_BOUND`. When the addition is itself least, they are its
+    automorphisms."""
+    add = _flat(s.add)
+    least, reach = None, []
+    for relabel in _cached_relabellings(len(s.add)):
+        image = relabel(add)
+        if least is None or image < least:
+            least, reach = image, [relabel]
+        elif image == least:
+            reach.append(relabel)
+    return least, tuple(reach)
 
 
 def canonical_form(s: FiniteSemiring) -> bytes:
@@ -99,9 +115,15 @@ def canonical_form(s: FiniteSemiring) -> bytes:
     n = s.order
     if n > CANONICAL_BOUND:
         raise BoundExceeded(f"order {n} exceeds canonicalization bound {CANONICAL_BOUND}")
-    add, mul = _flat(s.add), _flat(s.mul)
+    mul = _flat(s.mul)
+    if n <= SAMPLE_BOUND:
+        least, reach = _least_addition(s)
+        return bytes([n]) + least + min(relabel(mul) for relabel in reach)
+    # above SAMPLE_BOUND the relabellings are built as they are consumed and
+    # never held all at once
+    add = _flat(s.add)
     least = best = None
-    for relabel in _relabellings(n):
+    for relabel in map(_relabelling, permutations(range(n))):
         image = relabel(add)
         if least is None or image < least:
             least, best = image, relabel(mul)
@@ -130,12 +152,16 @@ _NODE_BUDGET = 40_000
 
 
 def _tables(n: int, cells, rng: random.Random | None = None, add=None,
-            budget: int | None = None):
+            budget: int | None = None, symmetries=None):
     """Every associative n x n table, filling `cells` in order, as soon as it
     is complete. Values go in ascending order, or shuffled by `rng` at each
-    node. With `add`, a table must also distribute over it. Past `budget`
-    nodes, `_BudgetExhausted` is raised. Candidates die as soon as any
-    completed triple fails."""
+    node. With `add`, a table must also distribute over it. With
+    `symmetries`, carrier permutations, the cells must be row-major and a
+    table is kept only when none of them relabels it to a smaller row-major
+    encoding (the lex-leader constraint). Past `budget` nodes,
+    `_BudgetExhausted` is raised. Candidates die as soon as any completed
+    triple fails, or a permutation carries the filled prefix to a smaller
+    one."""
     t = [[None] * n for _ in range(n)]
     if add is not None:
         # value -> the (b, c) pairs summing to it
@@ -143,9 +169,12 @@ def _tables(n: int, cells, rng: random.Random | None = None, add=None,
         for b in range(n):
             for c in range(n):
                 add_pre[add[b][c]].append((b, c))
+    # the identity relabels every table to itself
+    identity = tuple(range(n))
+    pending = [(*_lex_steps(p), 0) for p in symmetries or () if tuple(p) != identity]
     nodes = 0
 
-    def fill(k: int):
+    def fill(k: int, pending):
         nonlocal nodes
         if k == len(cells):
             yield tuple(tuple(row) for row in t)
@@ -161,17 +190,56 @@ def _tables(n: int, cells, rng: random.Random | None = None, add=None,
         for v in values:
             t[i][j] = v
             if _assoc_ok_at(t, n, i, j) and (add is None or _distrib_ok_at(add, t, n, i, j, add_pre)):
-                yield from fill(k + 1)
+                left = _lex_undecided(t, k, pending) if pending else pending
+                if left is not None:
+                    yield from fill(k + 1, left)
         t[i][j] = None
 
-    return fill(0)
+    return fill(0, pending)
 
 
-@lru_cache(maxsize=None)
-def _assoc_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All associative tables on n elements, lexicographic in row-major
-    order."""
-    return tuple(_tables(n, [(i, j) for i in range(n) for j in range(n)]))
+def _lex_steps(p) -> tuple[list[int], tuple]:
+    """p^-1, and per row-major position (a, b) of a table relabelled by the
+    carrier permutation p: the cell (p[a], p[b]) whose entry it relabels,
+    the cell (a, b) itself, and the row-major position of the first."""
+    n = len(p)
+    inv = [0] * n
+    for i, x in enumerate(p):
+        inv[x] = i
+    return inv, tuple((p[a], p[b], a, b, p[a] * n + p[b]) for a in range(n) for b in range(n))
+
+
+def _lex_undecided(t, k: int, pending):
+    """Compare t, filled row-major up to position k, with its relabelling by
+    each pending permutation, resuming where the last comparison stopped.
+    None when a relabelling is smaller; otherwise the permutations that are
+    still equal up to an undetermined entry, each with the position reached.
+    A relabelling found greater is dropped: it stays greater below this
+    node."""
+    left = []
+    for inv, steps, pos in pending:
+        image = entry = 0
+        while pos <= k:
+            c, d, a, b, src = steps[pos]
+            if src > k:
+                break
+            image, entry = inv[t[c][d]], t[a][b]
+            if image != entry:
+                break
+            pos += 1
+        if image < entry:
+            return None
+        if image == entry:
+            left.append((inv, steps, pos))
+    return left
+
+
+def _semigroups(n: int):
+    """The semigroups of order n up to isomorphism: the associative tables
+    that are the least row-major encoding of their orbit under relabelling,
+    in ascending order."""
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    return _tables(n, cells, symmetries=permutations(range(n)))
 
 
 def _block_cells(n: int) -> list[tuple[int, int]]:
@@ -266,41 +334,44 @@ def _distrib_ok_at(add, mul, n: int, i: int, j: int, add_pre) -> bool:
     return True
 
 
-def _endomorphisms(add) -> frozenset[tuple[int, ...]]:
-    """Every map f of the carrier, as the tuple of its values, with
-    f(x + y) = f(x) + f(y)."""
-    n = len(add)
-    sums = [(x, y, add[x][y]) for x in range(n) for y in range(n)]
-    return frozenset(
-        f for f in product(range(n), repeat=n)
-        if all(f[xy] == add[f[x]][f[y]] for x, y, xy in sums)
-    )
-
-
 def _distributive_classes(n: int):
-    """Per orbit of the associative tables under relabelling, in order of
-    representative: the representative's encoding, the orbit size, the
-    encodings of the associative multiplications distributing over it, and
-    the map from such a multiplication to its least relabelling by an
-    automorphism of the representative. A multiplication distributes exactly
-    when its rows and columns are all endomorphisms of the addition."""
-    relabellings = _relabellings(n)
-    tables = _assoc_tables(n)
-    flats = [_flat(t) for t in tables]
-    # every table's orbit, as the map to its least encoding: the first met
+    """Per semigroup representative, in ascending order: its encoding, the
+    size of its orbit under relabelling, the encodings of the labeled
+    associative multiplications distributing over it, and the map from such
+    a multiplication to its least relabelling by an automorphism of the
+    representative. A multiplication distributes exactly when its rows and
+    columns are all endomorphisms of the addition."""
+    relabellings = _cached_relabellings(n)
+    names = _element_names(n)
+    reps = list(_semigroups(n))
+    # the labeled associative tables are the orbits of the representatives,
+    # each as the map from its members to the representative
     least = {}
-    reps = []
-    for add, enc in zip(tables, flats):
-        if enc not in least:
-            images = [relabel(enc) for relabel in relabellings]
-            least.update(dict.fromkeys(images, enc))
-            reps.append((add, enc, images))
-    # the rows and columns of each table, as maps of the carrier
-    maps = [frozenset(t) | frozenset(zip(*t)) for t in tables]
-    for add, enc, images in reps:
-        end = _endomorphisms(add)
-        hits = [mul for mul, m in zip(flats, maps) if m <= end]
-        aut = [relabel for relabel, image in zip(relabellings, images) if image == enc]
+    for add in reps:
+        enc = _flat(add)
+        least.update(dict.fromkeys([relabel(enc) for relabel in relabellings], enc))
+    labeled = list(least)
+    # each row or column that occurs, as a map of the carrier -> the bitset
+    # of the labeled tables that hold it
+    holders = {}
+    for bit, enc in enumerate(labeled):
+        for f in {enc[i:i + n] for i in range(0, n * n, n)} | {enc[j::n] for j in range(n)}:
+            holders[f] = holders.get(f, 0) | 1 << bit
+    everything = (1 << len(labeled)) - 1
+    for add in reps:
+        sums = [(x, y, add[x][y]) for x in range(n) for y in range(n)]
+        misses = 0
+        for f, bits in holders.items():
+            if not all(f[xy] == add[f[x]][f[y]] for x, y, xy in sums):
+                misses |= bits
+        mask = everything & ~misses
+        hits = []
+        while mask:
+            low = mask & -mask
+            hits.append(labeled[low.bit_length() - 1])
+            mask ^= low
+        # the helper reads only the addition
+        enc, aut = _least_addition(FiniteSemiring(names, add, add))
         if len(aut) == len(relabellings):
             # every permutation fixes the addition: the least relabelling of
             # a multiplication is the least member of its orbit

@@ -19,9 +19,10 @@ decompositions. A primitive of a single reduct is keyed by that one table
 instead: orbits, reduct flags, inverse counts, E+ and Reg+, additive
 regularity, commuting witnesses and least regular multiples, principal
 ideals, plain and starred Green relations, additive H-classes, orbit
-windows, the orbit-idempotent partition and the additive verdicts of
-`classify`. Its results are element indices, never names, so each caller
-words its own evidence.
+windows, the orbit-idempotent partition, the additive verdicts of
+`classify`, and the least relabelling of an addition with the permutations
+that reach it (`enumeration._least_addition`). Its results are element
+indices, never names, so each caller words its own evidence.
 
 A per-element analysis is memoized as one vector over the whole carrier,
 indexed by element (`orbits`, `element_classes`, ...): callers index the

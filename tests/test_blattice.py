@@ -21,6 +21,7 @@ from conftest import (
     QSR3_TEXT,
     TWO_CHAIN_Y,
     Z3_SRT,
+    ZUNION_Z2_SBL,
     family_presents_by_compose,
     kernel_family_presents_by_building,
     zn,
@@ -129,6 +130,29 @@ def test_validate_spec_overlapping_carriers(zunion_z2_spec):
     )
     with pytest.raises(OverlappingCarriers):
         sl.validate_spec(clash)
+
+
+def test_a_map_for_an_incomparable_pair_is_rejected(tmp_path):
+    # q is not below p, so a `map q p` section has no place in the spec
+    path = tmp_path / "reversed.sbl"
+    path.write_text(ZUNION_Z2_SBL + "map q p:\n0 -> z\n1 -> z\n", encoding="utf-8")
+    spec = sl.load_sbl(path)
+    assert spec.maps[1, 0] == (0, 0)
+    for check in (sl.validate_spec, sl.compose):
+        with pytest.raises(DomainMismatch, match="map q -> p .* not comparable"):
+            check(spec)
+
+
+def test_family_spec_drops_a_map_for_an_incomparable_pair(composed_gc):
+    d, m = _pipeline(composed_gc)
+    top, bottom = d.class_of(composed_gc.index("0")), d.class_of(composed_gc.index("z"))
+    z = composed_gc.index("z")
+    extra = sl.StructureMaps(decomposition=d, phi={
+        **m.phi, (top, bottom): {x: z for x in d.classes[top]}})
+    spec = family_spec(d, extra)
+    assert (top, bottom) not in spec.maps
+    assert spec == family_spec(d, m)
+    assert sl.validate_spec(spec).verdict
 
 
 def test_compose_zunion_tables(composed_gc):

@@ -147,6 +147,14 @@ def test_compose_invalid_spec_exit_1(run, tmp_path):
     assert "failure.monomorphism-add" in out
 
 
+def test_compose_rejects_a_map_for_an_incomparable_pair(run, tmp_path):
+    sbl = tmp_path / "reversed.sbl"
+    sbl.write_text(ZUNION_Z2_SBL + "map q p:\n0 -> z\n1 -> z\n", encoding="utf-8")
+    code, out, err = run("compose", str(sbl))
+    assert (code, out) == (2, "")
+    assert err == "error: map q -> p is given for a pair that is not comparable in the b-lattice\n"
+
+
 def test_maps_command(run, tmp_path):
     sbl = tmp_path / "gc.sbl"
     sbl.write_text(ZUNION_Z2_SBL, encoding="utf-8")

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import warnings
+from functools import cache
 from itertools import permutations, product
 from math import factorial
 
@@ -20,6 +21,8 @@ from semiringlab.enumeration import (
     SAMPLE_BOUND,
     _cached_relabellings,
     _distributive_classes,
+    _least_addition,
+    _semigroups,
     ImplicationQuery,
     canonical_form,
     canonical_hash,
@@ -37,7 +40,9 @@ from semiringlab.enumeration import (
 ORACLE_LABELED = {1: 1, 2: 36, 3: 1747, 4: 168392}
 ORACLE_CANONICAL = {1: 1, 2: 20, 3: 316, 4: 7652}
 # semigroups of order n up to isomorphism (OEIS A027851)
-SEMIGROUP_CLASSES = {1: 1, 2: 5, 3: 24, 4: 188}
+SEMIGROUP_CLASSES = {1: 1, 2: 5, 3: 24, 4: 188, 5: 1915}
+# associative tables on n labeled elements (OEIS A023814)
+LABELED_SEMIGROUPS = {1: 1, 2: 8, 3: 113, 4: 3492, 5: 183732}
 # sha256 over the concatenated canonical forms of enumerate_semirings(4)
 ORDER4_FORMS_SHA256 = "36b4f19bbfffda2ab1d347658fbba5e42eab3a35755afa6b2d6a7633c62eef07"
 # sha256 over the canonical forms of sample_semirings(n, count, seed), in order
@@ -48,6 +53,18 @@ SAMPLE_DIGESTS = {
 }
 
 
+@cache
+def brute_force_associative_tables(n):
+    """Every associative table on n elements, by a scan of all n^(n*n)
+    tables, in row-major order."""
+    tables = []
+    for flat in product(range(n), repeat=n * n):
+        t = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+        if all(t[t[a][b]][c] == t[a][t[b][c]] for a, b, c in product(range(n), repeat=3)):
+            tables.append(t)
+    return tables
+
+
 def brute_force_forms(n):
     """Canonical form of every valid labeled (add, mul) pair on n elements,
     straight from the definitions and independent of the production
@@ -55,11 +72,7 @@ def brute_force_forms(n):
     accepted by validate_semiring, forms by the all-permutation
     canonical_form."""
     names = tuple(str(i) for i in range(n))
-    tables = []
-    for flat in product(range(n), repeat=n * n):
-        t = tuple(flat[i * n:(i + 1) * n] for i in range(n))
-        if all(t[t[a][b]][c] == t[a][t[b][c]] for a, b, c in product(range(n), repeat=3)):
-            tables.append(t)
+    tables = brute_force_associative_tables(n)
     forms = []
     for add in tables:
         for mul in tables:
@@ -89,6 +102,26 @@ def test_canonical_form_matches_definition(corpus_small, corpus_order5, corpus_o
         assert canonical_form(copy) == oracle_canonical_form(copy) == canonical_form(s)
     for s in corpus_order5[:3] + corpus_order6[:2]:
         assert canonical_form(s) == oracle_canonical_form(s)
+
+
+def test_canonical_form_at_the_extremes_of_aut_add():
+    # a left-zero addition is fixed by every permutation, so all of them
+    # compete on the multiplication; a chain's is fixed by none but the
+    # identity. Orders 4-6 go through the memoized addition, 7 streams.
+    for n in range(4, 8):
+        names = tuple(f"e{i}" for i in range(n))
+        left_zero = tuple(tuple(x for _ in range(n)) for x in range(n))
+        # a chain with its top and bottom swapped: some relabelling is smaller
+        swap = {0: n - 1, n - 1: 0}
+        rank = [swap.get(x, x) for x in range(n)]
+        chain = tuple(tuple(x if rank[x] >= rank[y] else y for y in range(n)) for x in range(n))
+        meet = tuple(tuple(x if rank[x] <= rank[y] else y for y in range(n)) for x in range(n))
+        for add, aut in ((left_zero, factorial(n)), (chain, 1)):
+            s = sl.FiniteSemiring(names=names, add=add, mul=meet)
+            assert sl.validate(s).verdict
+            assert canonical_form(s) == oracle_canonical_form(s)
+            if n <= SAMPLE_BOUND:
+                assert len(_least_addition(s)[1]) == aut
 
 
 def test_canonical_form_above_the_cached_orders():
@@ -121,9 +154,38 @@ def test_counts_match_frozen_oracle():
 
 
 def test_additions_are_the_semigroups_up_to_isomorphism():
-    # one representative per orbit of the associative tables under relabelling
+    # one representative per orbit of the associative tables under
+    # relabelling, and by orbit-stabilizer the orbits hold every labeled
+    # associative table: the sum of n!/|Aut S| over the representatives
     for n, count in SEMIGROUP_CLASSES.items():
-        assert sum(1 for _ in _distributive_classes(n)) == count
+        reps = list(_semigroups(n))
+        assert len(reps) == count
+        if n <= FULL_ENUMERATION_BOUND:
+            assert sum(1 for _ in _distributive_classes(n)) == count
+        perms = list(permutations(range(n)))
+        total = 0
+        for add in reps:
+            automorphisms = sum(
+                all(add[p[i]][p[j]] == p[add[i][j]] for i in range(n) for j in range(n))
+                for p in perms
+            )
+            total += factorial(n) // automorphisms
+        assert total == LABELED_SEMIGROUPS[n]
+
+
+def test_semigroup_fill_matches_brute_force_orbit_minima():
+    # the lex-leader fill keeps exactly the least table of each orbit of the
+    # scan of all n^(n*n) tables, in ascending order
+    for n in (1, 2, 3):
+        names = tuple(str(i) for i in range(n))
+        tables = brute_force_associative_tables(n)
+        assert len(tables) == LABELED_SEMIGROUPS[n]
+        minima = [
+            t for t in tables
+            if all(t <= sl.FiniteSemiring(names, t, t).relabel(p).add
+                   for p in permutations(range(n)))
+        ]
+        assert list(_semigroups(n)) == minima
 
 
 def test_order2_counts_match_in_suite_oracle():
