@@ -13,7 +13,6 @@ from .kernel import (
     reduct_kind,
     repeat,
     validate,
-    validate_partial,
     validate_semiring,
 )
 from .elements import (

@@ -742,23 +742,23 @@ def _search_family(s: FiniteSemiring, d: Decomposition) -> StructureMaps | None:
     return extend(0)
 
 
-def search_structure_maps(s: FiniteSemiring, bound: int = SEARCH_BOUND) -> StructureMaps | None:
+def search_structure_maps(s: FiniteSemiring) -> StructureMaps | None:
     """Exhaustive, deterministic search for a family presenting s as a strong
     b-lattice of its classes; None when no family exists."""
-    if s.order > bound:
-        raise SearchBoundExceeded(f"order {s.order} exceeds search bound {bound}")
+    if s.order > SEARCH_BOUND:
+        raise SearchBoundExceeded(f"order {s.order} exceeds search bound {SEARCH_BOUND}")
     d = decompose(s)
     _require_saqci(s, d)
     return _search_family(s, d)
 
 
-def check_generalized_clifford_theorem(s: FiniteSemiring, bound: int = SEARCH_BOUND):
+def check_generalized_clifford_theorem(s: FiniteSemiring):
     """Generalized Clifford (definitional) against the existence of a
     presenting family with empty nil parts (strong b-lattice of skew-rings)."""
     from .classify import TheoremReport, classify
 
-    if s.order > bound:
-        raise SearchBoundExceeded(f"order {s.order} exceeds search bound {bound}")
+    if s.order > SEARCH_BOUND:
+        raise SearchBoundExceeded(f"order {s.order} exceeds search bound {SEARCH_BOUND}")
     lhs = classify(s).holds("generalized-clifford")
     rhs = False
     try:

@@ -338,12 +338,10 @@ def _is_quasi_skew_subsemiring(s: FiniteSemiring, block: frozenset[int]) -> bool
     return s.is_closed(block) and quasi_skew_ring_check(s, block).skew_ring_absorbs_multiples
 
 
-@memo
 def _has_one_jstar_class(s: FiniteSemiring, block: frozenset[int]) -> bool:
     """The block is a subsemiring with a single J*+ class. When S is quasi
     completely regular, so is the block, by lemma (C), and this says the
     block is a completely Archimedean subsemiring."""
-    # memoized by block: the congruences above beta share most of their blocks
     sub = s.subsemiring(block)
     return sub is not None and green_star_plus(sub, "J").num_blocks == 1
 

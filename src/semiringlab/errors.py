@@ -31,10 +31,6 @@ class EmptySubset(SemiringError):
     pass
 
 
-class NotEquivalence(SemiringError):
-    pass
-
-
 class BoundExceeded(SemiringError):
     pass
 

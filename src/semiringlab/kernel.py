@@ -14,15 +14,15 @@ being filled, where a triple with an undefined evaluation passes.
 Memo: each primitive decorated with `memo` computes its result once per
 value it reads and argument tuple. By default that value is the whole
 semiring, `(s.names, s.add, s.mul)`: element classes, quasi skew-ring
-checks, the per-block checks of the theorem verifiers, class reports and
-decompositions. A primitive of a single reduct is keyed by that one table
-instead: orbits, reduct flags, inverse counts, E+ and Reg+, additive
-regularity, commuting witnesses and least regular multiples, principal
-ideals, plain and starred Green relations, additive H-classes, orbit
-windows, the orbit-idempotent partition, the additive verdicts of
-`classify`, and the least relabelling of an addition with the permutations
-that reach it (`enumeration._least_addition`). Its results are element
-indices, never names, so each caller words its own evidence.
+checks of s and of its blocks, class reports and decompositions. A
+primitive of a single reduct is keyed by that one table instead: orbits,
+reduct flags, inverse counts, E+ and Reg+, additive regularity, commuting
+witnesses and least regular multiples, plain and starred Green relations,
+additive H-classes, orbit windows, the orbit-idempotent partition, the
+additive verdicts of `classify`, and the least relabelling of an addition
+with the permutations that reach it (`enumeration._least_addition`). Its
+results are element indices, never names, so each caller words its own
+evidence.
 
 A per-element analysis is memoized as one vector over the whole carrier,
 indexed by element (`orbits`, `element_classes`, ...): callers index the
@@ -334,10 +334,6 @@ def validate(s: FiniteSemiring | PartialSemiring) -> ValidationReport:
         if witness is not None:
             failures.append(LawFailure(law, tuple(names[x] for x in witness)))
     return ValidationReport.from_failures(failures)
-
-
-# the name the nil parts of a decomposition have always been checked by
-validate_partial = validate
 
 
 class ReductFlag(Enum):

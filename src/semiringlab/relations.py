@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundExceeded, NotBiIdeal, NotCongruence, NotEquivalence
+from .errors import BoundExceeded, NotBiIdeal, NotCongruence
 from .kernel import FiniteSemiring, addition, memo
 from .elements import additive_idempotents, least_regular_multiples
 
@@ -84,61 +84,32 @@ class Congruence:
     partition: Partition
 
 
-@memo(table=addition)
 def _principal_sets(s: FiniteSemiring, kind: str) -> tuple[frozenset[int], ...]:
-    """Principal additive left ("L"), right ("R") or two-sided ("J") ideals
-    with a formal identity adjoined, so x itself always belongs to its own
-    ideal even without additive idempotents."""
+    """Principal additive left ("L") or right ("R") ideals with a formal
+    identity adjoined, so x itself always belongs to its own ideal even
+    without additive idempotents."""
     add = s.add
     n = s.order
     if kind == "L":
         return tuple(frozenset({x} | {add[t][x] for t in range(n)}) for x in range(n))
-    if kind == "R":
-        return tuple(frozenset({x} | {add[x][t] for t in range(n)}) for x in range(n))
-    two = []
-    for x in range(n):
-        ideal = {x}
-        ideal.update(add[t][x] for t in range(n))
-        ideal.update(add[x][t] for t in range(n))
-        ideal.update(add[add[t][x]][u] for t in range(n) for u in range(n))
-        two.append(frozenset(ideal))
-    return tuple(two)
+    return tuple(frozenset({x} | {add[x][t] for t in range(n)}) for x in range(n))
 
 
 @memo(table=addition)
 def green_plus(s: FiniteSemiring, kind: str) -> Partition:
-    """Green's relation of (S, +): L/R/J via principal ideals, H = L meet R,
-    D = L o R (equal to the join on a finite semigroup)."""
+    """Green's relation of (S, +): L and R via principal one-sided ideals,
+    H = L meet R, and D = L o R, which on a finite semigroup is J. a and b
+    are D-related iff their L-classes meet the same R-classes (the egg-box
+    lemma)."""
     if kind not in GREEN_KINDS:
         raise ValueError(f"unknown Green relation kind {kind!r}")
-    if kind in ("L", "R", "J"):
+    if kind in ("L", "R"):
         return Partition.from_block_of(_principal_sets(s, kind))
-    left = Partition.from_block_of(_principal_sets(s, "L"))
-    right = Partition.from_block_of(_principal_sets(s, "R"))
+    left, right = green_plus(s, "L"), green_plus(s, "R")
     if kind == "H":
         return Partition.from_block_of(zip(left.block_of, right.block_of))
-    return _compose_equivalence(left, right)
-
-
-def _compose_equivalence(p: Partition, q: Partition) -> Partition:
-    """p o q as a relation, which must be an equivalence: a composite that
-    is not raises NotEquivalence."""
-    n = p.n
-    related = [[False] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            related[a][b] = any(p.same(a, c) and q.same(c, b) for c in range(n))
-    for a in range(n):
-        if not related[a][a]:
-            raise NotEquivalence(f"composite not reflexive at {a}")
-        for b in range(n):
-            if related[a][b] != related[b][a]:
-                raise NotEquivalence(f"composite not symmetric at ({a},{b})")
-    for a in range(n):
-        for b in range(n):
-            if not related[a][b] and any(related[a][c] and related[c][b] for c in range(n)):
-                raise NotEquivalence(f"composite not transitive at ({a},{b})")
-    return Partition.from_block_of(tuple(row) for row in related)
+    met = [frozenset(right.block_of[y] for y in block) for block in left.blocks()]
+    return Partition.from_block_of(met[b] for b in left.block_of)
 
 
 @memo(table=addition)
@@ -147,9 +118,7 @@ def green_star_plus(s: FiniteSemiring, kind: str) -> Partition:
     and q are the least indices making pa and qb additively regular.
 
     This pullback is the starred relation of every kind. It preserves
-    meets, so H* is L* meet R*. And an element L- or R-related to a regular
-    element is regular, so it is its own least regular multiple and D* is
-    L* o R*."""
+    meets, so H* is L* meet R*, and D* = J* since D = J."""
     base = green_plus(s, kind)
     return Partition.from_block_of(base.block_of[v] for _, v in least_regular_multiples(s))
 

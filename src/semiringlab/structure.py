@@ -39,7 +39,7 @@ from .kernel import (
     is_idempotent_semiring,
     memo,
     orbits,
-    validate_partial,
+    validate,
 )
 from .elements import (
     additive_idempotents,
@@ -54,8 +54,7 @@ def _check_subset(s: FiniteSemiring, subset) -> frozenset[int]:
     if not sub:
         raise EmptySubset("subset must be nonempty")
     for i in sub:
-        if not 0 <= i < s.order:
-            raise EmptySubset(f"element index {i} outside carrier")
+        check_element(s, i)
     return sub
 
 
@@ -330,7 +329,7 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
         if kernel != class_reg:
             _fail(f"kernel of class {alpha} differs from its additively regular part")
         nil = _nil_partial(s, cls, kernel)
-        if not validate_partial(nil).verdict:
+        if not validate(nil).verdict:
             _fail(f"nil part of class {alpha} violates the partial semiring laws")
         kernels.append(kernel)
         idempotents.append(e)

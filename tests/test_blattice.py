@@ -183,9 +183,15 @@ def test_generalized_clifford_theorem(composed_gc, qsr3, z2):
     assert report.agreement and all(h for _, h, _ in report.conditions)
 
 
-def test_generalized_clifford_theorem_bound(qsr3):
+def order9_zero_semiring():
+    """Nine elements, both operations constant: one past SEARCH_BOUND."""
+    zero = tuple(tuple(0 for _ in range(9)) for _ in range(9))
+    return sl.FiniteSemiring(names=tuple(f"e{i}" for i in range(9)), add=zero, mul=zero)
+
+
+def test_generalized_clifford_theorem_bound():
     with pytest.raises(SearchBoundExceeded):
-        sl.check_generalized_clifford_theorem(qsr3, bound=2)
+        sl.check_generalized_clifford_theorem(order9_zero_semiring())
 
 
 def test_build_phi_identity_family(qsr3):
@@ -254,13 +260,8 @@ def test_search_qsr3_single_class(qsr3):
 
 
 def test_search_bound():
-    big = sl.FiniteSemiring(
-        names=tuple(f"e{i}" for i in range(9)),
-        add=tuple(tuple(0 for _ in range(9)) for _ in range(9)),
-        mul=tuple(tuple(0 for _ in range(9)) for _ in range(9)),
-    )
     with pytest.raises(SearchBoundExceeded):
-        sl.search_structure_maps(big)
+        sl.search_structure_maps(order9_zero_semiring())
 
 
 def test_search_requires_saqci(left_zero):

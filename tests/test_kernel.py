@@ -94,12 +94,12 @@ def test_validate_partial_of_qsr3_nil_part(qsr3):
     # a+a = b and a*a = b are the only defined entries
     assert nil.add == ((1, None), (None, None))
     assert nil.mul == ((1, None), (None, None))
-    assert sl.validate_partial(nil).verdict
+    assert sl.validate(nil).verdict
 
 
 def test_validate_partial_empty_carrier():
     empty = sl.PartialSemiring(names=(), add=(), mul=())
-    assert sl.validate_partial(empty).verdict
+    assert sl.validate(empty).verdict
 
 
 def test_validate_partial_one_side_defined_fails():
@@ -109,7 +109,7 @@ def test_validate_partial_one_side_defined_fails():
         add=((1, None), (0, None)),
         mul=((None, None), (None, None)),
     )
-    report = sl.validate_partial(p)
+    report = sl.validate(p)
     assert not report.verdict
     assert any(f.law == LAW_ADD_ASSOC for f in report.failures)
 
@@ -161,10 +161,6 @@ def partial_law_oracle(p) -> ValidationReport:
     return ValidationReport.from_failures(
         LawFailure(law, tuple(p.names[x] for x in first[law])) for law in laws if first[law] is not None
     )
-
-
-def test_validate_partial_is_the_one_checker():
-    assert sl.validate_partial is sl.validate
 
 
 def test_validate_matches_the_partial_oracle_on_nil_parts(corpus, corpus_order5, corpus_order6):

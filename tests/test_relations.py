@@ -11,7 +11,7 @@ from semiringlab.relations import (
     generated_congruence,
     is_semiring_congruence_partition,
 )
-from semiringlab.elements import is_quasi_completely_regular_semiring
+from semiringlab.elements import is_quasi_completely_regular_semiring, least_regular_multiples
 from semiringlab.structure import is_strongly_additively_quasi_completely_inverse
 
 from conftest import set_partitions
@@ -79,6 +79,47 @@ def test_d_is_join_of_l_and_r(corpus):
             assert green(s, "D") == _join(l, r), (green.__name__, s)
             assert green(s, "H") == Partition.from_block_of(zip(l.block_of, r.block_of)), (
                 green.__name__, s)
+
+
+def j_oracle(s):
+    """Plain J of (S, +) by brute force: a ~ b iff S¹ + a + S¹ = S¹ + b + S¹,
+    the principal two-sided ideals with a formal identity adjoined."""
+    add = s.add
+    n = s.order
+    ideals = []
+    for x in range(n):
+        ideal = {x}
+        ideal.update(add[t][x] for t in range(n))
+        ideal.update(add[x][t] for t in range(n))
+        ideal.update(add[add[t][x]][u] for t in range(n) for u in range(n))
+        ideals.append(frozenset(ideal))
+    return Partition.from_block_of(ideals)
+
+
+def test_d_and_j_match_the_two_sided_ideal_oracle(corpus_small, corpus_order4_all, corpus_order5, corpus_order6):
+    # D = J on a finite semigroup, and the starred kinds pull both back
+    # through least regular multiples
+    for s in corpus_small + corpus_order4_all + corpus_order5 + corpus_order6:
+        j = j_oracle(s)
+        jstar = Partition.from_block_of(j.block_of[v] for _, v in least_regular_multiples(s))
+        for kind in "DJ":
+            assert sl.green_plus(s, kind) == j, (kind, sl.serialize_srt(s))
+            assert sl.green_star_plus(s, kind) == jstar, (kind, sl.serialize_srt(s))
+
+
+def _composite(p, q):
+    """p o q as a set of pairs: a ~ b iff a p c and c q b for some c."""
+    n = p.n
+    return {(a, b) for a in range(n) for b in range(n) if any(p.same(a, c) and q.same(c, b) for c in range(n))}
+
+
+def test_l_and_r_commute_to_d(corpus, corpus_order5, corpus_order6):
+    # L o R = R o L on every semigroup, so the composite is an equivalence,
+    # and it is the D that green_plus reads off the egg-box
+    for s in corpus + corpus_order5 + corpus_order6:
+        l, r, d = (sl.green_plus(s, kind) for kind in "LRD")
+        pairs = {(a, b) for a in s.elements() for b in s.elements() if d.same(a, b)}
+        assert _composite(l, r) == _composite(r, l) == pairs, sl.serialize_srt(s)
 
 
 def congruence_oracle(s):
@@ -322,15 +363,3 @@ def test_hstar_congruence_status_on_qcr_members(corpus):
             )
         )
     assert surveyed > 100
-
-
-def test_composed_relation_strictness():
-    from semiringlab.errors import NotEquivalence
-    from semiringlab.relations import _compose_equivalence
-
-    # L o R fails symmetry for these hand-picked partitions, so composing
-    # them, as the plain and starred D-relations do, must surface it
-    l = Partition.from_blocks(4, [{0, 1}, {2}, {3}])
-    r = Partition.from_blocks(4, [{1, 2}, {0}, {3}])
-    with pytest.raises(NotEquivalence):
-        _compose_equivalence(l, r)

@@ -6,6 +6,7 @@ import semiringlab as sl
 from semiringlab.errors import (
     EmptySubset,
     NotBiIdeal,
+    OutOfRange,
     NotQuasiCompletelyRegular,
     NotQuasiSkewRing,
     PreconditionFailed,
@@ -36,6 +37,11 @@ def test_ideal_predicates(qsr3, boolean):
     assert not sl.is_k_ideal(boolean, idx(boolean, "1"))
     with pytest.raises(EmptySubset):
         sl.is_ideal(qsr3, frozenset())
+    # a bad element is out of range, as at every other index check
+    with pytest.raises(OutOfRange):
+        sl.is_ideal(qsr3, {0, 7})
+    with pytest.raises(OutOfRange):
+        sl.is_ideal(qsr3, ["a"])
 
 
 def test_quasi_skew_ring_check(qsr3, z2, boolean):
