@@ -71,12 +71,11 @@ from .kernel import (
     FiniteSemiring,
     ReductFlag,
     addition,
-    inverse_counts,
+    inverses,
     is_b_lattice,
     memo,
     orbits,
     reduct_kind,
-    semigroup_inverses,
 )
 from .elements import (
     additive_idempotents,
@@ -156,19 +155,19 @@ class TheoremReport:
 def _first_without_quasi_inverse_multiple(s: FiniteSemiring) -> int | None:
     """The first element no multiple na of which admits exactly one x with
     na+x+na = na and x+na+x = x, or None."""
-    counts = inverse_counts(s, ADD)
+    inv = inverses(s, ADD)
     return next(
-        (a for a, orb in enumerate(orbits(s, ADD)) if all(counts[v] != 1 for v in orb.values)),
+        (a for a, orb in enumerate(orbits(s, ADD)) if all(len(inv[v]) != 1 for v in orb.values)),
         None,
     )
 
 
 def _is_additively_inverse(s: FiniteSemiring):
-    counts = inverse_counts(s, ADD)
-    bad = next((a for a in s.elements() if counts[a] != 1), None)
+    inv = inverses(s, ADD)
+    bad = next((a for a in s.elements() if len(inv[a]) != 1), None)
     if bad is None:
         return True, ""
-    return False, f"{s.names[bad]} has {counts[bad]} additive inverses"
+    return False, f"{s.names[bad]} has {len(inv[bad])} additive inverses"
 
 
 def _is_additively_quasi_inverse(s: FiniteSemiring):
@@ -211,8 +210,9 @@ def _is_regular_part_inverse_subsemiring(s: FiniteSemiring):
             if s.mul[a][b] not in regset:
                 return False, f"{s.names[a]}*{s.names[b]} leaves Reg+"
     # an inverse of a in Reg+ is an inverse of a in S that lies in Reg+
+    inv = inverses(s, ADD)
     for a in regs:
-        count = len(semigroup_inverses(s.add, s.order, a) & regset)
+        count = len(inv[a] & regset)
         if count != 1:
             return False, f"Reg+ additive reduct not inverse: {s.names[a]} has {count} additive inverses"
     return True, ""

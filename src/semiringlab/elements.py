@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedWitness
-from .kernel import ADD, FiniteSemiring, addition, check_element, memo, orbits, semigroup_inverses
+from .kernel import ADD, FiniteSemiring, addition, check_element, inverses, memo, orbits
 
 
 @memo(table=addition)
@@ -29,29 +29,22 @@ class InverseSet:
 
 
 def additive_inverses(s: FiniteSemiring, a: int) -> InverseSet:
-    """V+(a) = {x : a+x+a = a and x+a+x = x}, by exhaustive scan."""
+    """V+(a) = {x : a+x+a = a and x+a+x = x}."""
     check_element(s, a)
-    return InverseSet(element=a, inverses=semigroup_inverses(s.add, s.order, a))
-
-
-@memo(table=addition)
-def additive_regularity(s: FiniteSemiring) -> tuple[bool, ...]:
-    """Whether each element a has some x with a+x+a = a."""
-    add = s.add
-    return tuple(any(add[add[a][x]][a] == a for x in s.elements()) for a in s.elements())
+    return InverseSet(element=a, inverses=inverses(s, ADD)[a])
 
 
 def is_additively_regular(s: FiniteSemiring, a: int) -> bool:
+    """Some x has a+x+a = a: V+(a) is nonempty."""
     check_element(s, a)
-    return additive_regularity(s)[a]
+    return bool(inverses(s, ADD)[a])
 
 
 @memo(table=addition)
 def commuting_witnesses(s: FiniteSemiring) -> tuple[int | None, ...]:
-    """For each element a, the unique x with a+x+a = a, a+x = x+a and
-    x+a+x = x, or None.
+    """For each element a, the unique x in V+(a) with a+x = x+a, or None.
 
-    Any x satisfying just the first two equations normalizes to this one via
+    Any x satisfying just a+x+a = a and a+x = x+a normalizes to this one via
     x + a + x, and a + x does not depend on the choice, so existence here is
     existence of a commuting inverse at all. Uniqueness is a theorem; more
     than one solution means the flag logic is broken, so it is surfaced
@@ -59,13 +52,8 @@ def commuting_witnesses(s: FiniteSemiring) -> tuple[int | None, ...]:
     """
     add = s.add
     out = []
-    for a in s.elements():
-        hits = [
-            x for x in s.elements()
-            if add[add[a][x]][a] == a
-            and add[a][x] == add[x][a]
-            and add[add[x][a]][x] == x
-        ]
+    for a, v in enumerate(inverses(s, ADD)):
+        hits = [x for x in sorted(v) if add[a][x] == add[x][a]]
         if len(hits) > 1:
             raise MalformedWitness(
                 f"{len(hits)} witnesses {[s.names[x] for x in hits]} for element {s.names[a]}"
@@ -138,10 +126,10 @@ def least_regular_multiples(s: FiniteSemiring) -> tuple[tuple[int, int], ...]:
     pa additively regular: the first additively regular element of the
     additive orbit of a. It reads the addition alone, and so do the starred
     Green relations built on it."""
-    regular = additive_regularity(s)
+    inv = inverses(s, ADD)
     out = []
     for orb in orbits(s, ADD):
-        p = next((i + 1 for i, v in enumerate(orb.values) if regular[v]), None)
+        p = next((i + 1 for i, v in enumerate(orb.values) if inv[v]), None)
         assert p is not None, "finite additive orbits always contain a regular element"
         out.append((p, orb.values[p - 1]))
     return tuple(out)
@@ -155,7 +143,7 @@ def least_regular_multiple(s: FiniteSemiring, a: int) -> tuple[int, int]:
 @memo(table=addition)
 def reg_plus(s: FiniteSemiring) -> frozenset[int]:
     """Reg+(S), the additively regular elements."""
-    return frozenset(a for a, regular in enumerate(additive_regularity(s)) if regular)
+    return frozenset(a for a, v in enumerate(inverses(s, ADD)) if v)
 
 
 def cr_set(s: FiniteSemiring) -> frozenset[int]:

@@ -342,7 +342,6 @@ def _distributive_classes(n: int):
     representative. A multiplication distributes exactly when its rows and
     columns are all endomorphisms of the addition."""
     relabellings = _cached_relabellings(n)
-    names = _element_names(n)
     reps = list(_semigroups(n))
     # the labeled associative tables are the orbits of the representatives,
     # each as the map from its members to the representative
@@ -370,8 +369,10 @@ def _distributive_classes(n: int):
             low = mask & -mask
             hits.append(labeled[low.bit_length() - 1])
             mask ^= low
-        # the helper reads only the addition
-        enc, aut = _least_addition(FiniteSemiring(names, add, add))
+        # a representative is the least encoding of its orbit, so the
+        # relabellings that fix it are its automorphisms
+        enc = _flat(add)
+        aut = tuple(relabel for relabel in relabellings if relabel(enc) == enc)
         if len(aut) == len(relabellings):
             # every permutation fixes the addition: the least relabelling of
             # a multiplication is the least member of its orbit

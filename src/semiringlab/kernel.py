@@ -16,13 +16,12 @@ value it reads and argument tuple. By default that value is the whole
 semiring, `(s.names, s.add, s.mul)`: element classes, quasi skew-ring
 checks of s and of its blocks, class reports and decompositions. A
 primitive of a single reduct is keyed by that one table instead: orbits,
-reduct flags, inverse counts, E+ and Reg+, additive regularity, commuting
-witnesses and least regular multiples, plain and starred Green relations,
-additive H-classes, orbit windows, the orbit-idempotent partition, the
-additive verdicts of `classify`, and the least relabelling of an addition
-with the permutations that reach it (`enumeration._least_addition`). Its
-results are element indices, never names, so each caller words its own
-evidence.
+reduct flags, inverse sets, E+ and Reg+, commuting witnesses and least
+regular multiples, plain and starred Green relations, additive H-classes,
+orbit windows, the orbit-idempotent partition, the additive verdicts of
+`classify`, and the least relabelling of an addition with the permutations
+that reach it (`enumeration._least_addition`). Its results are element
+indices, never names, so each caller words its own evidence.
 
 A per-element analysis is memoized as one vector over the whole carrier,
 indexed by element (`orbits`, `element_classes`, ...): callers index the
@@ -351,20 +350,16 @@ def _identity_of(table: Table, n: int) -> int | None:
     return None
 
 
-def semigroup_inverses(table: Table, n: int, a: int) -> frozenset[int]:
-    """{x : a*x*a = a and x*a*x = x} for the single semigroup operation."""
-    return frozenset(
-        x for x in range(n)
-        if table[table[a][x]][a] == a and table[table[x][a]][x] == x
-    )
-
-
 @memo(table=lambda s, which: s.table(which))
-def inverse_counts(s: FiniteSemiring, which: str) -> tuple[int, ...]:
-    """|V(a)|, the number of semigroup inverses, for every element of the
-    chosen reduct, by index."""
-    table = s.table(which)
-    return tuple(len(semigroup_inverses(table, s.order, a)) for a in s.elements())
+def inverses(s: FiniteSemiring, which: str) -> tuple[frozenset[int], ...]:
+    """V(a) = {x : a*x*a = a and x*a*x = x} for every element a of the
+    chosen reduct, by index. V(a) is nonempty exactly when a is regular: if
+    a*x*a = a, then x*a*x lies in V(a)."""
+    t = s.table(which)
+    r = s.elements()
+    return tuple(
+        frozenset(x for x in r if t[t[a][x]][a] == a and t[t[x][a]][x] == x) for a in r
+    )
 
 
 @memo(table=lambda s, which: s.table(which))
@@ -383,7 +378,7 @@ def reduct_kind(s: FiniteSemiring, which: str) -> frozenset[ReductFlag]:
         any(table[a][x] == e == table[x][a] for x in range(n)) for a in range(n)
     ):
         flags.add(ReductFlag.GROUP)
-    if all(count == 1 for count in inverse_counts(s, which)):
+    if all(len(v) == 1 for v in inverses(s, which)):
         flags.add(ReductFlag.INVERSE)
     return frozenset(flags) if flags else frozenset({ReductFlag.PLAIN})
 
@@ -445,8 +440,9 @@ def orbits(s: FiniteSemiring, which: str) -> tuple[Orbit, ...]:
 
 
 def check_element(s: FiniteSemiring, a) -> None:
-    """Raise OutOfRange unless a indexes an element of s."""
-    if not (isinstance(a, int) and 0 <= a < s.order):
+    """Raise OutOfRange unless a indexes an element of s; a bool, an int to
+    isinstance, indexes none."""
+    if not (isinstance(a, int) and not isinstance(a, bool) and 0 <= a < s.order):
         raise OutOfRange(f"element index {a!r} outside 0..{s.order - 1}")
 
 

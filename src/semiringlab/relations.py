@@ -33,16 +33,6 @@ class Partition:
         return Partition(block_of=tuple(normal))
 
     @staticmethod
-    def from_blocks(n: int, blocks) -> Partition:
-        block_of = [None] * n
-        for i, block in enumerate(blocks):
-            for x in block:
-                block_of[x] = i
-        if any(b is None for b in block_of):
-            raise ValueError("blocks do not cover the carrier")
-        return Partition.from_block_of(block_of)
-
-    @staticmethod
     def identity(n: int) -> Partition:
         return Partition(block_of=tuple(range(n)))
 

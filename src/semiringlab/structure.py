@@ -35,6 +35,7 @@ from .kernel import (
     PartialSemiring,
     addition,
     check_element,
+    inverses,
     is_b_lattice,
     is_idempotent_semiring,
     memo,
@@ -314,6 +315,7 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
     kernels = []
     idempotents = []
     nil_parts = []
+    inv = inverses(s, ADD)
     # unchecked, because they cannot fail: Y is the quotient by a congruence,
     # so class membership follows Y's tables, and Y is idempotent, so each
     # class is closed (a + b lies in class alpha + alpha = alpha)
@@ -325,7 +327,9 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
             _fail(f"class {alpha} is not a quasi skew-ring")
         kernel = report.kernel
         (e,) = additive_idempotents(s) & cls
-        class_reg = frozenset(a for a in cls if any(s.add[s.add[a][x]][a] == a for x in cls))
+        # a + x + a = a with x in the class puts x + a + x in V+(a) and in
+        # the class, which is closed
+        class_reg = frozenset(a for a in cls if inv[a] & cls)
         if kernel != class_reg:
             _fail(f"kernel of class {alpha} differs from its additively regular part")
         nil = _nil_partial(s, cls, kernel)

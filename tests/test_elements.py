@@ -3,13 +3,15 @@ import pytest
 import semiringlab as sl
 from semiringlab.elements import (
     commuting_witness,
+    commuting_witnesses,
     is_additively_regular,
     is_completely_regular,
     is_quasi_completely_regular_semiring,
     least_regular_multiple,
+    least_regular_multiples,
 )
-from semiringlab.errors import OutOfRange
-from semiringlab.kernel import orbit
+from semiringlab.errors import MalformedWitness, OutOfRange
+from semiringlab.kernel import FiniteSemiring, inverses, orbit
 from semiringlab.structure import additive_h_class
 
 
@@ -118,7 +120,67 @@ def test_per_element_entry_points_reject_indices_outside_the_carrier(qsr3):
         additive_h_class,
     )
     for entry in entry_points:
-        for a in (-1, qsr3.order, None):
+        for a in (-1, qsr3.order, None, True):
             with pytest.raises(OutOfRange):
                 entry(qsr3, a)
         entry(qsr3, qsr3.order - 1)
+
+
+# The scans that `kernel.inverses` replaced, kept as brute-force oracles.
+
+
+def inverses_by_definition(table, a):
+    """V(a): every x with a*x*a = a and x*a*x = x."""
+    r = range(len(table))
+    return frozenset(x for x in r if table[table[a][x]][a] == a and table[table[x][a]][x] == x)
+
+
+def regular_by_scan(s, a):
+    """Some x has a+x+a = a."""
+    return any(s.add[s.add[a][x]][a] == a for x in s.elements())
+
+
+def least_regular_multiple_by_scan(s, a):
+    """The first of a, 2a, 3a, ... with some x making it regular, and its index."""
+    p, v = 1, a
+    while not regular_by_scan(s, v):
+        p, v = p + 1, s.add[v][a]
+    return p, v
+
+
+def commuting_witnesses_by_scan(s):
+    """For each a, every x with a+x+a = a, a+x = x+a and x+a+x = x."""
+    add = s.add
+    return tuple(
+        [x for x in s.elements()
+         if add[add[a][x]][a] == a and add[a][x] == add[x][a] and add[add[x][a]][x] == x]
+        for a in s.elements()
+    )
+
+
+def test_inverse_vector_matches_the_scans(corpus, corpus_order5, corpus_order6):
+    members = list(corpus) + list(corpus_order5) + list(corpus_order6)
+    irregular = witnessed = 0
+    for s in members:
+        for which in (sl.ADD, sl.MUL):
+            table = s.table(which)
+            assert inverses(s, which) == tuple(inverses_by_definition(table, a) for a in s.elements())
+        regular = frozenset(a for a in s.elements() if regular_by_scan(s, a))
+        assert sl.reg_plus(s) == regular
+        assert least_regular_multiples(s) == tuple(
+            least_regular_multiple_by_scan(s, a) for a in s.elements()
+        )
+        hits = commuting_witnesses_by_scan(s)
+        assert all(len(x) <= 1 for x in hits)
+        assert commuting_witnesses(s) == tuple(x[0] if x else None for x in hits)
+        irregular += s.order - len(regular)
+        witnessed += sum(map(len, hits))
+    assert irregular > 1000 and witnessed > 2000
+
+
+def test_more_than_one_commuting_witness_is_surfaced():
+    # not associative: a and c both lie in V+(a) and commute with a
+    add = ((0, 0, 1), (0, 0, 2), (1, 0, 0))
+    s = FiniteSemiring(("a", "b", "c"), add, add)
+    with pytest.raises(MalformedWitness, match=r"^2 witnesses \['a', 'c'\] for element a$"):
+        commuting_witnesses(s)

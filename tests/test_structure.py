@@ -42,6 +42,9 @@ def test_ideal_predicates(qsr3, boolean):
         sl.is_ideal(qsr3, {0, 7})
     with pytest.raises(OutOfRange):
         sl.is_ideal(qsr3, ["a"])
+    # a bool is an int to isinstance, but no element index
+    with pytest.raises(OutOfRange):
+        sl.is_ideal(qsr3, [True])
 
 
 def test_quasi_skew_ring_check(qsr3, z2, boolean):
