@@ -8,7 +8,16 @@ is exactly what a sweep is for.
 
 Additive quasi regularity (some multiple of each element is additively
 regular) holds on every finite carrier, so no predicate computes it:
-`elements.element_classes` asserts it for every element it analyses.
+`elements.least_regular_multiples` asserts it for every element.
+
+The verdicts of `classify` that read the addition alone (additive
+regularity, inversity and quasi inversity, strong additive quasi inversity,
+skew-rings, one J+ class, one J*+ class) are read off one record per
+addition, `_additive_verdicts`, which the memo keeps once for every
+semiring with that addition. The rest read the multiplication as well:
+complete regularity through the one vector `elements.complete_regularity`,
+the k-ideal property of E+, the quasi skew-ring check and the band law of
+the multiplication.
 
 The existence conditions of QCR5 and QCI5 (a partition into quasi skew
 subsemirings, and a congruence with a b-lattice or idempotent quotient whose
@@ -64,22 +73,23 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import InternalTheoremViolation, NotQuasiCompletelyRegular, UnknownTheoremId
 from .kernel import (
     ADD,
+    MUL,
     FiniteSemiring,
     ReductFlag,
     addition,
     inverses,
-    is_b_lattice,
     memo,
     orbits,
     reduct_kind,
 )
 from .elements import (
     additive_idempotents,
-    element_classes,
+    complete_regularity,
     first_without_completely_regular_multiple,
     reg_plus,
 )
@@ -91,9 +101,9 @@ from .relations import (
     green_star_plus,
 )
 from .structure import (
+    _is_ideal,
+    _is_k_ideal,
     commuting_additive_idempotents,
-    is_ideal,
-    is_k_ideal,
     quasi_skew_ring_check,
     sub_skew_ring_conditions,
 )
@@ -151,7 +161,6 @@ class TheoremReport:
         return {label: holds for label, holds, _ in self.conditions}
 
 
-@memo(table=addition)
 def _first_without_quasi_inverse_multiple(s: FiniteSemiring) -> int | None:
     """The first element no multiple na of which admits exactly one x with
     na+x+na = na and x+na+x = x, or None."""
@@ -162,26 +171,63 @@ def _first_without_quasi_inverse_multiple(s: FiniteSemiring) -> int | None:
     )
 
 
-def _is_additively_inverse(s: FiniteSemiring):
-    inv = inverses(s, ADD)
-    bad = next((a for a in s.elements() if len(inv[a]) != 1), None)
-    if bad is None:
+# a named tuple, not a dataclass: a frozen dataclass costs about 1 ms of
+# import time, which every CLI run pays
+class _AdditiveVerdicts(NamedTuple):
+    """What the verdicts of `classify` that read the addition alone need, as
+    element indices: the first element outside Reg+; the first element
+    whose number of additive inverses is not 1, with that number; the first
+    element with no multiple of a unique inverse; the first pair of
+    additive idempotents that do not commute; E+; the GROUP and SEMILATTICE
+    flags of the addition; and whether J+ and J*+ each have one block."""
+
+    irregular: int | None
+    not_inverse: tuple[int, int] | None
+    no_quasi_inverse_multiple: int | None
+    noncommuting_idempotents: tuple[int, int] | None
+    idempotents: frozenset[int]
+    group: bool
+    semilattice: bool
+    one_j_class: bool
+    one_jstar_class: bool
+
+
+@memo(table=addition)
+def _additive_verdicts(s: FiniteSemiring) -> _AdditiveVerdicts:
+    regs = reg_plus(s)
+    kind = reduct_kind(s, ADD)
+    return _AdditiveVerdicts(
+        irregular=next((a for a in s.elements() if a not in regs), None),
+        not_inverse=next(((a, len(v)) for a, v in enumerate(inverses(s, ADD)) if len(v) != 1), None),
+        no_quasi_inverse_multiple=_first_without_quasi_inverse_multiple(s),
+        noncommuting_idempotents=commuting_additive_idempotents(s),
+        idempotents=additive_idempotents(s),
+        group=ReductFlag.GROUP in kind,
+        semilattice=ReductFlag.SEMILATTICE in kind,
+        one_j_class=green_plus(s, "J").num_blocks == 1,
+        one_jstar_class=green_star_plus(s, "J").num_blocks == 1,
+    )
+
+
+def _is_additively_inverse(s: FiniteSemiring, av: _AdditiveVerdicts):
+    if av.not_inverse is None:
         return True, ""
-    return False, f"{s.names[bad]} has {len(inv[bad])} additive inverses"
+    bad, count = av.not_inverse
+    return False, f"{s.names[bad]} has {count} additive inverses"
 
 
-def _is_additively_quasi_inverse(s: FiniteSemiring):
-    bad = _first_without_quasi_inverse_multiple(s)
+def _is_additively_quasi_inverse(s: FiniteSemiring, av: _AdditiveVerdicts):
+    bad = av.no_quasi_inverse_multiple
     if bad is None:
         return True, ""
     return False, f"no multiple of {s.names[bad]} has a unique additive inverse"
 
 
 def _is_completely_regular(s: FiniteSemiring):
-    for c in element_classes(s):
-        if not c.completely_regular:
-            return False, f"{s.names[c.element]} is not completely regular"
-    return True, ""
+    bad = next((a for a, cr in enumerate(complete_regularity(s)) if not cr), None)
+    if bad is None:
+        return True, ""
+    return False, f"{s.names[bad]} is not completely regular"
 
 
 def _is_quasi_completely_regular(s: FiniteSemiring):
@@ -191,11 +237,10 @@ def _is_quasi_completely_regular(s: FiniteSemiring):
     return False, f"no multiple of {s.names[bad]} is completely regular"
 
 
-def _idempotents_commute(s: FiniteSemiring):
-    bad = commuting_additive_idempotents(s)
-    if bad is None:
+def _idempotents_commute(s: FiniteSemiring, av: _AdditiveVerdicts):
+    if av.noncommuting_idempotents is None:
         return True, ""
-    e, f = bad
+    e, f = av.noncommuting_idempotents
     return False, f"{s.names[e]}+{s.names[f]} != {s.names[f]}+{s.names[e]}"
 
 
@@ -229,73 +274,44 @@ def _sum_closed_idempotents(s: FiniteSemiring):
 
 @memo
 def classify(s: FiniteSemiring) -> ClassReport:
-    v: dict[str, Verdict] = {}
-
-    def put(key, holds, evidence=""):
-        v[key] = Verdict(holds=holds, evidence=evidence)
-
-    regs = reg_plus(s)
-    bad_reg = next((a for a in s.elements() if a not in regs), None)
-    put(
-        "additively-regular",
-        bad_reg is None,
-        "" if bad_reg is None else f"{s.names[bad_reg]} has no x with a+x+a=a",
-    )
-    put("additively-inverse", *_is_additively_inverse(s))
-    put("additively-quasi-inverse", *_is_additively_quasi_inverse(s))
-    put("completely-regular", *_is_completely_regular(s))
-    put("quasi-completely-regular", *_is_quasi_completely_regular(s))
-
-    qcr = v["quasi-completely-regular"].holds
-    aqi = v["additively-quasi-inverse"].holds
-    put(
-        "quasi-completely-inverse",
-        qcr and aqi,
-        "" if qcr and aqi else (v["quasi-completely-regular"].evidence or v["additively-quasi-inverse"].evidence),
-    )
-
-    comm_ok, comm_why = _idempotents_commute(s)
-    put("strongly-additively-quasi-inverse", comm_ok, comm_why)
-    put(
-        "strongly-additively-quasi-completely-inverse",
-        qcr and comm_ok,
-        v["quasi-completely-regular"].evidence or comm_why,
-    )
-
-    cr = v["completely-regular"].holds
-    inv = v["additively-inverse"].holds
-    idems = additive_idempotents(s)
-    e_plus_k_ideal = is_k_ideal(s, idems)
-    put(
-        "generalized-clifford",
-        cr and inv and e_plus_k_ideal,
-        "" if cr and inv and e_plus_k_ideal else (
-            v["completely-regular"].evidence
-            or v["additively-inverse"].evidence
-            or "E+ is not a k-ideal"
-        ),
-    )
-
-    group_add = ReductFlag.GROUP in reduct_kind(s, ADD)
-    put("skew-ring", group_add, "" if group_add else "additive reduct is not a group")
+    av = _additive_verdicts(s)
+    bad_reg = av.irregular
+    regular = (True, "") if bad_reg is None else (False, f"{s.names[bad_reg]} has no x with a+x+a=a")
+    inv, inv_why = _is_additively_inverse(s, av)
+    aqi, aqi_why = _is_additively_quasi_inverse(s, av)
+    cr, cr_why = _is_completely_regular(s)
+    qcr, qcr_why = _is_quasi_completely_regular(s)
+    comm_ok, comm_why = _idempotents_commute(s, av)
+    # E+ is nonempty: every additive orbit holds an idempotent
+    gc = cr and inv and _is_k_ideal(s, av.idempotents)
     qsr = quasi_skew_ring_check(s)
-    put(
-        "quasi-skew-ring",
-        qsr.skew_ring_absorbs_multiples,
-        f"kernel {{{', '.join(sorted(s.names[i] for i in qsr.kernel))}}}" if qsr.kernel else
-        f"{len(idems)} additive idempotents",
-    )
-    blat = is_b_lattice(s)
-    put("b-lattice", blat, "" if blat else "reducts are not semilattice/band")
-
-    j_one = green_plus(s, "J").num_blocks == 1
-    put("completely-simple", cr and j_one,
-        "" if cr and j_one else (v["completely-regular"].evidence or "J+ has several blocks"))
-    js_one = green_star_plus(s, "J").num_blocks == 1
-    put("completely-archimedean", qcr and js_one,
-        "" if qcr and js_one else (v["quasi-completely-regular"].evidence or "J*+ has several blocks"))
-
-    report = ClassReport(verdicts=MappingProxyType(v))
+    # `kernel.is_b_lattice`, with the additive flag read off the record
+    blat = av.semilattice and ReductFlag.BAND in reduct_kind(s, MUL)
+    simple = cr and av.one_j_class
+    archimedean = qcr and av.one_jstar_class
+    verdicts = {
+        "additively-regular": regular,
+        "additively-inverse": (inv, inv_why),
+        "additively-quasi-inverse": (aqi, aqi_why),
+        "completely-regular": (cr, cr_why),
+        "quasi-completely-regular": (qcr, qcr_why),
+        "quasi-completely-inverse": (qcr and aqi, "" if qcr and aqi else qcr_why or aqi_why),
+        "strongly-additively-quasi-inverse": (comm_ok, comm_why),
+        "strongly-additively-quasi-completely-inverse": (qcr and comm_ok, qcr_why or comm_why),
+        "generalized-clifford": (gc, "" if gc else cr_why or inv_why or "E+ is not a k-ideal"),
+        "skew-ring": (av.group, "" if av.group else "additive reduct is not a group"),
+        "quasi-skew-ring": (
+            qsr.skew_ring_absorbs_multiples,
+            f"kernel {{{', '.join(sorted(s.names[i] for i in qsr.kernel))}}}" if qsr.kernel else
+            f"{len(av.idempotents)} additive idempotents",
+        ),
+        "b-lattice": (blat, "" if blat else "reducts are not semilattice/band"),
+        "completely-simple": (simple, "" if simple else cr_why or "J+ has several blocks"),
+        "completely-archimedean": (archimedean, "" if archimedean else qcr_why or "J*+ has several blocks"),
+    }
+    report = ClassReport(verdicts=MappingProxyType(
+        {key: Verdict(holds=holds, evidence=why) for key, (holds, why) in verdicts.items()}
+    ))
     _check_implication_closure(s, report)
     return report
 
@@ -432,7 +448,7 @@ def _qcr5_conditions(s: FiniteSemiring):
 
 def _qci5_conditions(s: FiniteSemiring):
     qcr, qcr_why = _is_quasi_completely_regular(s)
-    aqi, aqi_why = _is_additively_quasi_inverse(s)
+    aqi, aqi_why = _is_additively_quasi_inverse(s, _additive_verdicts(s))
     idems = sorted(additive_idempotents(s))
     elem_idem = all(
         _some_multiple_equal(s, s.add[a][f], s.add[f][a])
@@ -462,9 +478,10 @@ def _qci5_conditions(s: FiniteSemiring):
 
 def _saqci3_conditions(s: FiniteSemiring):
     qcr, qcr_why = _is_quasi_completely_regular(s)
-    comm_ok, comm_why = _idempotents_commute(s)
+    av = _additive_verdicts(s)
+    comm_ok, comm_why = _idempotents_commute(s, av)
     reg_inverse, reg_why = _is_regular_part_inverse_subsemiring(s)
-    aqi, aqi_why = _is_additively_quasi_inverse(s)
+    aqi, aqi_why = _is_additively_quasi_inverse(s, av)
     closed_idems, closed_why = _sum_closed_idempotents(s)
     return (
         ("i", qcr and comm_ok, qcr_why or comm_why),
@@ -479,7 +496,7 @@ def _hjeq_conditions(s: FiniteSemiring):
     # multiplicative leg of complete regularity, so the bare
     # additively-quasi-regular premise admits counterexamples
     qcr, qcr_why = _is_quasi_completely_regular(s)
-    aqi, aqi_why = _is_additively_quasi_inverse(s)
+    aqi, aqi_why = _is_additively_quasi_inverse(s, _additive_verdicts(s))
     relations_equal = green_star_plus(s, "H") == green_star_plus(s, "J")
     return (
         ("i", qcr and aqi, qcr_why or aqi_why),
@@ -513,8 +530,8 @@ def verify_ideal_corollary(s: FiniteSemiring) -> TheoremReport:
     idems = additive_idempotents(s)
     rhs = (
         report.holds("quasi-completely-inverse")
-        and is_ideal(s, regs)
-        and is_ideal(s, idems)
+        and _is_ideal(s, regs)
+        and _is_ideal(s, idems)
     )
     return TheoremReport(
         theorem="IDEALS",

@@ -67,10 +67,20 @@ def commuting_witness(s: FiniteSemiring, a: int) -> int | None:
     return commuting_witnesses(s)[a]
 
 
+@memo
+def complete_regularity(s: FiniteSemiring) -> tuple[bool, ...]:
+    """For each element a, whether a is completely regular: a(a+x) = a+x at
+    its commuting witness x. The one place the test is made."""
+    add, mul = s.add, s.mul
+    return tuple(
+        x is not None and mul[a][add[a][x]] == add[a][x] for a, x in enumerate(commuting_witnesses(s))
+    )
+
+
 def is_completely_regular(s: FiniteSemiring, a: int) -> bool:
     """a = a+x+a, a+x = x+a, a(a+x) = a+x for some (necessarily unique) x."""
     check_element(s, a)
-    return element_classes(s)[a].completely_regular
+    return complete_regularity(s)[a]
 
 
 @dataclass(frozen=True)
@@ -95,11 +105,8 @@ class ElementClassification:
 @memo
 def element_classes(s: FiniteSemiring) -> tuple[ElementClassification, ...]:
     """The classification of every element, by index."""
-    add, mul = s.add, s.mul
     witnesses = commuting_witnesses(s)
-    completely_regular = tuple(
-        x is not None and mul[a][add[a][x]] == add[a][x] for a, x in enumerate(witnesses)
-    )
+    completely_regular = complete_regularity(s)
     out = []
     for a, (orb, (aqr_index, _)) in enumerate(zip(orbits(s, ADD), least_regular_multiples(s))):
         qcr_index = next((i + 1 for i, v in enumerate(orb.values) if completely_regular[v]), None)
@@ -148,14 +155,15 @@ def reg_plus(s: FiniteSemiring) -> frozenset[int]:
 
 def cr_set(s: FiniteSemiring) -> frozenset[int]:
     """Cr(S), the elements completely regular at index 1."""
-    return frozenset(c.element for c in element_classes(s) if c.completely_regular)
+    return frozenset(a for a, cr in enumerate(complete_regularity(s)) if cr)
 
 
 def first_without_completely_regular_multiple(s: FiniteSemiring) -> int | None:
     """The first element none of whose additive multiples is completely
     regular, or None when the semiring is quasi completely regular."""
+    cr = complete_regularity(s)
     return next(
-        (c.element for c in element_classes(s) if c.quasi_completely_regular_index is None),
+        (a for a, orb in enumerate(orbits(s, ADD)) if not any(cr[v] for v in orb.values)),
         None,
     )
 

@@ -49,7 +49,7 @@ from itertools import permutations
 from operator import itemgetter
 
 from .errors import BoundExceeded, DimensionMismatch, OutOfRange, SampleShortfallWarning, UnknownClassName
-from .kernel import FiniteSemiring, addition, memo
+from .kernel import FiniteSemiring, Table, addition, memo
 from .classify import CLASS_KEYS, classify
 
 FULL_ENUMERATION_BOUND = 4
@@ -57,6 +57,7 @@ SAMPLE_BOUND = 6
 CANONICAL_BOUND = 8
 
 
+@lru_cache(maxsize=None)
 def _element_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(n))
 
@@ -136,12 +137,27 @@ def canonical_hash(s: FiniteSemiring) -> str:
     return hashlib.sha256(canonical_form(s)).hexdigest()[:16]
 
 
-def _semiring_from_canonical(form: bytes) -> FiniteSemiring:
-    n = form[0]
-    flat = list(form[1:])
-    add = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
-    mul = tuple(tuple(flat[n * n + i * n:n * n + (i + 1) * n]) for i in range(n))
-    return FiniteSemiring(names=_element_names(n), add=add, mul=mul)
+def _decoded(enc: bytes, n: int) -> Table:
+    """The n x n table of a row-major encoding."""
+    return tuple(tuple(enc[i:i + n]) for i in range(0, n * n, n))
+
+
+def _semirings_from_canonical(forms) -> list[FiniteSemiring]:
+    """The semirings of canonical forms, unchecked: `canonical_form` encodes
+    checked tables, so the names and tables are in shape and range. Each
+    addition is decoded once, and its members share that table object and
+    one names tuple per order, so the memo finds an equal addition by
+    identity."""
+    additions = {}
+    out = []
+    for form in forms:
+        n = form[0]
+        cut = 1 + n * n
+        add = additions.get(form[:cut])
+        if add is None:
+            add = additions[form[:cut]] = _decoded(form[1:cut], n)
+        out.append(FiniteSemiring._from_checked(_element_names(n), add, _decoded(form[cut:], n)))
+    return out
 
 
 class _BudgetExhausted(Exception):
@@ -410,7 +426,7 @@ def enumerate_semirings(n: int, filter_class: str | None = None) -> list[FiniteS
     canons = set()
     for add, _, hits, canon in _distributive_classes(n):
         canons.update(bytes([n]) + add + canon(mul) for mul in hits)
-    reps = [_semiring_from_canonical(form) for form in sorted(canons)]
+    reps = _semirings_from_canonical(sorted(canons))
     if key is not None:
         reps = [s for s in reps if classify(s).holds(key)]
     return reps
@@ -452,7 +468,7 @@ def sample_semirings(n: int, count: int, seed: int = 0,
             continue
         s = FiniteSemiring(names=names, add=add, mul=mul)
         form = canonical_form(s)
-        if key is not None and not classify(_semiring_from_canonical(form)).holds(key):
+        if key is not None and not classify(_semirings_from_canonical([form])[0]).holds(key):
             continue
         canons.add(form)
     if len(canons) < count:
@@ -465,7 +481,7 @@ def sample_semirings(n: int, count: int, seed: int = 0,
             ),
             stacklevel=2,
         )
-    return [_semiring_from_canonical(form) for form in sorted(canons)]
+    return _semirings_from_canonical(sorted(canons))
 
 
 @dataclass(frozen=True)

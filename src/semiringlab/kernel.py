@@ -13,20 +13,23 @@ being filled, where a triple with an undefined evaluation passes.
 
 Memo: each primitive decorated with `memo` computes its result once per
 value it reads and argument tuple. By default that value is the whole
-semiring, `(s.names, s.add, s.mul)`: element classes, quasi skew-ring
-checks of s and of its blocks, class reports and decompositions. A
-primitive of a single reduct is keyed by that one table instead: orbits,
-reduct flags, inverse sets, E+ and Reg+, commuting witnesses and least
-regular multiples, plain and starred Green relations, additive H-classes,
-orbit windows, the orbit-idempotent partition, the additive verdicts of
-`classify`, and the least relabelling of an addition with the permutations
-that reach it (`enumeration._least_addition`). Its results are element
-indices, never names, so each caller words its own evidence.
+semiring, `(s.names, s.add, s.mul)`: the complete-regularity vector,
+element classes, quasi skew-ring checks of s and of its blocks, class
+reports and decompositions. A primitive of a single reduct is keyed by that
+one table instead: orbits, reduct flags, inverse sets, E+ and Reg+,
+commuting witnesses and least regular multiples, plain and starred Green
+relations, additive H-classes, orbit windows, the orbit-idempotent
+partition, the one record per addition of the verdicts of `classify` that
+read the addition alone (`classify._additive_verdicts`), and the least
+relabelling of an addition with the permutations that reach it
+(`enumeration._least_addition`). Its results are element indices, never
+names, so each caller words its own evidence.
 
 A per-element analysis is memoized as one vector over the whole carrier,
-indexed by element (`orbits`, `element_classes`, ...): callers index the
-vector, and the per-element public names (`orbit`, `classify_element`, ...)
-are accessors that check the index first.
+indexed by element (`orbits`, `complete_regularity`, `element_classes`,
+...): callers index the vector, and the per-element public names (`orbit`,
+`is_completely_regular`, `classify_element`, ...) are accessors that check
+the index first.
 
 Equal semirings, and for a single-reduct primitive every semiring with that
 table, share their results. The memo keeps the results of the
@@ -166,6 +169,17 @@ class FiniteSemiring:
         n = len(self.names)
         check_table(self.add, n, "add")
         check_table(self.mul, n, "mul")
+
+    @classmethod
+    def _from_checked(cls, names: tuple[str, ...], add: Table, mul: Table) -> FiniteSemiring:
+        """A semiring of a names tuple and two frozen tables that are known to
+        pass `check_names` and `check_table`, built without checking them
+        again."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "names", names)
+        object.__setattr__(s, "add", add)
+        object.__setattr__(s, "mul", mul)
+        return s
 
     @property
     def order(self) -> int:

@@ -60,15 +60,24 @@ def _check_subset(s: FiniteSemiring, subset) -> frozenset[int]:
 
 
 def is_ideal(s: FiniteSemiring, subset) -> bool:
-    sub = _check_subset(s, subset)
+    return _is_ideal(s, _check_subset(s, subset))
+
+
+def _is_ideal(s: FiniteSemiring, sub: frozenset[int]) -> bool:
+    """`is_ideal` of a nonempty set of elements of s, which it does not check."""
     return all(s.add[a][b] in sub for a in sub for b in sub) and all(
         s.mul[x][a] in sub and s.mul[a][x] in sub for a in sub for x in s.elements()
     )
 
 
 def is_k_ideal(s: FiniteSemiring, subset) -> bool:
-    sub = _check_subset(s, subset)
-    if not is_ideal(s, sub):
+    return _is_k_ideal(s, _check_subset(s, subset))
+
+
+def _is_k_ideal(s: FiniteSemiring, sub: frozenset[int]) -> bool:
+    """`is_k_ideal` of a nonempty set of elements of s, which it does not
+    check."""
+    if not _is_ideal(s, sub):
         return False
     for a in sub:
         for x in s.elements():

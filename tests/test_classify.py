@@ -1,4 +1,5 @@
 import importlib
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,13 +9,16 @@ from semiringlab.errors import NotQuasiCompletelyRegular, UnknownTheoremId
 from semiringlab.classify import (
     CLASS_KEYS,
     THEOREM_IDS,
+    ClassReport,
+    Verdict,
     _is_quasi_completely_regular,
     _is_quasi_skew_subsemiring,
     _least_b_lattice_congruence,
     _least_idempotent_congruence,
     _orbit_idempotent_partition,
 )
-from semiringlab.kernel import is_b_lattice, is_idempotent_semiring
+from semiringlab.elements import is_additively_regular, is_completely_regular
+from semiringlab.kernel import ADD, ReductFlag, is_b_lattice, is_idempotent_semiring, orbit, reduct_kind
 from semiringlab.relations import Partition, enumerate_congruences, is_semiring_congruence_partition, quotient
 
 from conftest import direct_product, set_partitions, zn
@@ -72,6 +76,88 @@ def test_false_verdicts_carry_evidence(qsr3, min_const):
     assert "a" in r.verdicts["additively-regular"].evidence
     r = sl.classify(min_const)
     assert r.verdicts["quasi-completely-regular"].evidence
+
+
+def completely_regular_by_definition(s, a):
+    """a = a+x+a, a+x = x+a and a(a+x) = a+x for some x of the carrier."""
+    add, mul = s.add, s.mul
+    return any(
+        add[add[a][x]][a] == a and add[a][x] == add[x][a] and mul[a][add[a][x]] == add[a][x]
+        for x in s.elements()
+    )
+
+
+def classify_by_elements(s):
+    """The class report built verdict by verdict from the public per-element
+    predicates and whole-semiring primitives, each element asked on its
+    own; complete regularity is searched over the carrier."""
+    names = s.names
+    elements = list(s.elements())
+    v = {}
+
+    def put(key, holds, evidence=""):
+        v[key] = Verdict(holds=holds, evidence=evidence)
+
+    def first(pred):
+        return next((a for a in elements if pred(a)), None)
+
+    def verdict(bad, evidence):
+        return (True, "") if bad is None else (False, evidence(names[bad]))
+
+    def count(a):
+        return len(sl.additive_inverses(s, a).inverses)
+
+    cr_at = [completely_regular_by_definition(s, a) for a in elements]
+    put("additively-regular", *verdict(first(lambda a: not is_additively_regular(s, a)),
+                                       lambda x: f"{x} has no x with a+x+a=a"))
+    bad = first(lambda a: count(a) != 1)
+    put("additively-inverse", *verdict(bad, lambda x: f"{x} has {count(bad)} additive inverses"))
+    put("additively-quasi-inverse", *verdict(
+        first(lambda a: all(count(m) != 1 for m in orbit(s, a).values)),
+        lambda x: f"no multiple of {x} has a unique additive inverse"))
+    put("completely-regular", *verdict(first(lambda a: not cr_at[a]),
+                                       lambda x: f"{x} is not completely regular"))
+    put("quasi-completely-regular", *verdict(
+        first(lambda a: not any(cr_at[m] for m in orbit(s, a).values)),
+        lambda x: f"no multiple of {x} is completely regular"))
+    qcr, qcr_why = v["quasi-completely-regular"].holds, v["quasi-completely-regular"].evidence
+    aqi, aqi_why = v["additively-quasi-inverse"].holds, v["additively-quasi-inverse"].evidence
+    put("quasi-completely-inverse", qcr and aqi, "" if qcr and aqi else qcr_why or aqi_why)
+    idems = sorted(sl.additive_idempotents(s))
+    pair = next(((e, f) for i, e in enumerate(idems) for f in idems[i + 1:]
+                 if s.add[e][f] != s.add[f][e]), None)
+    comm_why = "" if pair is None else f"{names[pair[0]]}+{names[pair[1]]} != {names[pair[1]]}+{names[pair[0]]}"
+    put("strongly-additively-quasi-inverse", pair is None, comm_why)
+    put("strongly-additively-quasi-completely-inverse", qcr and pair is None, qcr_why or comm_why)
+    cr, cr_why = v["completely-regular"].holds, v["completely-regular"].evidence
+    inv, inv_why = v["additively-inverse"].holds, v["additively-inverse"].evidence
+    k_ideal = sl.is_k_ideal(s, idems)
+    gc = cr and inv and k_ideal
+    put("generalized-clifford", gc, "" if gc else cr_why or inv_why or "E+ is not a k-ideal")
+    group = ReductFlag.GROUP in reduct_kind(s, ADD)
+    put("skew-ring", group, "" if group else "additive reduct is not a group")
+    qsr = sl.quasi_skew_ring_check(s)
+    put("quasi-skew-ring", qsr.skew_ring_absorbs_multiples,
+        f"kernel {{{', '.join(sorted(names[i] for i in qsr.kernel))}}}" if qsr.kernel else
+        f"{len(idems)} additive idempotents")
+    blat = is_b_lattice(s)
+    put("b-lattice", blat, "" if blat else "reducts are not semilattice/band")
+    j_one = sl.green_plus(s, "J").num_blocks == 1
+    put("completely-simple", cr and j_one, "" if cr and j_one else cr_why or "J+ has several blocks")
+    js_one = sl.green_star_plus(s, "J").num_blocks == 1
+    put("completely-archimedean", qcr and js_one, "" if qcr and js_one else qcr_why or "J*+ has several blocks")
+    return ClassReport(verdicts=MappingProxyType(v))
+
+
+def test_classify_matches_the_per_element_reference(corpus_small, corpus_order4_all, corpus_order5, corpus_order6):
+    members = list(corpus_small) + list(corpus_order4_all) + list(corpus_order5) + list(corpus_order6)
+    assert len(members) == 7989 + 120 + 40
+    for s in members:
+        report = sl.classify(s)
+        assert report == classify_by_elements(s), sl.serialize_srt(s)
+        assert [is_completely_regular(s, a) for a in s.elements()] == [
+            completely_regular_by_definition(s, a) for a in s.elements()
+        ]
 
 
 def test_verify_equivalence_qsr3_qsr3(qsr3):

@@ -147,6 +147,16 @@ def test_order4_canonical_set_is_pinned():
     assert hashlib.sha256(b"".join(forms)).hexdigest() == ORDER4_FORMS_SHA256
 
 
+def test_members_equal_their_checked_construction(corpus_small, corpus_order4_all, corpus_order5):
+    # the members are built unchecked from their canonical bytes; the checked
+    # constructor, run on the same names and tables, accepts them unchanged
+    for s in list(corpus_small) + list(corpus_order4_all) + list(corpus_order5):
+        assert s == sl.FiniteSemiring(s.names, s.add, s.mul), sl.serialize_srt(s)
+    # one table object per addition and one names tuple per order
+    assert len({id(s.add) for s in corpus_order4_all}) == len({s.add for s in corpus_order4_all}) == 188
+    assert len({id(s.names) for s in corpus_order4_all}) == 1
+
+
 def test_counts_match_frozen_oracle():
     for n in ORACLE_LABELED:
         assert count_labeled_semirings(n) == ORACLE_LABELED[n]

@@ -182,18 +182,19 @@ def test_threads_share_the_cache_soundly(corpus_small):
 class Bodies:
     """How often the bodies of four memoized primitives ran on each semiring
     object, counted by replacing the `__wrapped__` body each memo runs on a
-    miss: classify and element_classes, keyed by the semiring's value, and
-    orbits and green_star_plus, keyed by a table. The principal ideals, which
-    only the memoized green_plus reads, are counted in the module."""
+    miss: classify and the complete-regularity vector, keyed by the
+    semiring's value, and orbits and green_star_plus, keyed by a table. The
+    principal ideals, which only the memoized green_plus reads, are counted
+    in the module."""
 
-    SEMIRING_KEYED = ("classify", "element_classes")
+    SEMIRING_KEYED = ("classify", "complete_regularity")
 
     def __init__(self, monkeypatch):
         self.seen = Counter()
         self._monkeypatch = monkeypatch
         for primitive in (
             classify_module.classify,
-            elements.element_classes,
+            elements.complete_regularity,
             kernel.orbits,
             relations.green_star_plus,
         ):
@@ -220,7 +221,7 @@ class Bodies:
         self.seen.clear()
         call(s)
         counts = self.on(s)
-        assert set(counts) == {"classify", "element_classes", "orbits", "_principal_sets", "green_star_plus"}
+        assert set(counts) == {"classify", "complete_regularity", "orbits", "_principal_sets", "green_star_plus"}
         return counts
 
 
