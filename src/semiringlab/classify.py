@@ -6,6 +6,12 @@ side independently and comparing. A disagreement is reported, not hidden:
 it means an implementation bug or a genuine counterexample, and either one
 is exactly what a sweep is for.
 
+Each class verdict is decided once, in `classify`. The verifiers QCR5, QCI5,
+SAQCI3 and HJEQ read their class premises (quasi complete regularity, quasi
+complete inversity, strong additive quasi complete inversity) off its
+memoized report as (holds, evidence), and compute only their other
+conditions themselves, so a verifier called on its own runs `classify` first.
+
 Additive quasi regularity (some multiple of each element is additively
 regular) holds on every finite carrier, so no predicate computes it:
 `elements.least_regular_multiples` asserts it for every element.
@@ -51,10 +57,10 @@ iff it contains beta. Three lemmas:
   its part in B is closed under addition, and a closed subset of a finite
   group is a subgroup, so it is a subgroup of (B, +) at e and lies in the
   H+-class of e in B. That class in turn is a subgroup of (S, +) at e, so it
-  lies in the H+-class of e in S. The closure of {e} is the same in B as in
-  S, as B is closed, and by (C) the additive orbit windows of B are the
-  windows in S of its elements. So whether B is a quasi skew-ring is read
-  off the analysis of S, and no block is built as a semiring for it.
+  lies in the H+-class of e in S. The product ee is the same in B as in S,
+  and by (C) the additive orbit windows of B are the windows in S of its
+  elements. So whether B is a quasi skew-ring is read off the analysis of
+  S, and no block is built as a semiring for it.
 
 So QCR5 (iii) asks whether every block of P is a quasi skew subsemiring.
 QCR5 (v) and QCI5 (v) ask, besides, whether P is a congruence containing
@@ -209,41 +215,6 @@ def _additive_verdicts(s: FiniteSemiring) -> _AdditiveVerdicts:
     )
 
 
-def _is_additively_inverse(s: FiniteSemiring, av: _AdditiveVerdicts):
-    if av.not_inverse is None:
-        return True, ""
-    bad, count = av.not_inverse
-    return False, f"{s.names[bad]} has {count} additive inverses"
-
-
-def _is_additively_quasi_inverse(s: FiniteSemiring, av: _AdditiveVerdicts):
-    bad = av.no_quasi_inverse_multiple
-    if bad is None:
-        return True, ""
-    return False, f"no multiple of {s.names[bad]} has a unique additive inverse"
-
-
-def _is_completely_regular(s: FiniteSemiring):
-    bad = next((a for a, cr in enumerate(complete_regularity(s)) if not cr), None)
-    if bad is None:
-        return True, ""
-    return False, f"{s.names[bad]} is not completely regular"
-
-
-def _is_quasi_completely_regular(s: FiniteSemiring):
-    bad = first_without_completely_regular_multiple(s)
-    if bad is None:
-        return True, ""
-    return False, f"no multiple of {s.names[bad]} is completely regular"
-
-
-def _idempotents_commute(s: FiniteSemiring, av: _AdditiveVerdicts):
-    if av.noncommuting_idempotents is None:
-        return True, ""
-    e, f = av.noncommuting_idempotents
-    return False, f"{s.names[e]}+{s.names[f]} != {s.names[f]}+{s.names[e]}"
-
-
 def _is_regular_part_inverse_subsemiring(s: FiniteSemiring):
     """Reg+(S) closed under both operations with an inverse additive reduct."""
     regs = sorted(reg_plus(s))
@@ -274,14 +245,24 @@ def _sum_closed_idempotents(s: FiniteSemiring):
 
 @memo
 def classify(s: FiniteSemiring) -> ClassReport:
+    """Every class verdict, each decided here once: the verifiers read their
+    class premises off this report."""
     av = _additive_verdicts(s)
-    bad_reg = av.irregular
-    regular = (True, "") if bad_reg is None else (False, f"{s.names[bad_reg]} has no x with a+x+a=a")
-    inv, inv_why = _is_additively_inverse(s, av)
-    aqi, aqi_why = _is_additively_quasi_inverse(s, av)
-    cr, cr_why = _is_completely_regular(s)
-    qcr, qcr_why = _is_quasi_completely_regular(s)
-    comm_ok, comm_why = _idempotents_commute(s, av)
+    names = s.names
+    bad = av.irregular
+    regular_why = "" if bad is None else f"{names[bad]} has no x with a+x+a=a"
+    bad = av.not_inverse
+    inv_why = "" if bad is None else f"{names[bad[0]]} has {bad[1]} additive inverses"
+    bad = av.no_quasi_inverse_multiple
+    aqi_why = "" if bad is None else f"no multiple of {names[bad]} has a unique additive inverse"
+    bad = next((a for a, cr in enumerate(complete_regularity(s)) if not cr), None)
+    cr_why = "" if bad is None else f"{names[bad]} is not completely regular"
+    bad = first_without_completely_regular_multiple(s)
+    qcr_why = "" if bad is None else f"no multiple of {names[bad]} is completely regular"
+    bad = av.noncommuting_idempotents
+    comm_why = "" if bad is None else "{0}+{1} != {1}+{0}".format(*(names[i] for i in bad))
+    # each of these holds iff nothing breaks it
+    inv, aqi, cr, qcr, comm_ok = (not why for why in (inv_why, aqi_why, cr_why, qcr_why, comm_why))
     # E+ is nonempty: every additive orbit holds an idempotent
     gc = cr and inv and _is_k_ideal(s, av.idempotents)
     qsr = quasi_skew_ring_check(s)
@@ -290,12 +271,12 @@ def classify(s: FiniteSemiring) -> ClassReport:
     simple = cr and av.one_j_class
     archimedean = qcr and av.one_jstar_class
     verdicts = {
-        "additively-regular": regular,
+        "additively-regular": (not regular_why, regular_why),
         "additively-inverse": (inv, inv_why),
         "additively-quasi-inverse": (aqi, aqi_why),
         "completely-regular": (cr, cr_why),
         "quasi-completely-regular": (qcr, qcr_why),
-        "quasi-completely-inverse": (qcr and aqi, "" if qcr and aqi else qcr_why or aqi_why),
+        "quasi-completely-inverse": (qcr and aqi, qcr_why or aqi_why),
         "strongly-additively-quasi-inverse": (comm_ok, comm_why),
         "strongly-additively-quasi-completely-inverse": (qcr and comm_ok, qcr_why or comm_why),
         "generalized-clifford": (gc, "" if gc else cr_why or inv_why or "E+ is not a k-ideal"),
@@ -408,7 +389,7 @@ def _is_b_lattice_of_completely_archimedean(s: FiniteSemiring) -> bool:
     containing beta, has completely Archimedean subsemirings as classes.
     Every element lies in some class, so by lemma (C) S must be quasi
     completely regular, and then each class needs one J*+ class alone."""
-    if first_without_completely_regular_multiple(s) is not None:
+    if not classify(s).holds("quasi-completely-regular"):
         return False
     # beta itself leads: on the quasi completely regular members of the test
     # corpora it is J*+ and qualifies, so no other congruence is built
@@ -416,6 +397,12 @@ def _is_b_lattice_of_completely_archimedean(s: FiniteSemiring) -> bool:
         all(_has_one_jstar_class(s, b) for b in rho.blocks())
         for rho in congruences_above(s, _least_b_lattice_congruence(s))
     )
+
+
+def _premise(s: FiniteSemiring, key: str) -> tuple[bool, str]:
+    """A class verdict of `classify` as (holds, evidence)."""
+    verdict = classify(s).verdicts[key]
+    return verdict.holds, verdict.evidence
 
 
 def _qsr3_conditions(s: FiniteSemiring):
@@ -431,7 +418,7 @@ def _qsr3_conditions(s: FiniteSemiring):
 
 
 def _qcr5_conditions(s: FiniteSemiring):
-    qcr, qcr_why = _is_quasi_completely_regular(s)
+    qcr, qcr_why = _premise(s, "quasi-completely-regular")
     hstar = green_star_plus(s, "H")
     classes_qsr = all(_is_quasi_skew_subsemiring(s, b) for b in hstar.blocks())
     union_qsr = _is_union_of_quasi_skew_rings(s)
@@ -447,8 +434,7 @@ def _qcr5_conditions(s: FiniteSemiring):
 
 
 def _qci5_conditions(s: FiniteSemiring):
-    qcr, qcr_why = _is_quasi_completely_regular(s)
-    aqi, aqi_why = _is_additively_quasi_inverse(s, _additive_verdicts(s))
+    qcr = classify(s).holds("quasi-completely-regular")
     idems = sorted(additive_idempotents(s))
     elem_idem = all(
         _some_multiple_equal(s, s.add[a][f], s.add[f][a])
@@ -468,7 +454,7 @@ def _qci5_conditions(s: FiniteSemiring):
     )
     blattice_qsr = _is_congruence_of_quasi_skew_rings(s, _least_b_lattice_congruence)
     return (
-        ("i", qcr and aqi, qcr_why or aqi_why),
+        ("i", *_premise(s, "quasi-completely-inverse")),
         ("ii", qcr and elem_idem, ""),
         ("iii", qcr and idem_idem, ""),
         ("iv", qcr and sums_h_related, ""),
@@ -477,16 +463,14 @@ def _qci5_conditions(s: FiniteSemiring):
 
 
 def _saqci3_conditions(s: FiniteSemiring):
-    qcr, qcr_why = _is_quasi_completely_regular(s)
-    av = _additive_verdicts(s)
-    comm_ok, comm_why = _idempotents_commute(s, av)
+    qcr, qcr_why = _premise(s, "quasi-completely-regular")
+    qci, qci_why = _premise(s, "quasi-completely-inverse")
     reg_inverse, reg_why = _is_regular_part_inverse_subsemiring(s)
-    aqi, aqi_why = _is_additively_quasi_inverse(s, av)
     closed_idems, closed_why = _sum_closed_idempotents(s)
     return (
-        ("i", qcr and comm_ok, qcr_why or comm_why),
+        ("i", *_premise(s, "strongly-additively-quasi-completely-inverse")),
         ("ii", qcr and reg_inverse, qcr_why or reg_why),
-        ("iii", qcr and aqi and closed_idems, qcr_why or aqi_why or closed_why),
+        ("iii", qci and closed_idems, qci_why or closed_why),
     )
 
 
@@ -495,11 +479,10 @@ def _hjeq_conditions(s: FiniteSemiring):
     # starred relations live on the additive reduct alone and cannot see the
     # multiplicative leg of complete regularity, so the bare
     # additively-quasi-regular premise admits counterexamples
-    qcr, qcr_why = _is_quasi_completely_regular(s)
-    aqi, aqi_why = _is_additively_quasi_inverse(s, _additive_verdicts(s))
+    qcr, qcr_why = _premise(s, "quasi-completely-regular")
     relations_equal = green_star_plus(s, "H") == green_star_plus(s, "J")
     return (
-        ("i", qcr and aqi, qcr_why or aqi_why),
+        ("i", *_premise(s, "quasi-completely-inverse")),
         ("ii", qcr and relations_equal, qcr_why or ("" if relations_equal else "H*+ differs from J*+")),
     )
 

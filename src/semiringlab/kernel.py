@@ -205,20 +205,6 @@ class FiniteSemiring:
         sub = frozenset(subset)
         return all(self.add[a][b] in sub and self.mul[a][b] in sub for a in sub for b in sub)
 
-    def closure(self, subset) -> frozenset[int]:
-        """The least superset of `subset` closed under both operations: the
-        carrier of the subsemiring it generates."""
-        closed = set(subset)
-        frontier = list(closed)
-        while frontier:
-            a = frontier.pop()
-            for b in tuple(closed):
-                for v in (self.add[a][b], self.add[b][a], self.mul[a][b], self.mul[b][a]):
-                    if v not in closed:
-                        closed.add(v)
-                        frontier.append(v)
-        return frozenset(closed)
-
     def restrict(self, subset) -> FiniteSemiring:
         """Subsemiring on a closed subset, carrier order preserved."""
         sub = set(subset)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundExceeded, NotBiIdeal, NotCongruence
+from .errors import BoundExceeded, DimensionMismatch, NotBiIdeal, NotCongruence
 from .kernel import FiniteSemiring, addition, memo
 from .elements import additive_idempotents, least_regular_multiples
 
@@ -202,11 +202,21 @@ def enumerate_congruences(s: FiniteSemiring, bound: int = CONGRUENCE_BOUND) -> l
     return [Congruence(partition=p) for p in found]
 
 
+def _partition_of(s: FiniteSemiring, c: Congruence) -> Partition:
+    """The partition of c with dense block ids, whatever ids it was given;
+    DimensionMismatch unless it covers the carrier of s."""
+    p = c.partition
+    if p.n != s.order:
+        raise DimensionMismatch(f"partition of {p.n} elements, expected {s.order}")
+    return Partition.from_block_of(p.block_of)
+
+
 def is_idempotent_separating(s: FiniteSemiring, c: Congruence) -> bool:
     """No two distinct additive idempotents share a class."""
+    p = _partition_of(s, c)
     idems = sorted(additive_idempotents(s))
     return all(
-        not c.partition.same(e, f)
+        not p.same(e, f)
         for i, e in enumerate(idems)
         for f in idems[i + 1:]
     )
@@ -227,7 +237,7 @@ def rees_congruence(s: FiniteSemiring, ideal) -> Congruence:
 def quotient(s: FiniteSemiring, c: Congruence) -> FiniteSemiring:
     """Block semiring; block names join member names with '|'. A joined name
     that an earlier block already took gets primes (') until it is unused."""
-    p = c.partition
+    p = _partition_of(s, c)
     if not is_semiring_congruence_partition(s, p):
         raise NotCongruence("partition is not compatible with both tables")
     blocks = p.blocks()

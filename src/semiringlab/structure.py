@@ -3,8 +3,9 @@ quasi completely regular semiring into classes with skew-ring kernels, and
 the retraction map onto the additively regular part.
 
 Conditions (ii) and (iii) of a quasi skew-ring are decided at each additive
-idempotent e from two sets alone, the least sub-skew-ring at e and the
-maximal additive subgroup H_e, never by searching the subsets of H_e (see
+idempotent e from the product ee and the maximal additive subgroup H_e,
+never by searching the subsets of H_e: a sub-skew-ring at e exists iff
+ee = e, and then {e} is the least one (see
 `sub_skew_ring_conditions_by_idempotent`).
 
 The decomposition re-verifies every invariant eagerly before returning; the
@@ -138,15 +139,16 @@ def sub_skew_ring_conditions_by_idempotent(
     A sub-skew-ring at e is a subset of the maximal additive subgroup H_e
     (the H+-class of e) that contains e and is closed under both operations.
     A closed subset of the finite group H_e is a subgroup, so these are
-    exactly the sub-skew-rings with additive identity e. Each contains the
-    closure of {e}, which is one itself when it lies inside H_e; otherwise
-    there is none at e. Two lemmas then replace the search over all
-    2^(|H_e|-1) subsets of H_e:
+    exactly the sub-skew-rings with additive identity e. Three lemmas then
+    replace the search over all 2^(|H_e|-1) subsets of H_e:
 
+    - Every power of e is an additive idempotent (ee + ee = e(e + e) = ee,
+      and so on up), and H_e holds no idempotent but e. So a sub-skew-ring
+      at e, which holds ee, exists iff ee = e, and then {e} is the least.
     - A window that meets a sub-skew-ring R at e contains e, since the
       multiples of an element of the group R reach its identity. So one
       sub-skew-ring at e meets every window iff all of them do, and the
-      least one, the closure of {e}, decides the first condition.
+      first condition holds iff ee = e and e lies in every window.
     - A bi-ideal R inside H_e absorbs r + H_e = H_e for any r in R, so R is
       all of H_e. The second condition therefore holds iff H_e itself
       meets every window and is a bi-ideal (which makes it closed under
@@ -156,22 +158,32 @@ def sub_skew_ring_conditions_by_idempotent(
     conditions are those of the block as a semiring of its own, read off
     s's analysis by lemma (D) of `classify`: its idempotents are the
     additive idempotents of s in the block, H_e is the H+-class of e in s
-    cut down to the block, the closure of {e} is the same, and its windows
-    are the windows of its elements.
+    cut down to the block, and its windows are the windows of its elements.
     """
     carrier = frozenset(s.elements()) if block is None else block
+    return _conditions_at(s, carrier, additive_idempotents(s) & carrier, additive_h_classes(s))
+
+
+def _conditions_at(
+    s: FiniteSemiring, carrier: frozenset[int], idems: frozenset[int], h_classes
+) -> dict[int, tuple[bool, bool]]:
+    """`sub_skew_ring_conditions_by_idempotent` on a carrier, given its
+    additive idempotents and the H+-classes of s."""
     of = _orbit_windows(s)
     windows = {of[a] for a in carrier}
-    h_classes = additive_h_classes(s)
     at = {}
-    for e in sorted(additive_idempotents(s) & carrier):
+    for e in sorted(idems):
         h = h_classes[e] & carrier
-        least = s.closure({e})
         at[e] = (
-            least <= h and all(window & least for window in windows),
+            s.mul[e][e] == e and all(e in window for window in windows),
             all(window & h for window in windows) and _absorbs(s, h, carrier),
         )
     return at
+
+
+def _some_idempotent(at: dict[int, tuple[bool, bool]]) -> tuple[bool, bool]:
+    """Conditions (ii) and (iii): each holds at some additive idempotent."""
+    return any(absorbing for absorbing, _ in at.values()), any(nil_ext for _, nil_ext in at.values())
 
 
 def sub_skew_ring_conditions(
@@ -180,8 +192,7 @@ def sub_skew_ring_conditions(
     """(absorbing, nil_ext): conditions (ii) and (iii) of a quasi skew-ring,
     each decided on its own at every additive idempotent (see
     `sub_skew_ring_conditions_by_idempotent`, also for `block`)."""
-    at = sub_skew_ring_conditions_by_idempotent(s, block).values()
-    return any(absorbing for absorbing, _ in at), any(nil_ext for _, nil_ext in at)
+    return _some_idempotent(sub_skew_ring_conditions_by_idempotent(s, block))
 
 
 @dataclass(frozen=True)
@@ -211,8 +222,9 @@ def quasi_skew_ring_check(s: FiniteSemiring, block: frozenset[int] | None = None
     the kernel is then a set of indices of s."""
     carrier = frozenset(s.elements()) if block is None else block
     idems = additive_idempotents(s) & carrier
+    h_classes = additive_h_classes(s)
     cond_i = len(idems) == 1  # additive quasi regularity is automatic on a finite carrier
-    cond_ii, cond_iii = sub_skew_ring_conditions(s, block)
+    cond_ii, cond_iii = _some_idempotent(_conditions_at(s, carrier, idems, h_classes))
     if not (cond_i == cond_ii == cond_iii):
         raise InternalTheoremViolation(
             f"quasi-skew-ring conditions disagree on {_named(s, block)}: "
@@ -221,7 +233,7 @@ def quasi_skew_ring_check(s: FiniteSemiring, block: frozenset[int] | None = None
     kernel = None
     if cond_i:
         e = next(iter(idems))
-        kernel = additive_h_classes(s)[e] & carrier
+        kernel = h_classes[e] & carrier
         if not s.is_closed(kernel):
             raise InternalTheoremViolation(
                 f"kernel of {_named(s, block)} (H+-class of {s.names[e]}) is not closed under both operations"
@@ -364,10 +376,10 @@ def commuting_additive_idempotents(s: FiniteSemiring) -> tuple[int, int] | None:
 
 
 def is_strongly_additively_quasi_completely_inverse(s: FiniteSemiring) -> bool:
-    return (
-        commuting_additive_idempotents(s) is None
-        and is_quasi_completely_regular_semiring(s)
-    )
+    """The verdict of `classify`, which decides it."""
+    from .classify import classify  # local import keeps modules acyclic
+
+    return classify(s).holds("strongly-additively-quasi-completely-inverse")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 from types import MappingProxyType
 
@@ -11,7 +12,6 @@ from semiringlab.classify import (
     THEOREM_IDS,
     ClassReport,
     Verdict,
-    _is_quasi_completely_regular,
     _is_quasi_skew_subsemiring,
     _least_b_lattice_congruence,
     _least_idempotent_congruence,
@@ -160,6 +160,36 @@ def test_classify_matches_the_per_element_reference(corpus_small, corpus_order4_
         ]
 
 
+# sha256 over every line "theorem label holds evidence" of the five
+# verify_equivalence reports and the verify_ideal_corollary report of each
+# member, in corpus order
+THEOREM_REPORTS_SHA256 = {
+    "corpus_small": "84992dabf64799385a9f07a1f820dc69c0c21a211015d9060f803ebccf85b418",
+    "corpus_order4_all": "5debd3149ea3d74e6feb26abc948865f507fa0652f8a1adf5f643ec3f5b58e7a",
+    "corpus_order5": "1c451eab141a4f88203d025d824bdaab83ab0c68cc65c88e80ff7e0aa5e343a3",
+    "corpus_order6": "0ecaecb47efe3860b15367b1cbe210b6638476d139d3361938d28c7aac3b06e3",
+}
+
+
+def test_theorem_reports_are_pinned(corpus_small, corpus_order4_all, corpus_order5, corpus_order6):
+    corpora = {
+        "corpus_small": corpus_small,
+        "corpus_order4_all": corpus_order4_all,
+        "corpus_order5": corpus_order5,
+        "corpus_order6": corpus_order6,
+    }
+    digests = {}
+    for name, members in corpora.items():
+        h = hashlib.sha256()
+        for s in members:
+            reports = [sl.verify_equivalence(s, t) for t in THEOREM_IDS] + [sl.verify_ideal_corollary(s)]
+            for r in reports:
+                for label, holds, why in r.conditions:
+                    h.update(f"{r.theorem} {label} {int(holds)} {why}\n".encode())
+        digests[name] = h.hexdigest()
+    assert digests == THEOREM_REPORTS_SHA256
+
+
 def test_verify_equivalence_qsr3_qsr3(qsr3):
     report = sl.verify_equivalence(qsr3, "QSR3")
     assert report.agreement
@@ -234,7 +264,6 @@ def test_classify_invariant_under_isomorphism(data, corpus_small):
 
 
 def test_jstar_classes_completely_archimedean_on_qcr_members(corpus_small):
-    from semiringlab.classify import _is_quasi_completely_regular
     from semiringlab.elements import is_quasi_completely_regular_semiring
 
     surveyed = 0
@@ -245,7 +274,7 @@ def test_jstar_classes_completely_archimedean_on_qcr_members(corpus_small):
         for block in sl.green_star_plus(s, "J").blocks():
             assert s.is_closed(block)
             sub = s.restrict(block)
-            assert _is_quasi_completely_regular(sub)[0]
+            assert sl.classify(sub).holds("quasi-completely-regular")
             assert sl.green_star_plus(sub, "J").num_blocks == 1
     assert surveyed > 50
 
@@ -270,7 +299,7 @@ def is_completely_archimedean_subsemiring(s, block):
     if not s.is_closed(block):
         return False
     sub = s.restrict(block)
-    return _is_quasi_completely_regular(sub)[0] and sl.green_star_plus(sub, "J").num_blocks == 1
+    return sl.classify(sub).holds("quasi-completely-regular") and sl.green_star_plus(sub, "J").num_blocks == 1
 
 
 def existence_oracles(s):

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 import semiringlab as sl
-from semiringlab.errors import BoundExceeded, NotBiIdeal, NotCongruence
+from semiringlab.errors import BoundExceeded, DimensionMismatch, NotBiIdeal, NotCongruence
 from semiringlab.classify import _least_b_lattice_congruence, _least_idempotent_congruence
 from semiringlab.relations import (
     Partition,
@@ -260,6 +260,28 @@ def test_quotient(qsr3):
     bad = sl.Congruence(Partition.from_block_of((0, 0, 1)))
     with pytest.raises(NotCongruence):
         sl.quotient(qsr3, bad)
+
+
+def test_quotient_rejects_a_partition_of_another_carrier(qsr3):
+    for block_of in ((0, 0), (0, 1, 2, 3)):
+        with pytest.raises(DimensionMismatch):
+            sl.quotient(qsr3, sl.Congruence(Partition(block_of)))
+
+
+def test_idempotent_separation_rejects_a_partition_of_another_carrier(qsr3):
+    # (0, 0) once answered False, though it partitions two elements of three
+    for block_of in ((0, 0), (0, 1, 2, 3)):
+        with pytest.raises(DimensionMismatch):
+            sl.is_idempotent_separating(qsr3, sl.Congruence(Partition(block_of)))
+
+
+def test_quotient_reads_any_block_ids(qsr3, boolean):
+    # (0, 2, 2) once died in min() over the empty block 1
+    dense = sl.quotient(qsr3, sl.rees_congruence(qsr3, {qsr3.index("b"), qsr3.index("0")}))
+    sparse = sl.quotient(qsr3, sl.Congruence(Partition((0, 2, 2))))
+    assert (sparse.names, sparse.add, sparse.mul) == (dense.names, dense.add, dense.mul)
+    assert sl.is_idempotent_separating(boolean, sl.Congruence(Partition((4, 1))))
+    assert not sl.is_idempotent_separating(boolean, sl.Congruence(Partition((3, 3))))
 
 
 def test_quotient_block_names_stay_distinct():

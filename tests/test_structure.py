@@ -257,6 +257,21 @@ def multiples(s, a):
     return seen
 
 
+def closure(s, subset):
+    """The least superset of `subset` closed under both operations: the
+    carrier of the subsemiring it generates."""
+    closed = set(subset)
+    frontier = list(closed)
+    while frontier:
+        a = frontier.pop()
+        for b in tuple(closed):
+            for v in (s.add[a][b], s.add[b][a], s.mul[a][b], s.mul[b][a]):
+                if v not in closed:
+                    closed.add(v)
+                    frontier.append(v)
+    return frozenset(closed)
+
+
 def test_sub_skew_ring_conditions_match_subset_search(
     corpus, corpus_order5, corpus_order6
 ):
@@ -278,7 +293,12 @@ def test_sub_skew_ring_conditions_match_subset_search(
             absorbing = [c for c in candidates if all(w & c for w in windows)]
             ii = bool(absorbing)
             iii = any(sl.is_bi_ideal(s, c) for c in absorbing)
-            assert (s.closure({e}) <= additive_h_class(s, e)) == bool(candidates), sl.serialize_srt(s)
+            # the ee = e lemma: the closure of {e} lies in H_e iff ee = e iff
+            # some sub-skew-ring at e exists, and then the closure is {e}
+            least = closure(s, {e})
+            exists = least <= additive_h_class(s, e)
+            assert exists == (s.mul[e][e] == e) == bool(candidates), sl.serialize_srt(s)
+            assert not exists or least == {e}, sl.serialize_srt(s)
             assert at[e] == (ii, iii), sl.serialize_srt(s)
             any_ii, any_iii = any_ii or ii, any_iii or iii
             checked += 1
