@@ -34,7 +34,7 @@ exactly one additive idempotent e_a, and P puts a and b in one block iff
 e_a = e_b. The least idempotent congruence iota is generated by a+a ~ a and
 aa ~ a; the least b-lattice congruence beta adds a+b ~ b+a. A congruence
 has an idempotent quotient iff it contains iota, and a b-lattice quotient
-iff it contains beta. Three lemmas:
+iff it contains beta. The lemmas:
 
 - (A) A block closed under addition that holds a holds every multiple of a,
   so it holds e_a. A quasi skew-ring has exactly one additive idempotent, so
@@ -61,17 +61,28 @@ iff it contains beta. Three lemmas:
   and by (C) the additive orbit windows of B are the windows in S of its
   elements. So whether B is a quasi skew-ring is read off the analysis of
   S, and no block is built as a semiring for it.
+- (E) Let S be quasi completely regular with each additively regular
+  element in a subgroup of (S, +) (GV; QCR5 (iv) checks this, never
+  assumes it), and B a block closed under addition. Then J*+ of B is J*+
+  of S cut down to B. (1) The least regular multiple pa lies in a subgroup
+  and its group inverse, a multiple of pa, lies in B, so pa is the least
+  multiple regular in B too. (2) On elements regular in B, L and R of B are
+  those of S: if v = v + v' + v with v' in B and u = t + v, then
+  u = (u + v') + v. (3) If u D v in S, every H-class of their D-class is a
+  group, so v + u lies in R_v, in L_u (Miller and Clifford; Howie,
+  Fundamentals of Semigroup Theory, 1995, 2.3) and in B: u D v in B.
 
 So QCR5 (iii) asks whether every block of P is a quasi skew subsemiring.
 QCR5 (v) and QCI5 (v) ask, besides, whether P is a congruence containing
 iota or beta; as P refines both, that is whether P equals iota or beta.
 QCR5 (iv) asks for a congruence containing beta whose classes are completely
 Archimedean subsemirings. The classes cover S, so by (C) S must be quasi
-completely regular, and then a class qualifies iff it has a single J*+
-class: only the J*+ check builds the class as a semiring. Its candidates
-are the congruences above beta, which `relations.congruences_above`
-yields lazily with beta first, so the scan stops at the first one that
-qualifies.
+completely regular. A class of a congruence containing beta is closed
+under both operations, its quotient being idempotent, so by (C) and (E) it
+qualifies iff J*+ of S holds it whole: the congruence qualifies iff it
+refines J*+. Beta is the least congruence containing beta, so (iv) holds
+iff S is quasi completely regular and beta refines J*+; no class is built
+and no congruence above beta is enumerated.
 """
 
 from __future__ import annotations
@@ -95,13 +106,13 @@ from .kernel import (
 )
 from .elements import (
     additive_idempotents,
+    commuting_witnesses,
     complete_regularity,
     first_without_completely_regular_multiple,
     reg_plus,
 )
 from .relations import (
     Partition,
-    congruences_above,
     generated_congruence,
     green_plus,
     green_star_plus,
@@ -225,13 +236,23 @@ def _is_regular_part_inverse_subsemiring(s: FiniteSemiring):
                 return False, f"{s.names[a]}+{s.names[b]} leaves Reg+"
             if s.mul[a][b] not in regset:
                 return False, f"{s.names[a]}*{s.names[b]} leaves Reg+"
-    # an inverse of a in Reg+ is an inverse of a in S that lies in Reg+
+    # V+(a) lies in Reg+: a is in V+(x) for each x in V+(a)
     inv = inverses(s, ADD)
     for a in regs:
-        count = len(inv[a] & regset)
+        count = len(inv[a])
         if count != 1:
             return False, f"Reg+ additive reduct not inverse: {s.names[a]} has {count} additive inverses"
     return True, ""
+
+
+def _is_generalized_clifford(s: FiniteSemiring, carrier) -> bool:
+    """The carrier, all of s or a closed Reg+, is generalized Clifford: each
+    element completely regular with one additive inverse, E+ a k-ideal of
+    it. V+(a) lies in Reg+, as a lies in V+(x) for x in V+(a), so on Reg+
+    V+ and all it decides (witnesses, complete regularity, E+) are of s."""
+    cr, inv = complete_regularity(s), inverses(s, ADD)
+    idems = frozenset(e for e in carrier if s.add[e][e] == e)
+    return all(cr[a] and len(inv[a]) == 1 for a in carrier) and _is_k_ideal(s, idems, carrier)
 
 
 def _sum_closed_idempotents(s: FiniteSemiring):
@@ -264,7 +285,7 @@ def classify(s: FiniteSemiring) -> ClassReport:
     # each of these holds iff nothing breaks it
     inv, aqi, cr, qcr, comm_ok = (not why for why in (inv_why, aqi_why, cr_why, qcr_why, comm_why))
     # E+ is nonempty: every additive orbit holds an idempotent
-    gc = cr and inv and _is_k_ideal(s, av.idempotents)
+    gc = cr and inv and _is_generalized_clifford(s, s.elements())
     qsr = quasi_skew_ring_check(s)
     # `kernel.is_b_lattice`, with the additive flag read off the record
     blat = av.semilattice and ReductFlag.BAND in reduct_kind(s, MUL)
@@ -335,19 +356,11 @@ def _is_quasi_skew_subsemiring(s: FiniteSemiring, block: frozenset[int]) -> bool
     return s.is_closed(block) and quasi_skew_ring_check(s, block).skew_ring_absorbs_multiples
 
 
-def _has_one_jstar_class(s: FiniteSemiring, block: frozenset[int]) -> bool:
-    """The block is a subsemiring with a single J*+ class. When S is quasi
-    completely regular, so is the block, by lemma (C), and this says the
-    block is a completely Archimedean subsemiring."""
-    sub = s.subsemiring(block)
-    return sub is not None and green_star_plus(sub, "J").num_blocks == 1
-
-
 @memo(table=addition)
 def _orbit_idempotent_partition(s: FiniteSemiring) -> Partition:
     """P: a and b share a block iff their additive orbits hold the same
     additive idempotent (see the module docstring)."""
-    return Partition.from_block_of(
+    return Partition(
         next(v for v in orb.values if s.add[v][v] == v) for orb in orbits(s, ADD)
     )
 
@@ -388,15 +401,16 @@ def _is_b_lattice_of_completely_archimedean(s: FiniteSemiring) -> bool:
     """Some congruence with a b-lattice quotient, that is some congruence
     containing beta, has completely Archimedean subsemirings as classes.
     Every element lies in some class, so by lemma (C) S must be quasi
-    completely regular, and then each class needs one J*+ class alone."""
+    completely regular, and then by lemma (E) beta qualifies iff it refines
+    J*+, and some congruence does iff beta does."""
     if not classify(s).holds("quasi-completely-regular"):
         return False
-    # beta itself leads: on the quasi completely regular members of the test
-    # corpora it is J*+ and qualifies, so no other congruence is built
-    return any(
-        all(_has_one_jstar_class(s, b) for b in rho.blocks())
-        for rho in congruences_above(s, _least_b_lattice_congruence(s))
-    )
+    witnesses = commuting_witnesses(s)
+    for a in sorted(reg_plus(s)):
+        if witnesses[a] is None:
+            raise InternalTheoremViolation(f"{s.names[a]} is additively regular but in no "
+                                           f"additive subgroup of the quasi completely regular {s!r}")
+    return _least_b_lattice_congruence(s).refines(green_star_plus(s, "J"))
 
 
 def _premise(s: FiniteSemiring, key: str) -> tuple[bool, str]:
@@ -513,8 +527,8 @@ def verify_ideal_corollary(s: FiniteSemiring) -> TheoremReport:
     idems = additive_idempotents(s)
     rhs = (
         report.holds("quasi-completely-inverse")
-        and _is_ideal(s, regs)
-        and _is_ideal(s, idems)
+        and _is_ideal(s, regs, s.elements())
+        and _is_ideal(s, idems, s.elements())
     )
     return TheoremReport(
         theorem="IDEALS",

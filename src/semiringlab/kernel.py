@@ -207,18 +207,9 @@ class FiniteSemiring:
 
     def restrict(self, subset) -> FiniteSemiring:
         """Subsemiring on a closed subset, carrier order preserved."""
-        sub = set(subset)
-        t = self.subsemiring(sub)
-        if t is None:
-            raise ValueError(f"subset {sorted(self.names[i] for i in sub)} is not closed")
-        return t
-
-    def subsemiring(self, subset) -> FiniteSemiring | None:
-        """Like `restrict`, but None when the subset is not closed, so a
-        caller that only wants closed blocks scans each block once."""
         sub = sorted(set(subset))
         if not self.is_closed(sub):
-            return None
+            raise ValueError(f"subset {sorted(self.names[i] for i in sub)} is not closed")
         back = {old: new for new, old in enumerate(sub)}
         return FiniteSemiring(
             names=tuple(self.names[i] for i in sub),

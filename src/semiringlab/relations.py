@@ -17,24 +17,21 @@ CONGRUENCE_BOUND = 6
 
 @dataclass(frozen=True)
 class Partition:
-    """Equivalence relation on 0..n-1; block ids dense, numbered by first
-    occurrence, so equal partitions compare equal."""
+    """Equivalence relation on 0..n-1, given by a block id per element. The
+    ids may be any hashable values in any iterable; construction renumbers
+    them densely by first occurrence, so equal partitions compare equal."""
 
     block_of: tuple[int, ...]
 
-    @staticmethod
-    def from_block_of(block_of) -> Partition:
+    def __post_init__(self):
         relabel = {}
-        normal = []
-        for b in block_of:
-            if b not in relabel:
-                relabel[b] = len(relabel)
-            normal.append(relabel[b])
-        return Partition(block_of=tuple(normal))
+        object.__setattr__(
+            self, "block_of", tuple([relabel.setdefault(b, len(relabel)) for b in self.block_of])
+        )
 
     @staticmethod
     def identity(n: int) -> Partition:
-        return Partition(block_of=tuple(range(n)))
+        return Partition(range(n))
 
     @staticmethod
     def universal(n: int) -> Partition:
@@ -94,12 +91,12 @@ def green_plus(s: FiniteSemiring, kind: str) -> Partition:
     if kind not in GREEN_KINDS:
         raise ValueError(f"unknown Green relation kind {kind!r}")
     if kind in ("L", "R"):
-        return Partition.from_block_of(_principal_sets(s, kind))
+        return Partition(_principal_sets(s, kind))
     left, right = green_plus(s, "L"), green_plus(s, "R")
     if kind == "H":
-        return Partition.from_block_of(zip(left.block_of, right.block_of))
+        return Partition(zip(left.block_of, right.block_of))
     met = [frozenset(right.block_of[y] for y in block) for block in left.blocks()]
-    return Partition.from_block_of(met[b] for b in left.block_of)
+    return Partition(met[b] for b in left.block_of)
 
 
 @memo(table=addition)
@@ -110,12 +107,14 @@ def green_star_plus(s: FiniteSemiring, kind: str) -> Partition:
     This pullback is the starred relation of every kind. It preserves
     meets, so H* is L* meet R*, and D* = J* since D = J."""
     base = green_plus(s, kind)
-    return Partition.from_block_of(base.block_of[v] for _, v in least_regular_multiples(s))
+    return Partition(base.block_of[v] for _, v in least_regular_multiples(s))
 
 
 def is_semiring_congruence_partition(s: FiniteSemiring, p: Partition) -> bool:
     """Compatible with both tables: a ~ a' forces a+b ~ a'+b, b+a ~ b+a',
-    ab ~ a'b and ba ~ ba' for every b."""
+    ab ~ a'b and ba ~ ba' for every b. DimensionMismatch unless p covers
+    the carrier of s."""
+    _check_carrier(s, p)
     add, mul = s.add, s.mul
     n = s.order
     for a in range(n):
@@ -162,7 +161,7 @@ def _closure(s: FiniteSemiring, block: list[int], pairs) -> Partition:
             ):
                 if block[x] != block[y]:
                     todo.append((x, y))
-    return Partition.from_block_of(block)
+    return Partition(block)
 
 
 def congruences_above(s: FiniteSemiring, theta: Partition):
@@ -202,18 +201,16 @@ def enumerate_congruences(s: FiniteSemiring, bound: int = CONGRUENCE_BOUND) -> l
     return [Congruence(partition=p) for p in found]
 
 
-def _partition_of(s: FiniteSemiring, c: Congruence) -> Partition:
-    """The partition of c with dense block ids, whatever ids it was given;
-    DimensionMismatch unless it covers the carrier of s."""
-    p = c.partition
+def _check_carrier(s: FiniteSemiring, p: Partition) -> Partition:
+    """p; DimensionMismatch unless it covers the carrier of s."""
     if p.n != s.order:
         raise DimensionMismatch(f"partition of {p.n} elements, expected {s.order}")
-    return Partition.from_block_of(p.block_of)
+    return p
 
 
 def is_idempotent_separating(s: FiniteSemiring, c: Congruence) -> bool:
     """No two distinct additive idempotents share a class."""
-    p = _partition_of(s, c)
+    p = _check_carrier(s, c.partition)
     idems = sorted(additive_idempotents(s))
     return all(
         not p.same(e, f)
@@ -229,7 +226,7 @@ def rees_congruence(s: FiniteSemiring, ideal) -> Congruence:
     if not is_bi_ideal(s, ideal):
         raise NotBiIdeal(f"{sorted(s.names[i] for i in ideal)} is not a bi-ideal")
     marker = min(ideal)
-    p = Partition.from_block_of([marker if i in ideal else i for i in s.elements()])
+    p = Partition([marker if i in ideal else i for i in s.elements()])
     assert is_semiring_congruence_partition(s, p), "Rees partition of a bi-ideal is a congruence"
     return Congruence(partition=p)
 
@@ -237,7 +234,7 @@ def rees_congruence(s: FiniteSemiring, ideal) -> Congruence:
 def quotient(s: FiniteSemiring, c: Congruence) -> FiniteSemiring:
     """Block semiring; block names join member names with '|'. A joined name
     that an earlier block already took gets primes (') until it is unused."""
-    p = _partition_of(s, c)
+    p = c.partition
     if not is_semiring_congruence_partition(s, p):
         raise NotCongruence("partition is not compatible with both tables")
     blocks = p.blocks()

@@ -61,30 +61,27 @@ def _check_subset(s: FiniteSemiring, subset) -> frozenset[int]:
 
 
 def is_ideal(s: FiniteSemiring, subset) -> bool:
-    return _is_ideal(s, _check_subset(s, subset))
+    return _is_ideal(s, _check_subset(s, subset), s.elements())
 
 
-def _is_ideal(s: FiniteSemiring, sub: frozenset[int]) -> bool:
-    """`is_ideal` of a nonempty set of elements of s, which it does not check."""
+def _is_ideal(s: FiniteSemiring, sub: frozenset[int], carrier) -> bool:
+    """`is_ideal` of a nonempty set of elements of s in the closed carrier,
+    neither of which it checks."""
     return all(s.add[a][b] in sub for a in sub for b in sub) and all(
-        s.mul[x][a] in sub and s.mul[a][x] in sub for a in sub for x in s.elements()
+        s.mul[x][a] in sub and s.mul[a][x] in sub for a in sub for x in carrier
     )
 
 
 def is_k_ideal(s: FiniteSemiring, subset) -> bool:
-    return _is_k_ideal(s, _check_subset(s, subset))
+    return _is_k_ideal(s, _check_subset(s, subset), s.elements())
 
 
-def _is_k_ideal(s: FiniteSemiring, sub: frozenset[int]) -> bool:
-    """`is_k_ideal` of a nonempty set of elements of s, which it does not
-    check."""
-    if not _is_ideal(s, sub):
-        return False
-    for a in sub:
-        for x in s.elements():
-            if (s.add[a][x] in sub or s.add[x][a] in sub) and x not in sub:
-                return False
-    return True
+def _is_k_ideal(s: FiniteSemiring, sub: frozenset[int], carrier) -> bool:
+    """`is_k_ideal` of a nonempty set of elements of s in the closed carrier,
+    neither of which it checks."""
+    return _is_ideal(s, sub, carrier) and all(
+        x in sub for a in sub for x in carrier if s.add[a][x] in sub or s.add[x][a] in sub
+    )
 
 
 def _absorbs(s: FiniteSemiring, ideal, carrier) -> bool:
@@ -418,7 +415,7 @@ def psi(s: FiniteSemiring, d: Decomposition) -> PsiMap:
 def psi_tilde(s: FiniteSemiring, d: Decomposition) -> Partition:
     """Kernel partition of psi: fibers of a |-> a + e_alpha."""
     p = psi(s, d)
-    fibers = Partition.from_block_of(p.images)
+    fibers = Partition(p.images)
     regs = sorted(reg_plus(s))
     for i, r in enumerate(regs):
         for r2 in regs[i + 1:]:

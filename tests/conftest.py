@@ -413,8 +413,7 @@ def corpus_order4_all():
 
 def quasi_skew_subsemiring_by_building(s, block):
     """The block is closed and, built as a semiring, a quasi skew-ring."""
-    sub = s.subsemiring(block)
-    return sub is not None and sl.quasi_skew_ring_check(sub).skew_ring_absorbs_multiples
+    return s.is_closed(block) and sl.quasi_skew_ring_check(s.restrict(block)).skew_ring_absorbs_multiples
 
 
 def regular_part_inverse_by_building(s):

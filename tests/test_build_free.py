@@ -2,7 +2,6 @@
 off the tables of s and build no semiring; each agrees with the build-based
 definition it replaced."""
 
-import importlib
 import random
 
 import pytest
@@ -11,7 +10,7 @@ import semiringlab as sl
 from semiringlab import blattice
 from semiringlab.blattice import _family_presents, _search_family
 from semiringlab.classify import (
-    _has_one_jstar_class,
+    _is_generalized_clifford,
     _is_quasi_skew_subsemiring,
     _is_regular_part_inverse_subsemiring,
     _orbit_idempotent_partition,
@@ -27,8 +26,6 @@ from conftest import (
     zn,
 )
 
-classify_module = importlib.import_module("semiringlab.classify")
-
 SAQCI = "strongly-additively-quasi-completely-inverse"
 
 
@@ -37,15 +34,16 @@ def test_block_and_reg_plus_checks_match_the_built_semirings(
 ):
     members = list(corpus_small) + list(corpus_order4_all) + list(corpus_order5) + list(corpus_order6)
     closed = open_ = reg_false = 0
+    clifford = {True: 0, False: 0}
     for s in members:
         blocks = set(sl.green_star_plus(s, "H").blocks()) | set(_orbit_idempotent_partition(s).blocks())
         for block in blocks:
-            sub = s.subsemiring(block)
             assert _is_quasi_skew_subsemiring(s, block) == quasi_skew_subsemiring_by_building(s, block)
-            if sub is None:
+            if not s.is_closed(block):
                 open_ += 1
                 continue
             closed += 1
+            sub = s.restrict(block)
             # the whole report, its kernel carried back into the indices of s
             new, old = sl.quasi_skew_ring_check(s, block), sl.quasi_skew_ring_check(sub)
             ordered = sorted(block)
@@ -56,7 +54,14 @@ def test_block_and_reg_plus_checks_match_the_built_semirings(
         got = _is_regular_part_inverse_subsemiring(s)
         assert got == regular_part_inverse_by_building(s), sl.serialize_srt(s)
         reg_false += not got[0]
+        # main-theorem condition (i): Reg+ generalized Clifford, read off s
+        regs = sl.reg_plus(s)
+        if s.is_closed(regs):
+            got = _is_generalized_clifford(s, regs)
+            assert got == sl.classify(s.restrict(regs)).holds("generalized-clifford"), sl.serialize_srt(s)
+            clifford[got] += 1
     assert closed > 10000 and open_ > 100 and reg_false > 100
+    assert min(clifford.values()) > 100, clifford
 
 
 def test_every_search_leaf_agrees_with_compose(monkeypatch, corpus_order4_all):
@@ -108,21 +113,15 @@ def test_one_image_perturbations_agree_with_compose(corpus_small, corpus_order4)
 
 @pytest.fixture
 def builds(monkeypatch):
-    """How many FiniteSemiring objects are constructed, and how many blocks
-    _has_one_jstar_class built as semirings."""
-    counts = {"semirings": 0, "jstar": 0}
+    """How many FiniteSemiring objects are constructed."""
+    counts = {"semirings": 0}
     post_init = FiniteSemiring.__post_init__
 
     def counting(self):
         counts["semirings"] += 1
         post_init(self)
 
-    def jstar(s, block):
-        counts["jstar"] += s.is_closed(block)
-        return _has_one_jstar_class(s, block)
-
     monkeypatch.setattr(FiniteSemiring, "__post_init__", counting)
-    monkeypatch.setattr(classify_module, "_has_one_jstar_class", jstar)
     return counts
 
 
@@ -145,25 +144,25 @@ def test_decompose_builds_only_the_quotient(builds, corpus_small, corpus_order4)
     assert decomposed > 100
 
 
-def test_the_verifiers_build_only_the_jstar_classes(builds, corpus_small, corpus_order4):
+def test_the_verifiers_build_nothing(builds, corpus_small, corpus_order4):
+    """QCR5, SAQCI3, and the family check and the main-theorem conditions on
+    a found family, read everything off s: QCR5 (iv) by lemma (E) of the
+    classify docstring, main-theorem condition (i) with Reg+ judged in
+    place."""
     members = list(corpus_small) + list(corpus_order4) + [zn(6), zn(8)]
     tally = {"qcr": 0, "not-qcr": 0, "families": 0}
     for s in members:
         report = sl.classify(s)
-        qcr5 = _built_by(builds, lambda: sl.verify_equivalence(s, "QCR5"))
-        # the J*+ check of QCR5 (iv) alone builds, and only where S is
-        # quasi completely regular
-        assert qcr5["semirings"] == qcr5["jstar"], sl.serialize_srt(s)
-        if not report.holds("quasi-completely-regular"):
-            assert qcr5["semirings"] == 0
-            tally["not-qcr"] += 1
-        else:
-            tally["qcr"] += 1
-        assert _built_by(builds, lambda: sl.verify_equivalence(s, "SAQCI3"))["semirings"] == 0
+        tally["qcr" if report.holds("quasi-completely-regular") else "not-qcr"] += 1
+        for theorem in ("QCR5", "SAQCI3"):
+            built = _built_by(builds, lambda: sl.verify_equivalence(s, theorem))
+            assert built["semirings"] == 0, (theorem, sl.serialize_srt(s))
         if report.holds(SAQCI):
             d = sl.decompose(s)
             m = sl.search_structure_maps(s)
             if m is not None:
-                assert _built_by(builds, lambda: _family_presents(s, d, m))["semirings"] == 0
+                for check in (_family_presents, sl.check_main_theorem_conditions):
+                    built = _built_by(builds, lambda: check(s, d, m))
+                    assert built["semirings"] == 0, (check.__name__, sl.serialize_srt(s))
                 tally["families"] += 1
     assert min(tally.values()) > 20, tally

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import sys
 from types import MappingProxyType
 
 import pytest
@@ -25,6 +26,7 @@ from conftest import direct_product, set_partitions, zn
 
 # the package exports the function classify under the module's name
 classify_module = importlib.import_module("semiringlab.classify")
+relations_module = importlib.import_module("semiringlab.relations")
 
 
 def test_classify_qsr3(qsr3):
@@ -263,20 +265,33 @@ def test_classify_invariant_under_isomorphism(data, corpus_small):
         assert original.holds(key) == mapped.holds(key), key
 
 
-def test_jstar_classes_completely_archimedean_on_qcr_members(corpus_small):
-    from semiringlab.elements import is_quasi_completely_regular_semiring
+def test_jstar_classes_completely_archimedean_on_qcr_members(
+    corpus_small, corpus_order4_all, corpus_order5, corpus_order6
+):
+    """Lemma (E) of the classify docstring, and the GV fact it rests on: on
+    a quasi completely regular member every additively regular element has
+    a commuting witness, and J*+ of each beta-class and each J*+ class B,
+    built as a semiring, is J*+ of s cut down to B."""
+    from semiringlab.elements import commuting_witnesses, is_quasi_completely_regular_semiring
 
     surveyed = 0
-    for s in corpus_small:
+    for s in list(corpus_small) + list(corpus_order4_all) + list(corpus_order5) + list(corpus_order6):
         if not is_quasi_completely_regular_semiring(s):
             continue
         surveyed += 1
-        for block in sl.green_star_plus(s, "J").blocks():
-            assert s.is_closed(block)
-            sub = s.restrict(block)
-            assert sl.classify(sub).holds("quasi-completely-regular")
-            assert sl.green_star_plus(sub, "J").num_blocks == 1
-    assert surveyed > 50
+        witnesses = commuting_witnesses(s)
+        assert all(witnesses[a] is not None for a in sl.reg_plus(s)), sl.serialize_srt(s)
+        jstar = sl.green_star_plus(s, "J")
+        for partition in (_least_b_lattice_congruence(s), jstar):
+            for block in partition.blocks():
+                assert s.is_closed(block)
+                sub = s.restrict(block)
+                ordered = sorted(block)
+                got = {frozenset(ordered[i] for i in b) for b in sl.green_star_plus(sub, "J").blocks()}
+                assert got == {b & block for b in jstar.blocks()} - {frozenset()}, sl.serialize_srt(s)
+        for block in jstar.blocks():
+            assert sl.classify(s.restrict(block)).holds("quasi-completely-regular")
+    assert surveyed > 1000
 
 
 def orbit_idempotent_partition(s):
@@ -290,7 +305,7 @@ def orbit_idempotent_partition(s):
             multiples.add(value)
         (e,) = (v for v in multiples if s.add[v][v] == v)
         idempotent_of.append(e)
-    return Partition.from_block_of(idempotent_of)
+    return Partition(idempotent_of)
 
 
 def is_completely_archimedean_subsemiring(s, block):
@@ -357,30 +372,30 @@ def test_existence_conditions_match_set_partition_scan(corpus, corpus_order5, co
 def test_existence_conditions_scan_only_coarsenings_of_the_idempotent_partition(
     monkeypatch, boolean, left_zero
 ):
+    """No verifier enumerates congruences: QCR5 (iv) compares beta with J*+
+    (lemma (E)), and the other existence conditions compare P with iota and
+    beta. The verdicts still agree where no set partition scan could run."""
     scanned = []
-    above = classify_module.congruences_above
+    above = relations_module.congruences_above
 
     def counting(s, theta):
-        for rho in above(s, theta):
-            scanned.append(rho)
-            yield rho
+        scanned.append(theta)
+        return above(s, theta)
 
-    monkeypatch.setattr(classify_module, "congruences_above", counting)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "semiringlab" and hasattr(module, "congruences_above"):
+            monkeypatch.setattr(module, "congruences_above", counting)
     # Z_20 has 5.2e13 set partitions; its one additive idempotent leaves one
     for s in (zn(20), direct_product(zn(2), zn(9)), boolean, left_zero):
-        p = orbit_idempotent_partition(s)
-        bell = sum(1 for _ in set_partitions(p.num_blocks))
         for theorem in ("QCR5", "QCI5"):
-            scanned.clear()
             report = sl.verify_equivalence(s, theorem)
             assert report.agreement, (theorem, s, report.verdicts)
-            assert len(scanned) <= bell, (theorem, s, len(scanned))
-            assert all(p.refines(rho) for rho in scanned), (theorem, s)
+    assert scanned == []
 
 
 def meet(partitions):
     """a ~ b iff a ~ b in every one of `partitions`."""
-    return Partition.from_block_of(zip(*(p.block_of for p in partitions)))
+    return Partition(zip(*(p.block_of for p in partitions)))
 
 
 def test_beta_and_iota_are_the_least_b_lattice_and_idempotent_congruences(corpus):
@@ -394,22 +409,27 @@ def test_beta_and_iota_are_the_least_b_lattice_and_idempotent_congruences(corpus
             # the universal congruence always qualifies
             assert qualifying, sl.serialize_srt(s)
             assert least(s) == meet(qualifying), (least.__name__, sl.serialize_srt(s))
-        # QCR5 (iv) tries beta first, expecting the J*+ classes
+        # QCR5 (iv) asks whether beta refines J*+ (lemma (E)); here it is J*+
         if sl.classify(s).holds("quasi-completely-regular"):
             assert _least_b_lattice_congruence(s) == sl.green_star_plus(s, "J"), sl.serialize_srt(s)
 
 
-def test_qcr5_iv_builds_no_block_semiring_on_a_non_qcr_member(monkeypatch, corpus, min_const):
-    members = [min_const] + [s for s in corpus if not sl.classify(s).holds("quasi-completely-regular")]
-    assert len(members) > 50
+def test_qcr5_iv_builds_no_semiring(monkeypatch, corpus, min_const):
+    """QCR5 (iv) builds no semiring, whether S is quasi completely regular
+    or not, and is false wherever it is not."""
     built = []
-    subsemiring = sl.FiniteSemiring.subsemiring
+    post_init = sl.FiniteSemiring.__post_init__
 
-    def counting(self, subset):
-        built.append(subset)
-        return subsemiring(self, subset)
+    def counting(self):
+        built.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(sl.FiniteSemiring, "subsemiring", counting)
-    for s in members:
-        assert not classify_module._is_b_lattice_of_completely_archimedean(s), sl.serialize_srt(s)
+    monkeypatch.setattr(sl.FiniteSemiring, "__post_init__", counting)
+    tally = {True: 0, False: 0}
+    for s in [min_const] + list(corpus):
+        holds = classify_module._is_b_lattice_of_completely_archimedean(s)
+        if not sl.classify(s).holds("quasi-completely-regular"):
+            assert not holds, sl.serialize_srt(s)
+        tally[holds] += 1
     assert built == []
+    assert min(tally.values()) > 50, tally

@@ -67,7 +67,7 @@ def _join(p, q):
             block = sorted(block)
             for other in block[1:]:
                 parent[find(other)] = find(block[0])
-    return Partition.from_block_of([find(x) for x in range(p.n)])
+    return Partition([find(x) for x in range(p.n)])
 
 
 def test_d_is_join_of_l_and_r(corpus):
@@ -77,7 +77,7 @@ def test_d_is_join_of_l_and_r(corpus):
         for green in (sl.green_plus, sl.green_star_plus):
             l, r = green(s, "L"), green(s, "R")
             assert green(s, "D") == _join(l, r), (green.__name__, s)
-            assert green(s, "H") == Partition.from_block_of(zip(l.block_of, r.block_of)), (
+            assert green(s, "H") == Partition(zip(l.block_of, r.block_of)), (
                 green.__name__, s)
 
 
@@ -93,7 +93,7 @@ def j_oracle(s):
         ideal.update(add[x][t] for t in range(n))
         ideal.update(add[add[t][x]][u] for t in range(n) for u in range(n))
         ideals.append(frozenset(ideal))
-    return Partition.from_block_of(ideals)
+    return Partition(ideals)
 
 
 def test_d_and_j_match_the_two_sided_ideal_oracle(corpus_small, corpus_order4_all, corpus_order5, corpus_order6):
@@ -101,7 +101,7 @@ def test_d_and_j_match_the_two_sided_ideal_oracle(corpus_small, corpus_order4_al
     # through least regular multiples
     for s in corpus_small + corpus_order4_all + corpus_order5 + corpus_order6:
         j = j_oracle(s)
-        jstar = Partition.from_block_of(j.block_of[v] for _, v in least_regular_multiples(s))
+        jstar = Partition(j.block_of[v] for _, v in least_regular_multiples(s))
         for kind in "DJ":
             assert sl.green_plus(s, kind) == j, (kind, sl.serialize_srt(s))
             assert sl.green_star_plus(s, kind) == jstar, (kind, sl.serialize_srt(s))
@@ -127,7 +127,7 @@ def congruence_oracle(s):
     n = s.order
     found = []
     for assignment in product(range(n), repeat=n):
-        p = Partition.from_block_of(assignment)
+        p = Partition(assignment)
         if p in found:
             continue
         ok = True
@@ -257,7 +257,7 @@ def test_quotient(qsr3):
     assert sl.quotient(qsr3, eps).order == 3
     omega = sl.Congruence(Partition.universal(3))
     assert sl.quotient(qsr3, omega).order == 1
-    bad = sl.Congruence(Partition.from_block_of((0, 0, 1)))
+    bad = sl.Congruence(Partition((0, 0, 1)))
     with pytest.raises(NotCongruence):
         sl.quotient(qsr3, bad)
 
@@ -284,12 +284,39 @@ def test_quotient_reads_any_block_ids(qsr3, boolean):
     assert not sl.is_idempotent_separating(boolean, sl.Congruence(Partition((3, 3))))
 
 
+def test_partitions_with_the_same_blocks_are_equal():
+    # (0, 2, 2) once kept its ids, so it differed from (0, 1, 1)
+    assert Partition((0, 2, 2)) == Partition((0, 1, 1))
+    assert hash(Partition(("x", "y", "y"))) == hash(Partition((0, 1, 1)))
+    assert Partition((0, 2, 2)).block_of == (0, 1, 1)
+
+
+def test_partition_blocks_are_its_classes():
+    # (0, 2, 2) once had an empty block 1 and three blocks
+    p = Partition((0, 2, 2))
+    assert p.num_blocks == 2
+    assert p.blocks() == (frozenset({0}), frozenset({1, 2}))
+
+
+def test_a_congruence_with_any_block_ids_is_enumerated(qsr3):
+    # qsr3 = {a, b, 0}: {a} | {b, 0} is a congruence
+    assert is_semiring_congruence_partition(qsr3, Partition((0, 2, 2)))
+    assert sl.Congruence(Partition((0, 2, 2))) in sl.enumerate_congruences(qsr3)
+
+
+def test_congruence_partition_check_rejects_another_carrier(qsr3):
+    # (0, 0, 0, 0) was once a congruence of 3 elements; (0, 0) an IndexError
+    for block_of in ((0, 0), (0, 0, 0, 0)):
+        with pytest.raises(DimensionMismatch):
+            is_semiring_congruence_partition(qsr3, Partition(block_of))
+
+
 def test_quotient_block_names_stay_distinct():
     # the 3-chain with max for both operations; joining {a, b} gives the
     # name of the third element
     chain = tuple(tuple(max(i, j) for j in range(3)) for i in range(3))
     s = sl.FiniteSemiring(names=("a", "b", "a|b"), add=chain, mul=chain)
-    c = sl.Congruence(Partition.from_block_of((0, 0, 1)))
+    c = sl.Congruence(Partition((0, 0, 1)))
     assert c in sl.enumerate_congruences(s)
     q = sl.quotient(s, c)
     assert q.names == ("a|b", "a|b'")
