@@ -16,8 +16,8 @@ the classes for the kernel family of the main theorem's condition (i).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import (
     DomainMismatch,
@@ -64,8 +64,7 @@ def comparable_pairs(y: FiniteSemiring, include_diagonal: bool = False):
                 yield alpha, beta
 
 
-@dataclass(frozen=True)
-class StrongBLatticeSpec:
+class StrongBLatticeSpec(NamedTuple):
     """An indexing b-lattice, one component semiring per index, and for each
     comparable pair an element map given in component-local indices. Diagonal
     maps may be omitted; they are the identity. A map for a pair that is not
@@ -300,8 +299,7 @@ def compose(spec: StrongBLatticeSpec) -> FiniteSemiring:
     return out
 
 
-@dataclass(frozen=True)
-class StructureMaps:
+class StructureMaps(NamedTuple):
     """Element maps T_alpha -> T_beta in base-carrier indices, one for each
     comparable pair; a diagonal map may be omitted, as it is the identity.
     Restricted to the kernels they are the theta family of the main
@@ -442,8 +440,7 @@ def _family_presents(s: FiniteSemiring, d: Decomposition, m: StructureMaps) -> b
 CONDITION_KEYS = ("i", "ii-mono", "ii1", "ii2", "ii3", "ii4", "ii5", "iii")
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     verdicts: dict[str, bool]
     witnesses: dict[str, str]
 

@@ -88,7 +88,6 @@ and no congruence above beta is enumerated.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -145,14 +144,12 @@ CLASS_KEYS = (
 THEOREM_IDS = ("QSR3", "QCR5", "QCI5", "SAQCI3", "HJEQ")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     holds: bool
     evidence: str = ""
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     # read-only: the memo hands the same report to every caller
     verdicts: Mapping[str, Verdict]
 
@@ -163,8 +160,7 @@ class ClassReport:
         return tuple(k for k in CLASS_KEYS if self.verdicts[k].holds)
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     theorem: str
     conditions: tuple[tuple[str, bool, str], ...]
 
@@ -188,8 +184,6 @@ def _first_without_quasi_inverse_multiple(s: FiniteSemiring) -> int | None:
     )
 
 
-# a named tuple, not a dataclass: a frozen dataclass costs about 1 ms of
-# import time, which every CLI run pays
 class _AdditiveVerdicts(NamedTuple):
     """What the verdicts of `classify` that read the addition alone need, as
     element indices: the first element outside Reg+; the first element

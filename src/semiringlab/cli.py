@@ -13,7 +13,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .errors import SampleShortfallWarning, SemiringError
+from .errors import PreconditionFailed, SampleShortfallWarning, SemiringError
 from .kernel import validate
 from .relations import CONGRUENCE_BOUND, enumerate_congruences, is_idempotent_separating
 from .structure import decompose
@@ -62,6 +62,17 @@ def _load(path: str):
     return load_srt(Path(path))
 
 
+def _load_semiring(path: str):
+    """The table of an analysis command, which must satisfy the semiring
+    laws: PreconditionFailed names the first failed law and its witness."""
+    s = _load(path)
+    failures = validate(s).failures
+    if failures:
+        law, witness = failures[0]
+        raise PreconditionFailed(f"{path}: not a semiring: {law} fails at ({', '.join(witness)})")
+    return s
+
+
 def _emit(report: Report) -> None:
     sys.stdout.write(report.render())
 
@@ -78,7 +89,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    s = _load(args.file)
+    s = _load_semiring(args.file)
     result = classify(s)
     report = Report()
     report.add("order", s.order)
@@ -105,7 +116,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    s = _load(args.file)
+    s = _load_semiring(args.file)
     d = decompose(s)
     report = Report()
     report.add("classes", d.y_order)
@@ -165,7 +176,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_maps(args) -> int:
-    s = _load(args.file)
+    s = _load_semiring(args.file)
     d = decompose(s)
     maps = search_structure_maps(s)
     report = Report()
@@ -191,7 +202,7 @@ def _cmd_maps(args) -> int:
 
 
 def _cmd_congruences(args) -> int:
-    s = _load(args.file)
+    s = _load_semiring(args.file)
     congs = enumerate_congruences(s, bound=args.bound)
     report = Report()
     report.add("count", len(congs))

@@ -11,7 +11,7 @@ per-element functions check the index and read the vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedWitness
 from .kernel import ADD, FiniteSemiring, addition, check_element, inverses, memo, orbits
@@ -22,8 +22,7 @@ def additive_idempotents(s: FiniteSemiring) -> frozenset[int]:
     return frozenset(e for e in s.elements() if s.add[e][e] == e)
 
 
-@dataclass(frozen=True)
-class InverseSet:
+class InverseSet(NamedTuple):
     element: int
     inverses: frozenset[int]
 
@@ -83,8 +82,7 @@ def is_completely_regular(s: FiniteSemiring, a: int) -> bool:
     return complete_regularity(s)[a]
 
 
-@dataclass(frozen=True)
-class ElementClassification:
+class ElementClassification(NamedTuple):
     element: int
     additively_regular: bool
     additively_completely_regular: bool
@@ -92,14 +90,6 @@ class ElementClassification:
     additively_quasi_regular_index: int
     quasi_completely_regular_index: int | None
     witness: int | None
-
-    def __post_init__(self):
-        assert self.additively_regular == (self.additively_quasi_regular_index == 1)
-        assert self.completely_regular == (self.quasi_completely_regular_index == 1)
-        if self.completely_regular:
-            assert self.additively_completely_regular
-        if self.additively_completely_regular:
-            assert self.additively_regular
 
 
 @memo
@@ -110,10 +100,13 @@ def element_classes(s: FiniteSemiring) -> tuple[ElementClassification, ...]:
     out = []
     for a, (orb, (aqr_index, _)) in enumerate(zip(orbits(s, ADD), least_regular_multiples(s))):
         qcr_index = next((i + 1 for i, v in enumerate(orb.values) if completely_regular[v]), None)
+        acr = witnesses[a] is not None
+        # complete regularity needs a commuting witness, which is an inverse
+        assert (qcr_index != 1 or acr) and (not acr or aqr_index == 1)
         out.append(ElementClassification(
             element=a,
             additively_regular=aqr_index == 1,
-            additively_completely_regular=witnesses[a] is not None,
+            additively_completely_regular=acr,
             completely_regular=qcr_index == 1,
             additively_quasi_regular_index=aqr_index,
             quasi_completely_regular_index=qcr_index,

@@ -40,13 +40,12 @@ which the orbit pass has already recorded.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import BoundExceeded, DimensionMismatch, OutOfRange, SampleShortfallWarning, UnknownClassName
 from .kernel import FiniteSemiring, Table, addition, memo
@@ -134,6 +133,8 @@ def canonical_form(s: FiniteSemiring) -> bytes:
 
 
 def canonical_hash(s: FiniteSemiring) -> str:
+    import hashlib  # here, the one place that hashes: it costs about 5 ms of import
+
     return hashlib.sha256(canonical_form(s)).hexdigest()[:16]
 
 
@@ -484,8 +485,7 @@ def sample_semirings(n: int, count: int, seed: int = 0,
     return _semirings_from_canonical(sorted(canons))
 
 
-@dataclass(frozen=True)
-class ImplicationQuery:
+class ImplicationQuery(NamedTuple):
     premise: str
     conclusion: str
     max_order: int

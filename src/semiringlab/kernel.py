@@ -36,8 +36,8 @@ table, share their results. The memo keeps the results of the
 `_MEMO_SEMIRINGS` values most recently used and drops the least recently
 used first.
 
-Memoized results are immutable values (tuples, frozensets, frozen
-dataclasses, read-only mappings). No key is a semiring object and no
+Memoized results are immutable values (tuples, frozensets, named tuples,
+read-only mappings). No key is a semiring object and no
 result references the semiring it was computed for, so the memo keeps no
 analysed semiring alive: `decompose` caches every field of a
 `Decomposition` but its `base`, which it sets to the caller's own object.
@@ -47,8 +47,8 @@ Exceptions are never cached.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, OutOfRange
 
@@ -148,8 +148,51 @@ def check_names(names: tuple[str, ...]) -> None:
         seen.add(name)
 
 
-@dataclass(frozen=True)
-class FiniteSemiring:
+# The records of this package are named tuples and `__slots__` classes, not
+# dataclasses: importing `dataclasses` takes about 10 ms and creating each
+# frozen dataclass about 1 ms more, which every CLI run would pay.
+_set = object.__setattr__
+
+
+class _Tables:
+    """Carrier names plus two Cayley tables, fixed at construction. Equal
+    only to an object of the same class with equal fields; a field cannot be
+    assigned or deleted."""
+
+    __slots__ = ("names", "add", "mul", "__weakref__")
+
+    def __init__(self, names, add, mul):
+        _set(self, "names", tuple(names))
+        _set(self, "add", freeze_table(add))
+        _set(self, "mul", freeze_table(mul))
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.names, self.add, self.mul) == (other.names, other.add, other.mul)
+
+    def __hash__(self):
+        return hash((self.names, self.add, self.mul))
+
+    def __reduce__(self):
+        return self.__class__, (self.names, self.add, self.mul)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"{self.__class__.__name__}(names={self.names!r}, add={self.add!r}, mul={self.mul!r})"
+
+    @property
+    def order(self) -> int:
+        return len(self.names)
+
+
+class FiniteSemiring(_Tables):
     """Carrier plus two total Cayley tables (row = left operand).
 
     Construction checks shapes, ranges and names; the semiring *laws* are
@@ -157,14 +200,13 @@ class FiniteSemiring:
     represented before being judged.
     """
 
+    __slots__ = ()
+
     names: tuple[str, ...]
     add: Table
     mul: Table
 
     def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "add", freeze_table(self.add))
-        object.__setattr__(self, "mul", freeze_table(self.mul))
         check_names(self.names)
         n = len(self.names)
         check_table(self.add, n, "add")
@@ -176,14 +218,10 @@ class FiniteSemiring:
         pass `check_names` and `check_table`, built without checking them
         again."""
         s = object.__new__(cls)
-        object.__setattr__(s, "names", names)
-        object.__setattr__(s, "add", add)
-        object.__setattr__(s, "mul", mul)
+        _set(s, "names", names)
+        _set(s, "add", add)
+        _set(s, "mul", mul)
         return s
-
-    @property
-    def order(self) -> int:
-        return len(self.names)
 
     def elements(self) -> range:
         return range(self.order)
@@ -236,41 +274,33 @@ class FiniteSemiring:
         return f"FiniteSemiring({'/'.join(self.names)})"
 
 
-@dataclass(frozen=True)
-class PartialSemiring:
+class PartialSemiring(_Tables):
     """Cayley tables with possibly-undefined (None) entries.
 
     Models the nil part of a quasi skew-ring; no closure is attempted, an
     undefined cell simply stays undefined.
     """
 
+    __slots__ = ()
+
     names: tuple[str, ...]
     add: tuple[tuple[int | None, ...], ...]
     mul: tuple[tuple[int | None, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "add", freeze_table(self.add))
-        object.__setattr__(self, "mul", freeze_table(self.mul))
         n = len(self.names)
         if n:
             check_names(self.names)
         check_table(self.add, n, ADD, undefined=True)
         check_table(self.mul, n, MUL, undefined=True)
 
-    @property
-    def order(self) -> int:
-        return len(self.names)
 
-
-@dataclass(frozen=True)
-class LawFailure:
+class LawFailure(NamedTuple):
     law: str
     witness: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     verdict: bool
     failures: tuple[LawFailure, ...]
 
@@ -387,8 +417,7 @@ def is_idempotent_semiring(s: FiniteSemiring) -> bool:
     return ReductFlag.BAND in reduct_kind(s, ADD) and ReductFlag.BAND in reduct_kind(s, MUL)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """The eventually periodic sequence a, 2a, 3a, ... (or powers under MUL).
 
     values[i] holds the (i+1)-fold combination; preperiod mu and period lam

@@ -4,7 +4,7 @@ pairs, and by those closures every one containing a given congruence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BoundExceeded, DimensionMismatch, NotBiIdeal, NotCongruence
 from .kernel import FiniteSemiring, addition, memo
@@ -15,19 +15,41 @@ GREEN_KINDS = ("L", "R", "H", "D", "J")
 CONGRUENCE_BOUND = 6
 
 
-@dataclass(frozen=True)
 class Partition:
     """Equivalence relation on 0..n-1, given by a block id per element. The
     ids may be any hashable values in any iterable; construction renumbers
-    them densely by first occurrence, so equal partitions compare equal."""
+    them densely by first occurrence, so equal partitions compare equal.
+    Equal only to a Partition; `block_of` cannot be assigned."""
+
+    __slots__ = ("block_of",)
 
     block_of: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, block_of):
         relabel = {}
         object.__setattr__(
-            self, "block_of", tuple([relabel.setdefault(b, len(relabel)) for b in self.block_of])
+            self, "block_of", tuple([relabel.setdefault(b, len(relabel)) for b in block_of])
         )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.block_of == other.block_of
+
+    def __hash__(self):
+        return hash((self.block_of,))
+
+    def __reduce__(self):
+        return Partition, (self.block_of,)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"Partition(block_of={self.block_of!r})"
 
     @staticmethod
     def identity(n: int) -> Partition:
@@ -66,8 +88,7 @@ class Partition:
         return True
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(NamedTuple):
     partition: Partition
 
 

@@ -17,7 +17,7 @@ and is built as a semiring only on request (`Decomposition.class_semiring`).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DecompositionInvariantViolation,
@@ -192,8 +192,7 @@ def sub_skew_ring_conditions(
     return _some_idempotent(sub_skew_ring_conditions_by_idempotent(s, block))
 
 
-@dataclass(frozen=True)
-class QuasiSkewRingReport:
+class QuasiSkewRingReport(NamedTuple):
     """The three equivalent shapes of a quasi skew-ring, each checked on its
     own definition."""
 
@@ -252,8 +251,7 @@ def skew_ring_kernel(t: FiniteSemiring) -> frozenset[int]:
     return report.kernel
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A quasi completely regular semiring split along its starred additive
     H-relation: classes T_alpha indexed by the quotient Y, each a quasi
     skew-ring with kernel R_alpha around the class idempotent e_alpha and a
@@ -379,8 +377,7 @@ def is_strongly_additively_quasi_completely_inverse(s: FiniteSemiring) -> bool:
     return classify(s).holds("strongly-additively-quasi-completely-inverse")
 
 
-@dataclass(frozen=True)
-class PsiMap:
+class PsiMap(NamedTuple):
     """a |-> a + e_alpha, the retraction of each class onto its kernel."""
 
     images: tuple[int, ...]

@@ -118,6 +118,21 @@ def test_decompose_report_and_components(run, qsr3_file, tmp_path):
     assert "component.0.idempotent: 0" in manifest
 
 
+# not a semiring: (a+a)+b = a but a+(a+b) = b
+NONASSOCIATIVE_SRT = "elements: a b\nadd:\nb a\na a\nmul:\na a\na a\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [("classify",), ("classify", "--verify-theorems"), ("congruences",), ("decompose",), ("maps",)]
+)
+def test_analysis_commands_reject_a_table_that_fails_the_laws(run, tmp_path, argv):
+    path = tmp_path / "nonassociative.srt"
+    path.write_text(NONASSOCIATIVE_SRT, encoding="utf-8")
+    code, out, err = run(*argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: not a semiring: add-associativity fails at (a, a, b)\n"
+
+
 def test_decompose_non_qcr_exit_2(run, tmp_path):
     path = tmp_path / "bad.srt"
     path.write_text("elements: 0 1\nadd:\n0 0\n0 1\nmul:\n0 0\n0 0\n", encoding="utf-8")
@@ -337,6 +352,24 @@ def test_module_run_as_a_script(tmp_path, qsr3_file):
             assert result.returncode == expected_code, (module, path, result.stderr)
             assert expected_out in result.stdout
             assert expected_err in result.stderr
+
+
+IMPORT_BUDGET_SCRIPT = """\
+import sys
+bare = set(sys.modules)
+import semiringlab.cli
+print(" ".join(sorted({"dataclasses", "inspect", "hashlib"} & set(sys.modules) - bare)))
+"""
+
+
+def test_cli_import_skips_dataclasses_inspect_and_hashlib():
+    # each is several ms of start-up that every command would pay
+    env = dict(os.environ, PYTHONPATH=str(Path(sl.__file__).resolve().parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_BUDGET_SCRIPT], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"
 
 
 NO_NUMPY_SCRIPT = """\

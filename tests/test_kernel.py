@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations
 
@@ -6,6 +7,8 @@ from hypothesis import given, strategies as st
 
 import semiringlab as sl
 from semiringlab.errors import DimensionMismatch, OutOfRange, SemiringError
+from semiringlab.classify import Verdict
+from semiringlab.relations import Partition
 from semiringlab.kernel import (
     LAW_ADD_ASSOC,
     LAW_LEFT_DIST,
@@ -319,3 +322,72 @@ def test_validated_corpus_satisfies_all_laws(corpus_small):
                     assert s.mul[s.mul[a][b]][c] == s.mul[a][s.mul[b][c]]
                     assert s.mul[a][s.add[b][c]] == s.add[s.mul[a][b]][s.mul[a][c]]
                     assert s.mul[s.add[b][c]][a] == s.add[s.mul[b][a]][s.mul[c][a]]
+
+
+NAMES, ADD_T, MUL_T = ("a", "b"), ((0, 1), (1, 1)), ((0, 0), (0, 1))
+
+
+def test_records_are_read_only():
+    for record, field in (
+        (sl.FiniteSemiring(NAMES, ADD_T, MUL_T), "add"),
+        (sl.PartialSemiring(NAMES, ADD_T, MUL_T), "names"),
+        (Partition([5, 3, 5]), "block_of"),
+        (Verdict(True, "x"), "holds"),
+        (LawFailure(LAW_ADD_ASSOC, ("a", "a", "b")), "witness"),
+    ):
+        for change in (
+            lambda: setattr(record, field, None),
+            lambda: delattr(record, field),
+            lambda: setattr(record, "extra", None),
+        ):
+            with pytest.raises(AttributeError):
+                change()
+
+
+def test_record_reprs_are_pinned():
+    assert repr(sl.FiniteSemiring(NAMES, ADD_T, MUL_T)) == "FiniteSemiring(a/b)"
+    assert repr(sl.PartialSemiring(NAMES, ADD_T, MUL_T)) == (
+        "PartialSemiring(names=('a', 'b'), add=((0, 1), (1, 1)), mul=((0, 0), (0, 1)))"
+    )
+    assert repr(Partition([5, 3, 5])) == "Partition(block_of=(0, 1, 0))"
+    assert repr(Verdict(True, "x")) == "Verdict(holds=True, evidence='x')"
+    assert repr(Verdict(False)) == "Verdict(holds=False, evidence='')"
+
+
+def test_semirings_and_partitions_equal_only_their_own_class():
+    total = sl.FiniteSemiring(NAMES, ADD_T, MUL_T)
+    partial = sl.PartialSemiring(NAMES, ADD_T, MUL_T)
+    partition = Partition([0, 1])
+    fields = (NAMES, ADD_T, MUL_T)
+    for a, b in ((total, partial), (total, fields), (partial, fields), (partition, (0, 1)),
+                 (partition, ((0, 1),)), (partition, total), (partition, partial)):
+        assert a != b and b != a and not a == b, (a, b)
+    # the named tuples compare as the tuple of their fields
+    assert Verdict(True, "x") == (True, "x")
+
+
+def test_equal_semirings_hash_equal():
+    for a, b in (
+        (sl.FiniteSemiring(NAMES, ADD_T, MUL_T), sl.FiniteSemiring(list(NAMES), [[0, 1], [1, 1]], MUL_T)),
+        (sl.PartialSemiring(NAMES, ADD_T, MUL_T), sl.PartialSemiring(NAMES, ADD_T, [[0, 0], [0, 1]])),
+        (Partition([5, 3, 5]), Partition("xyx")),
+    ):
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_post_init_runs_once_per_checked_construction(monkeypatch):
+    runs = []
+    post_init = sl.FiniteSemiring.__post_init__
+
+    def counting(self):
+        runs.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(sl.FiniteSemiring, "__post_init__", counting)
+    s = sl.FiniteSemiring(names=NAMES, add=ADD_T, mul=MUL_T)
+    assert runs == [s]
+    t = sl.FiniteSemiring._from_checked(NAMES, ADD_T, MUL_T)
+    assert t == s and runs == [s]
+    s.relabel((1, 0))
+    assert len(runs) == 2
