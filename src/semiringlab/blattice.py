@@ -37,15 +37,14 @@ from .kernel import (
     LawFailure,
     PartialSemiring,
     ValidationReport,
+    additive_facts,
     is_b_lattice,
     validate,
 )
-from .elements import reg_plus
 from .structure import (
     Decomposition,
+    _absorbs,
     decompose,
-    is_bi_ideal,
-    is_nil_extension,
     is_strongly_additively_quasi_completely_inverse,
     psi,
 )
@@ -504,16 +503,17 @@ def check_main_theorem_conditions(
     # the kernel maps present it as a strong b-lattice of skew-rings
     from .classify import _is_generalized_clifford  # deferred to avoid an import cycle
 
-    regs = reg_plus(s)
+    facts = additive_facts(s)
+    regs = facts.regular
     if frozenset().union(*d.kernels) != regs:
         fail("i", "kernels do not cover the additively regular part")
     if not s.is_closed(regs):
         fail("i", "Reg+ is not closed under both operations")
-    elif not _is_generalized_clifford(s, regs):
+    elif not _is_generalized_clifford(s, facts, regs):
         fail("i", "Reg+ is not a generalized Clifford semiring")
-    if not is_bi_ideal(s, regs):
+    if not _absorbs(s, regs, s.elements()):
         fail("i", "Reg+ is not a bi-ideal")
-    elif not is_nil_extension(s, regs):
+    elif not all(window & regs for window in facts.windows):
         fail("i", "some element has no multiple in Reg+")
     kernels = [sorted(kernel) for kernel in d.kernels]
     theta = {(alpha, beta): {r: f[r] for r in kernels[alpha]} for (alpha, beta), f in maps.items()}
@@ -754,20 +754,22 @@ def check_generalized_clifford_theorem(s: FiniteSemiring):
 
     if s.order > SEARCH_BOUND:
         raise SearchBoundExceeded(f"order {s.order} exceeds search bound {SEARCH_BOUND}")
-    lhs = classify(s).holds("generalized-clifford")
-    rhs = False
-    try:
-        d = decompose(s)
-    except InternalTheoremViolation:
-        raise
-    except SemiringError:
-        d = None
-    if d is not None and all(not d.nil_indices(alpha) for alpha in range(d.y_order)):
-        rhs = _search_family(s, d) is not None
+    report = classify(s)
+    d = None
+    # decompose raises NotQuasiCompletelyRegular on the others
+    if report.holds("quasi-completely-regular"):
+        try:
+            d = decompose(s)
+        except InternalTheoremViolation:
+            raise
+        except SemiringError:
+            pass
+    rhs = d is not None and all(not d.nil_indices(alpha) for alpha in range(d.y_order)) and (
+        _search_family(s, d) is not None)
     return TheoremReport(
         theorem="GCSB",
         conditions=(
-            ("generalized-clifford", lhs, ""),
+            ("generalized-clifford", report.holds("generalized-clifford"), ""),
             ("strong-b-lattice-of-skew-rings", rhs, ""),
         ),
     )

@@ -11,6 +11,8 @@ SAQCI3 and HJEQ read their class premises (quasi complete regularity, quasi
 complete inversity, strong additive quasi complete inversity) off its
 memoized report as (holds, evidence), and compute only their other
 conditions themselves, so a verifier called on its own runs `classify` first.
+Each verifier fetches the report and the record of the addition
+(`kernel.additive_facts`) once and passes them to its condition helper.
 
 Additive quasi regularity (some multiple of each element is additively
 regular) holds on every finite carrier, so no predicate computes it:
@@ -18,8 +20,8 @@ regular) holds on every finite carrier, so no predicate computes it:
 
 The verdicts of `classify` that read the addition alone (additive
 regularity, inversity and quasi inversity, strong additive quasi inversity,
-skew-rings, one J+ class, one J*+ class) are read off one record per
-addition, `_additive_verdicts`, which the memo keeps once for every
+skew-rings, one J+ class, one J*+ class) are read off the one record per
+addition, `kernel.additive_facts`, which the memo keeps once for every
 semiring with that addition. The rest read the multiplication as well:
 complete regularity through the one vector `elements.complete_regularity`,
 the k-ideal property of E+, the quasi skew-ring check and the band law of
@@ -92,37 +94,10 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import InternalTheoremViolation, NotQuasiCompletelyRegular, UnknownTheoremId
-from .kernel import (
-    ADD,
-    MUL,
-    FiniteSemiring,
-    ReductFlag,
-    addition,
-    inverses,
-    memo,
-    orbits,
-    reduct_kind,
-)
-from .elements import (
-    additive_idempotents,
-    commuting_witnesses,
-    complete_regularity,
-    first_without_completely_regular_multiple,
-    reg_plus,
-)
-from .relations import (
-    Partition,
-    generated_congruence,
-    green_plus,
-    green_star_plus,
-)
-from .structure import (
-    _is_ideal,
-    _is_k_ideal,
-    commuting_additive_idempotents,
-    quasi_skew_ring_check,
-    sub_skew_ring_conditions,
-)
+from .kernel import FiniteSemiring, Partition, ReductFlag, additive_facts, memo
+from .elements import complete_regularity, first_without_completely_regular_multiple
+from .relations import generated_congruence
+from .structure import _conditions_at, _is_ideal, _is_k_ideal, _quasi_skew_ring_report, _some_idempotent
 
 CLASS_KEYS = (
     "additively-regular",
@@ -174,55 +149,9 @@ class TheoremReport(NamedTuple):
         return {label: holds for label, holds, _ in self.conditions}
 
 
-def _first_without_quasi_inverse_multiple(s: FiniteSemiring) -> int | None:
-    """The first element no multiple na of which admits exactly one x with
-    na+x+na = na and x+na+x = x, or None."""
-    inv = inverses(s, ADD)
-    return next(
-        (a for a, orb in enumerate(orbits(s, ADD)) if all(len(inv[v]) != 1 for v in orb.values)),
-        None,
-    )
-
-
-class _AdditiveVerdicts(NamedTuple):
-    """What the verdicts of `classify` that read the addition alone need, as
-    element indices: the first element outside Reg+; the first element
-    whose number of additive inverses is not 1, with that number; the first
-    element with no multiple of a unique inverse; the first pair of
-    additive idempotents that do not commute; E+; the GROUP and SEMILATTICE
-    flags of the addition; and whether J+ and J*+ each have one block."""
-
-    irregular: int | None
-    not_inverse: tuple[int, int] | None
-    no_quasi_inverse_multiple: int | None
-    noncommuting_idempotents: tuple[int, int] | None
-    idempotents: frozenset[int]
-    group: bool
-    semilattice: bool
-    one_j_class: bool
-    one_jstar_class: bool
-
-
-@memo(table=addition)
-def _additive_verdicts(s: FiniteSemiring) -> _AdditiveVerdicts:
-    regs = reg_plus(s)
-    kind = reduct_kind(s, ADD)
-    return _AdditiveVerdicts(
-        irregular=next((a for a in s.elements() if a not in regs), None),
-        not_inverse=next(((a, len(v)) for a, v in enumerate(inverses(s, ADD)) if len(v) != 1), None),
-        no_quasi_inverse_multiple=_first_without_quasi_inverse_multiple(s),
-        noncommuting_idempotents=commuting_additive_idempotents(s),
-        idempotents=additive_idempotents(s),
-        group=ReductFlag.GROUP in kind,
-        semilattice=ReductFlag.SEMILATTICE in kind,
-        one_j_class=green_plus(s, "J").num_blocks == 1,
-        one_jstar_class=green_star_plus(s, "J").num_blocks == 1,
-    )
-
-
-def _is_regular_part_inverse_subsemiring(s: FiniteSemiring):
+def _is_regular_part_inverse_subsemiring(s: FiniteSemiring, facts):
     """Reg+(S) closed under both operations with an inverse additive reduct."""
-    regs = sorted(reg_plus(s))
+    regs = sorted(facts.regular)
     regset = frozenset(regs)
     for a in regs:
         for b in regs:
@@ -231,7 +160,7 @@ def _is_regular_part_inverse_subsemiring(s: FiniteSemiring):
             if s.mul[a][b] not in regset:
                 return False, f"{s.names[a]}*{s.names[b]} leaves Reg+"
     # V+(a) lies in Reg+: a is in V+(x) for each x in V+(a)
-    inv = inverses(s, ADD)
+    inv = facts.inverses
     for a in regs:
         count = len(inv[a])
         if count != 1:
@@ -239,18 +168,18 @@ def _is_regular_part_inverse_subsemiring(s: FiniteSemiring):
     return True, ""
 
 
-def _is_generalized_clifford(s: FiniteSemiring, carrier) -> bool:
+def _is_generalized_clifford(s: FiniteSemiring, facts, carrier) -> bool:
     """The carrier, all of s or a closed Reg+, is generalized Clifford: each
     element completely regular with one additive inverse, E+ a k-ideal of
     it. V+(a) lies in Reg+, as a lies in V+(x) for x in V+(a), so on Reg+
     V+ and all it decides (witnesses, complete regularity, E+) are of s."""
-    cr, inv = complete_regularity(s), inverses(s, ADD)
+    cr, inv = complete_regularity(s), facts.inverses
     idems = frozenset(e for e in carrier if s.add[e][e] == e)
     return all(cr[a] and len(inv[a]) == 1 for a in carrier) and _is_k_ideal(s, idems, carrier)
 
 
-def _sum_closed_idempotents(s: FiniteSemiring):
-    idems = sorted(additive_idempotents(s))
+def _sum_closed_idempotents(s: FiniteSemiring, facts):
+    idems = sorted(facts.idempotents)
     for e in idems:
         for f in idems:
             if s.add[s.add[e][f]][s.add[e][f]] != s.add[e][f]:
@@ -262,29 +191,30 @@ def _sum_closed_idempotents(s: FiniteSemiring):
 def classify(s: FiniteSemiring) -> ClassReport:
     """Every class verdict, each decided here once: the verifiers read their
     class premises off this report."""
-    av = _additive_verdicts(s)
-    names = s.names
-    bad = av.irregular
+    facts = additive_facts(s)
+    names, vplus = s.names, facts.inverses
+    bad = next((a for a in s.elements() if not vplus[a]), None)
     regular_why = "" if bad is None else f"{names[bad]} has no x with a+x+a=a"
-    bad = av.not_inverse
-    inv_why = "" if bad is None else f"{names[bad[0]]} has {bad[1]} additive inverses"
-    bad = av.no_quasi_inverse_multiple
+    bad = next((a for a, v in enumerate(vplus) if len(v) != 1), None)
+    inv_why = "" if bad is None else f"{names[bad]} has {len(vplus[bad])} additive inverses"
+    bad = next((a for a, orb in enumerate(facts.orbits) if all(len(vplus[v]) != 1 for v in orb.values)), None)
     aqi_why = "" if bad is None else f"no multiple of {names[bad]} has a unique additive inverse"
     bad = next((a for a, cr in enumerate(complete_regularity(s)) if not cr), None)
     cr_why = "" if bad is None else f"{names[bad]} is not completely regular"
     bad = first_without_completely_regular_multiple(s)
     qcr_why = "" if bad is None else f"no multiple of {names[bad]} is completely regular"
-    bad = av.noncommuting_idempotents
+    bad = facts.noncommuting_idempotents
     comm_why = "" if bad is None else "{0}+{1} != {1}+{0}".format(*(names[i] for i in bad))
     # each of these holds iff nothing breaks it
     inv, aqi, cr, qcr, comm_ok = (not why for why in (inv_why, aqi_why, cr_why, qcr_why, comm_why))
     # E+ is nonempty: every additive orbit holds an idempotent
-    gc = cr and inv and _is_generalized_clifford(s, s.elements())
-    qsr = quasi_skew_ring_check(s)
+    gc = cr and inv and _is_generalized_clifford(s, facts, s.elements())
+    qsr = _quasi_skew_ring_report(s, facts, None)
     # `kernel.is_b_lattice`, with the additive flag read off the record
-    blat = av.semilattice and ReductFlag.BAND in reduct_kind(s, MUL)
-    simple = cr and av.one_j_class
-    archimedean = qcr and av.one_jstar_class
+    blat = ReductFlag.SEMILATTICE in facts.flags and all(s.mul[a][a] == a for a in s.elements())
+    group = ReductFlag.GROUP in facts.flags
+    simple = cr and facts.green["J"].num_blocks == 1
+    archimedean = qcr and facts.green_star["J"].num_blocks == 1
     verdicts = {
         "additively-regular": (not regular_why, regular_why),
         "additively-inverse": (inv, inv_why),
@@ -295,11 +225,11 @@ def classify(s: FiniteSemiring) -> ClassReport:
         "strongly-additively-quasi-inverse": (comm_ok, comm_why),
         "strongly-additively-quasi-completely-inverse": (qcr and comm_ok, qcr_why or comm_why),
         "generalized-clifford": (gc, "" if gc else cr_why or inv_why or "E+ is not a k-ideal"),
-        "skew-ring": (av.group, "" if av.group else "additive reduct is not a group"),
+        "skew-ring": (group, "" if group else "additive reduct is not a group"),
         "quasi-skew-ring": (
             qsr.skew_ring_absorbs_multiples,
             f"kernel {{{', '.join(sorted(s.names[i] for i in qsr.kernel))}}}" if qsr.kernel else
-            f"{len(av.idempotents)} additive idempotents",
+            f"{len(facts.idempotents)} additive idempotents",
         ),
         "b-lattice": (blat, "" if blat else "reducts are not semilattice/band"),
         "completely-simple": (simple, "" if simple else cr_why or "J+ has several blocks"),
@@ -344,19 +274,10 @@ def _some_multiple_equal(s: FiniteSemiring, u: int, v: int) -> bool:
     return False
 
 
-def _is_quasi_skew_subsemiring(s: FiniteSemiring, block: frozenset[int]) -> bool:
+def _is_quasi_skew_subsemiring(s: FiniteSemiring, facts, block: frozenset[int]) -> bool:
     """The block is a subsemiring and a quasi skew-ring, decided on s by
     lemma (D) without building it."""
-    return s.is_closed(block) and quasi_skew_ring_check(s, block).skew_ring_absorbs_multiples
-
-
-@memo(table=addition)
-def _orbit_idempotent_partition(s: FiniteSemiring) -> Partition:
-    """P: a and b share a block iff their additive orbits hold the same
-    additive idempotent (see the module docstring)."""
-    return Partition(
-        next(v for v in orb.values if s.add[v][v] == v) for orb in orbits(s, ADD)
-    )
+    return s.is_closed(block) and _quasi_skew_ring_report(s, facts, block).skew_ring_absorbs_multiples
 
 
 def _band_pairs(s: FiniteSemiring) -> list[tuple[int, int]]:
@@ -376,48 +297,34 @@ def _least_b_lattice_congruence(s: FiniteSemiring) -> Partition:
     return generated_congruence(s, _band_pairs(s) + commuting)
 
 
-def _is_union_of_quasi_skew_rings(s: FiniteSemiring) -> bool:
+def _is_union_of_quasi_skew_rings(s: FiniteSemiring, facts) -> bool:
     """Some partition into quasi skew subsemirings exists: by lemma (A) the
-    only candidate is P."""
-    return all(
-        _is_quasi_skew_subsemiring(s, b) for b in _orbit_idempotent_partition(s).blocks()
-    )
+    only candidate is P. So some congruence whose classes are quasi skew
+    subsemirings contains iota (beta) iff this holds and P, which refines
+    both, equals iota (beta)."""
+    return all(_is_quasi_skew_subsemiring(s, facts, b) for b in facts.partition.blocks())
 
 
-def _is_congruence_of_quasi_skew_rings(s: FiniteSemiring, least) -> bool:
-    """Some congruence whose classes are quasi skew subsemirings contains
-    least(s), iota or beta: by lemma (A) the only candidate is P, and P
-    refines least(s), so P qualifies iff it equals least(s)."""
-    return _is_union_of_quasi_skew_rings(s) and _orbit_idempotent_partition(s) == least(s)
-
-
-def _is_b_lattice_of_completely_archimedean(s: FiniteSemiring) -> bool:
+def _is_b_lattice_of_completely_archimedean(s: FiniteSemiring, report, facts) -> bool:
     """Some congruence with a b-lattice quotient, that is some congruence
     containing beta, has completely Archimedean subsemirings as classes.
     Every element lies in some class, so by lemma (C) S must be quasi
     completely regular, and then by lemma (E) beta qualifies iff it refines
     J*+, and some congruence does iff beta does."""
-    if not classify(s).holds("quasi-completely-regular"):
+    if not report.holds("quasi-completely-regular"):
         return False
-    witnesses = commuting_witnesses(s)
-    for a in sorted(reg_plus(s)):
-        if witnesses[a] is None:
+    for a in sorted(facts.regular):
+        if facts.witnesses[a] is None:
             raise InternalTheoremViolation(f"{s.names[a]} is additively regular but in no "
                                            f"additive subgroup of the quasi completely regular {s!r}")
-    return _least_b_lattice_congruence(s).refines(green_star_plus(s, "J"))
+    return _least_b_lattice_congruence(s).refines(facts.green_star["J"])
 
 
-def _premise(s: FiniteSemiring, key: str) -> tuple[bool, str]:
-    """A class verdict of `classify` as (holds, evidence)."""
-    verdict = classify(s).verdicts[key]
-    return verdict.holds, verdict.evidence
-
-
-def _qsr3_conditions(s: FiniteSemiring):
+def _qsr3_conditions(s: FiniteSemiring, report, facts):
     # the three conditions computed independently, bypassing the combined
     # check so a genuine disagreement shows up in the report
-    idems = additive_idempotents(s)
-    absorbing, nil_ext = sub_skew_ring_conditions(s)
+    idems = facts.idempotents
+    absorbing, nil_ext = _some_idempotent(_conditions_at(s, facts, frozenset(s.elements()), idems))
     return (
         ("i", len(idems) == 1, f"{len(idems)} additive idempotents"),
         ("ii", absorbing, ""),
@@ -425,25 +332,24 @@ def _qsr3_conditions(s: FiniteSemiring):
     )
 
 
-def _qcr5_conditions(s: FiniteSemiring):
-    qcr, qcr_why = _premise(s, "quasi-completely-regular")
-    hstar = green_star_plus(s, "H")
-    classes_qsr = all(_is_quasi_skew_subsemiring(s, b) for b in hstar.blocks())
-    union_qsr = _is_union_of_quasi_skew_rings(s)
-    blattice_arch = _is_b_lattice_of_completely_archimedean(s)
-    idem_qsr = _is_congruence_of_quasi_skew_rings(s, _least_idempotent_congruence)
+def _qcr5_conditions(s: FiniteSemiring, report, facts):
+    qcr, qcr_why = report.verdicts["quasi-completely-regular"]
+    hstar = facts.green_star["H"]
+    classes_qsr = all(_is_quasi_skew_subsemiring(s, facts, b) for b in hstar.blocks())
+    # (ii) and (iii) ask the same of the same blocks when P is H*+
+    union_qsr = classes_qsr if facts.partition == hstar else _is_union_of_quasi_skew_rings(s, facts)
     return (
         ("i", qcr, qcr_why),
         ("ii", classes_qsr, ""),
         ("iii", union_qsr, ""),
-        ("iv", blattice_arch, ""),
-        ("v", idem_qsr, ""),
+        ("iv", _is_b_lattice_of_completely_archimedean(s, report, facts), ""),
+        ("v", union_qsr and facts.partition == _least_idempotent_congruence(s), ""),
     )
 
 
-def _qci5_conditions(s: FiniteSemiring):
-    qcr = classify(s).holds("quasi-completely-regular")
-    idems = sorted(additive_idempotents(s))
+def _qci5_conditions(s: FiniteSemiring, report, facts):
+    qcr = report.holds("quasi-completely-regular")
+    idems = sorted(facts.idempotents)
     elem_idem = all(
         _some_multiple_equal(s, s.add[a][f], s.add[f][a])
         for a in s.elements()
@@ -454,15 +360,17 @@ def _qci5_conditions(s: FiniteSemiring):
         for e in idems
         for f in idems
     )
-    hstar = green_star_plus(s, "H")
+    hstar = facts.green_star["H"]
     sums_h_related = all(
         hstar.same(s.add[a][b], s.add[b][a])
         for a in s.elements()
         for b in s.elements()
     )
-    blattice_qsr = _is_congruence_of_quasi_skew_rings(s, _least_b_lattice_congruence)
+    # P is the only candidate (lemma (A)); comparing it with beta is cheaper
+    blattice_qsr = facts.partition == _least_b_lattice_congruence(s) and (
+        _is_union_of_quasi_skew_rings(s, facts))
     return (
-        ("i", *_premise(s, "quasi-completely-inverse")),
+        ("i", *report.verdicts["quasi-completely-inverse"]),
         ("ii", qcr and elem_idem, ""),
         ("iii", qcr and idem_idem, ""),
         ("iv", qcr and sums_h_related, ""),
@@ -470,27 +378,27 @@ def _qci5_conditions(s: FiniteSemiring):
     )
 
 
-def _saqci3_conditions(s: FiniteSemiring):
-    qcr, qcr_why = _premise(s, "quasi-completely-regular")
-    qci, qci_why = _premise(s, "quasi-completely-inverse")
-    reg_inverse, reg_why = _is_regular_part_inverse_subsemiring(s)
-    closed_idems, closed_why = _sum_closed_idempotents(s)
+def _saqci3_conditions(s: FiniteSemiring, report, facts):
+    qcr, qcr_why = report.verdicts["quasi-completely-regular"]
+    qci, qci_why = report.verdicts["quasi-completely-inverse"]
+    reg_inverse, reg_why = _is_regular_part_inverse_subsemiring(s, facts)
+    closed_idems, closed_why = _sum_closed_idempotents(s, facts)
     return (
-        ("i", *_premise(s, "strongly-additively-quasi-completely-inverse")),
+        ("i", *report.verdicts["strongly-additively-quasi-completely-inverse"]),
         ("ii", qcr and reg_inverse, qcr_why or reg_why),
         ("iii", qci and closed_idems, qci_why or closed_why),
     )
 
 
-def _hjeq_conditions(s: FiniteSemiring):
+def _hjeq_conditions(s: FiniteSemiring, report, facts):
     # (ii) pairs the relation equality with quasi complete regularity: the
     # starred relations live on the additive reduct alone and cannot see the
     # multiplicative leg of complete regularity, so the bare
     # additively-quasi-regular premise admits counterexamples
-    qcr, qcr_why = _premise(s, "quasi-completely-regular")
-    relations_equal = green_star_plus(s, "H") == green_star_plus(s, "J")
+    qcr, qcr_why = report.verdicts["quasi-completely-regular"]
+    relations_equal = facts.green_star["H"] == facts.green_star["J"]
     return (
-        ("i", *_premise(s, "quasi-completely-inverse")),
+        ("i", *report.verdicts["quasi-completely-inverse"]),
         ("ii", qcr and relations_equal, qcr_why or ("" if relations_equal else "H*+ differs from J*+")),
     )
 
@@ -509,20 +417,19 @@ def verify_equivalence(s: FiniteSemiring, theorem: str) -> TheoremReport:
     and report whether they agree."""
     if theorem not in _THEOREMS:
         raise UnknownTheoremId(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
-    return TheoremReport(theorem=theorem, conditions=tuple(_THEOREMS[theorem](s)))
+    conditions = _THEOREMS[theorem](s, classify(s), additive_facts(s))
+    return TheoremReport(theorem=theorem, conditions=tuple(conditions))
 
 
 def verify_ideal_corollary(s: FiniteSemiring) -> TheoremReport:
     """Strong additive quasi complete inversity against 'quasi completely
     inverse with Reg+ and E+ both ideals'."""
-    report = classify(s)
+    report, facts = classify(s), additive_facts(s)
     lhs = report.holds("strongly-additively-quasi-completely-inverse")
-    regs = reg_plus(s)
-    idems = additive_idempotents(s)
     rhs = (
         report.holds("quasi-completely-inverse")
-        and _is_ideal(s, regs, s.elements())
-        and _is_ideal(s, idems, s.elements())
+        and _is_ideal(s, facts.regular, s.elements())
+        and _is_ideal(s, facts.idempotents, s.elements())
     )
     return TheoremReport(
         theorem="IDEALS",

@@ -5,8 +5,9 @@ contains an idempotent, so every element has an additively regular multiple;
 index searches therefore terminate by scanning the orbit window instead of
 relying on a numeric bound.
 
-Each per-element analysis is one memoized vector over the carrier; the
-per-element functions check the index and read the vector.
+Each per-element analysis is one vector over the carrier: those that read
+the addition alone are fields of `kernel.additive_facts`, the rest memoized
+here; the per-element functions check the index and read the vector.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import MalformedWitness
-from .kernel import ADD, FiniteSemiring, addition, check_element, inverses, memo, orbits
+from .kernel import FiniteSemiring, additive_facts, check_element, memo
 
 
-@memo(table=addition)
 def additive_idempotents(s: FiniteSemiring) -> frozenset[int]:
-    return frozenset(e for e in s.elements() if s.add[e][e] == e)
+    return additive_facts(s).idempotents
 
 
 class InverseSet(NamedTuple):
@@ -30,16 +30,15 @@ class InverseSet(NamedTuple):
 def additive_inverses(s: FiniteSemiring, a: int) -> InverseSet:
     """V+(a) = {x : a+x+a = a and x+a+x = x}."""
     check_element(s, a)
-    return InverseSet(element=a, inverses=inverses(s, ADD)[a])
+    return InverseSet(element=a, inverses=additive_facts(s).inverses[a])
 
 
 def is_additively_regular(s: FiniteSemiring, a: int) -> bool:
     """Some x has a+x+a = a: V+(a) is nonempty."""
     check_element(s, a)
-    return bool(inverses(s, ADD)[a])
+    return bool(additive_facts(s).inverses[a])
 
 
-@memo(table=addition)
 def commuting_witnesses(s: FiniteSemiring) -> tuple[int | None, ...]:
     """For each element a, the unique x in V+(a) with a+x = x+a, or None.
 
@@ -49,16 +48,11 @@ def commuting_witnesses(s: FiniteSemiring) -> tuple[int | None, ...]:
     than one solution means the flag logic is broken, so it is surfaced
     rather than swallowed.
     """
-    add = s.add
-    out = []
-    for a, v in enumerate(inverses(s, ADD)):
-        hits = [x for x in sorted(v) if add[a][x] == add[x][a]]
-        if len(hits) > 1:
-            raise MalformedWitness(
-                f"{len(hits)} witnesses {[s.names[x] for x in hits]} for element {s.names[a]}"
-            )
-        out.append(hits[0] if hits else None)
-    return tuple(out)
+    facts = additive_facts(s)
+    if facts.several_witnesses is not None:
+        a, hits = facts.several_witnesses
+        raise MalformedWitness(f"{len(hits)} witnesses {[s.names[x] for x in hits]} for element {s.names[a]}")
+    return facts.witnesses
 
 
 def commuting_witness(s: FiniteSemiring, a: int) -> int | None:
@@ -95,10 +89,11 @@ class ElementClassification(NamedTuple):
 @memo
 def element_classes(s: FiniteSemiring) -> tuple[ElementClassification, ...]:
     """The classification of every element, by index."""
+    facts = additive_facts(s)
     witnesses = commuting_witnesses(s)
     completely_regular = complete_regularity(s)
     out = []
-    for a, (orb, (aqr_index, _)) in enumerate(zip(orbits(s, ADD), least_regular_multiples(s))):
+    for a, (orb, (aqr_index, _)) in enumerate(zip(facts.orbits, facts.least_regular_multiples)):
         qcr_index = next((i + 1 for i, v in enumerate(orb.values) if completely_regular[v]), None)
         acr = witnesses[a] is not None
         # complete regularity needs a commuting witness, which is an inverse
@@ -120,19 +115,12 @@ def classify_element(s: FiniteSemiring, a: int) -> ElementClassification:
     return element_classes(s)[a]
 
 
-@memo(table=addition)
 def least_regular_multiples(s: FiniteSemiring) -> tuple[tuple[int, int], ...]:
     """(p, pa) for each element a, with p the smallest positive index making
     pa additively regular: the first additively regular element of the
     additive orbit of a. It reads the addition alone, and so do the starred
     Green relations built on it."""
-    inv = inverses(s, ADD)
-    out = []
-    for orb in orbits(s, ADD):
-        p = next((i + 1 for i, v in enumerate(orb.values) if inv[v]), None)
-        assert p is not None, "finite additive orbits always contain a regular element"
-        out.append((p, orb.values[p - 1]))
-    return tuple(out)
+    return additive_facts(s).least_regular_multiples
 
 
 def least_regular_multiple(s: FiniteSemiring, a: int) -> tuple[int, int]:
@@ -140,10 +128,9 @@ def least_regular_multiple(s: FiniteSemiring, a: int) -> tuple[int, int]:
     return least_regular_multiples(s)[a]
 
 
-@memo(table=addition)
 def reg_plus(s: FiniteSemiring) -> frozenset[int]:
     """Reg+(S), the additively regular elements."""
-    return frozenset(a for a, v in enumerate(inverses(s, ADD)) if v)
+    return additive_facts(s).regular
 
 
 def cr_set(s: FiniteSemiring) -> frozenset[int]:
@@ -156,7 +143,7 @@ def first_without_completely_regular_multiple(s: FiniteSemiring) -> int | None:
     regular, or None when the semiring is quasi completely regular."""
     cr = complete_regularity(s)
     return next(
-        (a for a, orb in enumerate(orbits(s, ADD)) if not any(cr[v] for v in orb.values)),
+        (a for a, orb in enumerate(additive_facts(s).orbits) if not any(cr[v] for v in orb.values)),
         None,
     )
 

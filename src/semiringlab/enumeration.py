@@ -48,7 +48,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import BoundExceeded, DimensionMismatch, OutOfRange, SampleShortfallWarning, UnknownClassName
-from .kernel import FiniteSemiring, Table, addition, memo
+from .kernel import FiniteSemiring, Table, memo
 from .classify import CLASS_KEYS, classify
 
 FULL_ENUMERATION_BOUND = 4
@@ -88,7 +88,7 @@ def _cached_relabellings(n: int) -> tuple:
     return tuple(map(_relabelling, permutations(range(n))))
 
 
-@memo(table=addition)
+@memo(addition=True)
 def _least_addition(s: FiniteSemiring) -> tuple[bytes, tuple]:
     """The least relabelling of s's addition, as a row-major encoding, and
     the relabellings that carry the addition onto it, for an order up to

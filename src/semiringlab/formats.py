@@ -102,8 +102,9 @@ def serialize_srt(s: FiniteSemiring) -> str:
 
 
 def save_srt(s: FiniteSemiring, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_srt(s))
+    """Write the serialization as UTF-8 bytes, in one binary write."""
+    with open(path, "wb") as fh:
+        fh.write(serialize_srt(s).encode())
 
 
 _SBL_HEADS = ("blattice:", "component ", "map ")

@@ -14,16 +14,20 @@ being filled, where a triple with an undefined evaluation passes.
 Memo: each primitive decorated with `memo` computes its result once per
 value it reads and argument tuple. By default that value is the whole
 semiring, `(s.names, s.add, s.mul)`: the complete-regularity vector,
-element classes, quasi skew-ring checks of s and of its blocks, class
-reports and decompositions. A primitive of a single reduct is keyed by that
-one table instead: orbits, reduct flags, inverse sets, E+ and Reg+,
-commuting witnesses and least regular multiples, plain and starred Green
-relations, additive H-classes, orbit windows, the orbit-idempotent
-partition, the one record per addition of the verdicts of `classify` that
-read the addition alone (`classify._additive_verdicts`), and the least
+element classes, class reports, decompositions and the least b-lattice
+congruence. What reads the addition alone is one record per addition,
+`additive_facts`, keyed by that table: orbits and their windows, V+, the
+additive reduct's flags, E+ and Reg+, least regular multiples, commuting
+witnesses, plain and starred Green relations, H+-classes, the
+orbit-idempotent partition and the first pair of additive idempotents that
+do not commute. The public per-fact functions (`reg_plus`, `green_plus`,
+...) return its fields, and a caller that needs several fetches the record
+once and passes it down, so a fact costs one memo lookup. The least
 relabelling of an addition with the permutations that reach it
-(`enumeration._least_addition`). Its results are element indices, never
-names, so each caller words its own evidence.
+(`enumeration._least_addition`) is keyed by the addition too. Results are
+element indices, never names, so each caller words its own evidence. The
+facts of the multiplicative reduct (`orbits(s, MUL)`, ...) are computed on
+each call.
 
 A per-element analysis is memoized as one vector over the whole carrier,
 indexed by element (`orbits`, `complete_regularity`, `element_classes`,
@@ -31,8 +35,8 @@ indexed by element (`orbits`, `complete_regularity`, `element_classes`,
 `is_completely_regular`, `classify_element`, ...) are accessors that check
 the index first.
 
-Equal semirings, and for a single-reduct primitive every semiring with that
-table, share their results. The memo keeps the results of the
+Equal semirings, and for a per-addition primitive every semiring with that
+addition, share their results. The memo keeps the results of the
 `_MEMO_SEMIRINGS` values most recently used and drops the least recently
 used first.
 
@@ -47,7 +51,9 @@ Exceptions are never cached.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from enum import Enum
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, OutOfRange
@@ -72,22 +78,21 @@ _CACHES: dict[tuple, dict] = {}
 _MISSING = object()
 
 
-def memo(fn=None, *, table=None):
+def memo(fn=None, *, addition=False):
     """Cache fn(s, *args). Positional arguments after s form the key, so they
     must be hashable; keyword calls are not cached.
 
-    By default results are keyed by the semiring's value. `table`, a function
-    of the call's arguments returning the one table of s the body reads,
-    keys them by that table's value instead: the body must read nothing else
-    of s and return no names."""
+    By default results are keyed by the semiring's value; with `addition`,
+    by the value of its addition table instead: the body must read nothing
+    else of s and return no names."""
     if fn is None:
-        return functools.partial(memo, table=table)
+        return functools.partial(memo, addition=addition)
 
     @functools.wraps(fn)
     def wrapper(s, *args, **kwargs):
         if kwargs:
             return fn(s, *args, **kwargs)
-        read = (s.names, s.add, s.mul) if table is None else table(s, *args)
+        read = s.add if addition else (s.names, s.add, s.mul)
         # reinserted on every call, so the dict runs from least to most
         # recently used
         cache = _CACHES.pop(read, None)
@@ -106,11 +111,6 @@ def memo(fn=None, *, table=None):
         return value
 
     return wrapper
-
-
-def addition(s: FiniteSemiring, *args) -> Table:
-    """The `memo` table of a primitive that reads only the addition."""
-    return s.add
 
 
 def freeze_table(rows) -> Table:
@@ -364,57 +364,64 @@ class ReductFlag(Enum):
     PLAIN = "plain"
 
 
-def _identity_of(table: Table, n: int) -> int | None:
-    for e in range(n):
-        if all(table[e][x] == x == table[x][e] for x in range(n)):
-            return e
-    return None
+def _inverses(table: Table, r: range) -> tuple[frozenset[int], ...]:
+    return tuple(
+        frozenset(x for x in r if table[table[a][x]][a] == a and table[table[x][a]][x] == x) for a in r
+    )
 
 
-@memo(table=lambda s, which: s.table(which))
+def _flags(table: Table, r: range, inv) -> frozenset[ReductFlag]:
+    band = all(table[a][a] == a for a in r)
+    e = next((e for e in r if all(table[e][x] == x == table[x][e] for x in r)), None)
+    flags = {
+        ReductFlag.BAND: band,
+        ReductFlag.SEMILATTICE: band and all(table[a][b] == table[b][a] for a in r for b in r),
+        ReductFlag.GROUP: e is not None and all(any(table[a][x] == e == table[x][a] for x in r) for a in r),
+        ReductFlag.INVERSE: all(len(v) == 1 for v in inv),
+    }
+    return frozenset(flag for flag, holds in flags.items() if holds) or frozenset({ReductFlag.PLAIN})
+
+
+def _orbits(table: Table, r: range) -> tuple[Orbit, ...]:
+    out = []
+    for a in r:
+        values = [a]
+        while (nxt := table[values[-1]][a]) not in values:
+            values.append(nxt)
+        mu = values.index(nxt)
+        out.append(Orbit(tuple(values), mu, len(values) - mu))
+    return tuple(out)
+
+
 def inverses(s: FiniteSemiring, which: str) -> tuple[frozenset[int], ...]:
     """V(a) = {x : a*x*a = a and x*a*x = x} for every element a of the
     chosen reduct, by index. V(a) is nonempty exactly when a is regular: if
     a*x*a = a, then x*a*x lies in V(a)."""
-    t = s.table(which)
-    r = s.elements()
-    return tuple(
-        frozenset(x for x in r if t[t[a][x]][a] == a and t[t[x][a]][x] == x) for a in r
-    )
+    return additive_facts(s).inverses if which == ADD else _inverses(s.table(which), s.elements())
 
 
-@memo(table=lambda s, which: s.table(which))
 def reduct_kind(s: FiniteSemiring, which: str) -> frozenset[ReductFlag]:
     """All structural flags of the chosen reduct; {PLAIN} when none hold."""
+    if which == ADD:
+        return additive_facts(s).flags
     table = s.table(which)
-    n = s.order
-    flags = set()
-    band = all(table[a][a] == a for a in range(n))
-    if band:
-        flags.add(ReductFlag.BAND)
-        if all(table[a][b] == table[b][a] for a in range(n) for b in range(n)):
-            flags.add(ReductFlag.SEMILATTICE)
-    e = _identity_of(table, n)
-    if e is not None and all(
-        any(table[a][x] == e == table[x][a] for x in range(n)) for a in range(n)
-    ):
-        flags.add(ReductFlag.GROUP)
-    if all(len(v) == 1 for v in inverses(s, which)):
-        flags.add(ReductFlag.INVERSE)
-    return frozenset(flags) if flags else frozenset({ReductFlag.PLAIN})
+    return _flags(table, s.elements(), _inverses(table, s.elements()))
 
 
-def is_b_lattice(s: FiniteSemiring) -> bool:
-    """Additive reduct a semilattice and multiplicative reduct a band."""
-    return (
-        ReductFlag.SEMILATTICE in reduct_kind(s, ADD)
-        and ReductFlag.BAND in reduct_kind(s, MUL)
-    )
+def orbits(s: FiniteSemiring, which: str) -> tuple[Orbit, ...]:
+    """The orbit of every element under the chosen operation, by index."""
+    return additive_facts(s).orbits if which == ADD else _orbits(s.table(which), s.elements())
 
 
 def is_idempotent_semiring(s: FiniteSemiring) -> bool:
     """Both reducts are bands (commutativity of addition not required)."""
-    return ReductFlag.BAND in reduct_kind(s, ADD) and ReductFlag.BAND in reduct_kind(s, MUL)
+    return all(s.add[a][a] == a == s.mul[a][a] for a in s.elements())
+
+
+def is_b_lattice(s: FiniteSemiring) -> bool:
+    """Additive reduct a semilattice and multiplicative reduct a band."""
+    add = s.add
+    return is_idempotent_semiring(s) and all(add[a][b] == add[b][a] for a in s.elements() for b in range(a))
 
 
 class Orbit(NamedTuple):
@@ -440,23 +447,146 @@ class Orbit(NamedTuple):
         return self.values[self.mu + (i - self.mu) % self.lam]
 
 
-@memo(table=lambda s, which: s.table(which))
-def orbits(s: FiniteSemiring, which: str) -> tuple[Orbit, ...]:
-    """The orbit of every element under the chosen operation, by index."""
-    table = s.table(which)
-    out = []
-    for a in s.elements():
-        values = [a]
-        seen = {a: 0}
-        while True:
-            nxt = table[values[-1]][a]
-            if nxt in seen:
-                mu = seen[nxt]
-                out.append(Orbit(values=tuple(values), mu=mu, lam=len(values) - mu))
-                break
-            seen[nxt] = len(values)
-            values.append(nxt)
-    return tuple(out)
+class Partition:
+    """Equivalence relation on 0..n-1, given by a block id per element. The
+    ids may be any hashable values in any iterable; construction renumbers
+    them densely by first occurrence, so equal partitions compare equal.
+    Equal only to a Partition; `block_of` cannot be assigned."""
+
+    __slots__ = ("block_of",)
+
+    block_of: tuple[int, ...]
+
+    def __init__(self, block_of):
+        relabel = {}
+        _set(self, "block_of", tuple([relabel.setdefault(b, len(relabel)) for b in block_of]))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.block_of == other.block_of
+
+    def __hash__(self):
+        return hash((self.block_of,))
+
+    def __reduce__(self):
+        return Partition, (self.block_of,)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"Partition(block_of={self.block_of!r})"
+
+    @staticmethod
+    def identity(n: int) -> Partition:
+        return Partition(range(n))
+
+    @staticmethod
+    def universal(n: int) -> Partition:
+        return Partition(block_of=(0,) * n)
+
+    @property
+    def n(self) -> int:
+        return len(self.block_of)
+
+    @property
+    def num_blocks(self) -> int:
+        return max(self.block_of) + 1 if self.block_of else 0
+
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        out = [set() for _ in range(self.num_blocks)]
+        for x, b in enumerate(self.block_of):
+            out[b].add(x)
+        return tuple(frozenset(b) for b in out)
+
+    def same(self, a: int, b: int) -> bool:
+        return self.block_of[a] == self.block_of[b]
+
+    def refines(self, other: Partition) -> bool:
+        """self finer-or-equal: every self-block sits inside an other-block."""
+        if self.n != other.n:
+            raise ValueError("partitions of different carriers")
+        rep = {}
+        for x, b in enumerate(self.block_of):
+            if b in rep and other.block_of[rep[b]] != other.block_of[x]:
+                return False
+            rep.setdefault(b, x)
+        return True
+
+
+GREEN_KINDS = ("L", "R", "H", "D", "J")
+
+
+class AdditiveFacts(NamedTuple):
+    """Every fact of a semiring that reads its addition alone, by element
+    index. The starred relations are the plain ones pulled back through the
+    least regular multiples: a ~* b iff pa ~ qb."""
+
+    orbits: tuple[Orbit, ...]  # a, 2a, 3a, ... for each a
+    windows: tuple[frozenset[int], ...]  # the elements of each orbit
+    inverses: tuple[frozenset[int], ...]  # V+(a)
+    flags: frozenset[ReductFlag]
+    idempotents: frozenset[int]  # E+
+    regular: frozenset[int]  # Reg+
+    least_regular_multiples: tuple[tuple[int, int], ...]  # (p, pa), p least with pa regular
+    witnesses: tuple[int | None, ...]  # the x in V+(a) with a+x = x+a, or None
+    several_witnesses: tuple[int, tuple[int, ...]] | None  # the first a with more than one
+    green: Mapping[str, Partition]  # every kind
+    green_star: Mapping[str, Partition]  # H, D and J
+    h_classes: tuple[frozenset[int], ...]  # the H+-class of each a
+    partition: Partition  # P: a ~ b iff their orbits hold the same idempotent
+    noncommuting_idempotents: tuple[int, int] | None  # the first pair, or None
+
+
+def _principal_sets(s: FiniteSemiring, kind: str) -> tuple[frozenset[int], ...]:
+    """Principal additive left ("L") or right ("R") ideals with a formal
+    identity adjoined, so x itself always belongs to its own ideal even
+    without additive idempotents."""
+    add = s.add
+    if kind == "L":
+        return tuple(frozenset({x, *(row[x] for row in add)}) for x in s.elements())
+    return tuple(frozenset({x, *add[x]}) for x in s.elements())
+
+
+@memo(addition=True)
+def additive_facts(s: FiniteSemiring) -> AdditiveFacts:
+    add, r = s.add, s.elements()
+    orbs = _orbits(add, r)
+    inv = _inverses(add, r)
+    idems = sorted(e for e in r if add[e][e] == e)
+    # a finite additive orbit always holds a regular element, its idempotent
+    least = [next((i + 1, v) for i, v in enumerate(orb.values) if inv[v]) for orb in orbs]
+    hits = [[x for x in sorted(v) if add[a][x] == add[x][a]] for a, v in enumerate(inv)]
+    left, right = (Partition(_principal_sets(s, kind)) for kind in "LR")
+    h = Partition(zip(left.block_of, right.block_of))
+    # D = L o R, which on a finite semigroup is J: a and b are D-related iff
+    # their L-classes meet the same R-classes (the egg-box lemma)
+    met = [frozenset(right.block_of[y] for y in block) for block in left.blocks()]
+    j = Partition(met[b] for b in left.block_of)
+    # the pullback preserves meets, so H* is L* meet R*, and D* = J*
+    hstar, jstar = (Partition(rel.block_of[v] for _, v in least) for rel in (h, j))
+    h_blocks = h.blocks()
+    return AdditiveFacts(
+        orbits=orbs,
+        windows=tuple(frozenset(orb.values) for orb in orbs),
+        inverses=inv,
+        flags=_flags(add, r, inv),
+        idempotents=frozenset(idems),
+        regular=frozenset(a for a in r if inv[a]),
+        least_regular_multiples=tuple(least),
+        witnesses=tuple(xs[0] if xs else None for xs in hits),
+        several_witnesses=next(((a, tuple(xs)) for a, xs in enumerate(hits) if len(xs) > 1), None),
+        green=MappingProxyType({"L": left, "R": right, "H": h, "D": j, "J": j}),
+        green_star=MappingProxyType({"H": hstar, "D": jstar, "J": jstar}),
+        h_classes=tuple(h_blocks[b] for b in h.block_of),
+        partition=Partition(next(v for v in orb.values if add[v][v] == v) for orb in orbs),
+        noncommuting_idempotents=next(((e, f) for i, e in enumerate(idems) for f in idems[i + 1:]
+                                       if add[e][f] != add[f][e]), None),
+    )
 
 
 def check_element(s: FiniteSemiring, a) -> None:

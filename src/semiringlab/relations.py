@@ -7,128 +7,34 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import BoundExceeded, DimensionMismatch, NotBiIdeal, NotCongruence
-from .kernel import FiniteSemiring, addition, memo
-from .elements import additive_idempotents, least_regular_multiples
-
-GREEN_KINDS = ("L", "R", "H", "D", "J")
+from .kernel import GREEN_KINDS, FiniteSemiring, Partition, additive_facts
 
 CONGRUENCE_BOUND = 6
-
-
-class Partition:
-    """Equivalence relation on 0..n-1, given by a block id per element. The
-    ids may be any hashable values in any iterable; construction renumbers
-    them densely by first occurrence, so equal partitions compare equal.
-    Equal only to a Partition; `block_of` cannot be assigned."""
-
-    __slots__ = ("block_of",)
-
-    block_of: tuple[int, ...]
-
-    def __init__(self, block_of):
-        relabel = {}
-        object.__setattr__(
-            self, "block_of", tuple([relabel.setdefault(b, len(relabel)) for b in block_of])
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.block_of == other.block_of
-
-    def __hash__(self):
-        return hash((self.block_of,))
-
-    def __reduce__(self):
-        return Partition, (self.block_of,)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        return f"Partition(block_of={self.block_of!r})"
-
-    @staticmethod
-    def identity(n: int) -> Partition:
-        return Partition(range(n))
-
-    @staticmethod
-    def universal(n: int) -> Partition:
-        return Partition(block_of=(0,) * n)
-
-    @property
-    def n(self) -> int:
-        return len(self.block_of)
-
-    @property
-    def num_blocks(self) -> int:
-        return max(self.block_of) + 1 if self.block_of else 0
-
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        out = [set() for _ in range(self.num_blocks)]
-        for x, b in enumerate(self.block_of):
-            out[b].add(x)
-        return tuple(frozenset(b) for b in out)
-
-    def same(self, a: int, b: int) -> bool:
-        return self.block_of[a] == self.block_of[b]
-
-    def refines(self, other: Partition) -> bool:
-        """self finer-or-equal: every self-block sits inside an other-block."""
-        if self.n != other.n:
-            raise ValueError("partitions of different carriers")
-        rep = {}
-        for x, b in enumerate(self.block_of):
-            if b in rep and other.block_of[rep[b]] != other.block_of[x]:
-                return False
-            rep.setdefault(b, x)
-        return True
 
 
 class Congruence(NamedTuple):
     partition: Partition
 
 
-def _principal_sets(s: FiniteSemiring, kind: str) -> tuple[frozenset[int], ...]:
-    """Principal additive left ("L") or right ("R") ideals with a formal
-    identity adjoined, so x itself always belongs to its own ideal even
-    without additive idempotents."""
-    add = s.add
-    n = s.order
-    if kind == "L":
-        return tuple(frozenset({x} | {add[t][x] for t in range(n)}) for x in range(n))
-    return tuple(frozenset({x} | {add[x][t] for t in range(n)}) for x in range(n))
-
-
-@memo(table=addition)
 def green_plus(s: FiniteSemiring, kind: str) -> Partition:
-    """Green's relation of (S, +): L and R via principal one-sided ideals,
-    H = L meet R, and D = L o R, which on a finite semigroup is J. a and b
-    are D-related iff their L-classes meet the same R-classes (the egg-box
-    lemma)."""
+    """Green's relation of (S, +), read off `kernel.additive_facts`: L and R
+    via principal one-sided ideals, H = L meet R, and D = L o R, which on a
+    finite semigroup is J."""
     if kind not in GREEN_KINDS:
         raise ValueError(f"unknown Green relation kind {kind!r}")
-    if kind in ("L", "R"):
-        return Partition(_principal_sets(s, kind))
-    left, right = green_plus(s, "L"), green_plus(s, "R")
-    if kind == "H":
-        return Partition(zip(left.block_of, right.block_of))
-    met = [frozenset(right.block_of[y] for y in block) for block in left.blocks()]
-    return Partition(met[b] for b in left.block_of)
+    return additive_facts(s).green[kind]
 
 
-@memo(table=addition)
 def green_star_plus(s: FiniteSemiring, kind: str) -> Partition:
     """a related to b iff pa related to qb under the plain relation, where p
     and q are the least indices making pa and qb additively regular.
 
-    This pullback is the starred relation of every kind. It preserves
-    meets, so H* is L* meet R*, and D* = J* since D = J."""
-    base = green_plus(s, kind)
-    return Partition(base.block_of[v] for _, v in least_regular_multiples(s))
+    This pullback is the starred relation of every kind. H*, D* and J* are
+    read off `kernel.additive_facts`; L* and R* are pulled back on each
+    call."""
+    facts = additive_facts(s)
+    return facts.green_star.get(kind) or Partition(
+        green_plus(s, kind).block_of[v] for _, v in facts.least_regular_multiples)
 
 
 def is_semiring_congruence_partition(s: FiniteSemiring, p: Partition) -> bool:
@@ -232,7 +138,7 @@ def _check_carrier(s: FiniteSemiring, p: Partition) -> Partition:
 def is_idempotent_separating(s: FiniteSemiring, c: Congruence) -> bool:
     """No two distinct additive idempotents share a class."""
     p = _check_carrier(s, c.partition)
-    idems = sorted(additive_idempotents(s))
+    idems = sorted(additive_facts(s).idempotents)
     return all(
         not p.same(e, f)
         for i, e in enumerate(idems)

@@ -31,24 +31,18 @@ from .errors import (
     TheoremViolationWarning,
 )
 from .kernel import (
-    ADD,
     FiniteSemiring,
     PartialSemiring,
-    addition,
+    Partition,
+    additive_facts,
     check_element,
-    inverses,
     is_b_lattice,
     is_idempotent_semiring,
     memo,
-    orbits,
     validate,
 )
-from .elements import (
-    additive_idempotents,
-    is_quasi_completely_regular_semiring,
-    reg_plus,
-)
-from .relations import Congruence, Partition, green_plus, green_star_plus, quotient
+from .elements import is_quasi_completely_regular_semiring
+from .relations import Congruence, quotient
 
 
 def _check_subset(s: FiniteSemiring, subset) -> frozenset[int]:
@@ -100,30 +94,17 @@ def is_bi_ideal(s: FiniteSemiring, subset) -> bool:
     return _absorbs(s, sub, s.elements())
 
 
-@memo(table=addition)
-def _orbit_windows(s: FiniteSemiring) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset(orb.values) for orb in orbits(s, ADD))
-
-
 def is_nil_extension(s: FiniteSemiring, ideal) -> bool:
     """Every element has some additive multiple inside the bi-ideal."""
     sub = _check_subset(s, ideal)
     if not is_bi_ideal(s, sub):
         raise NotBiIdeal(f"{sorted(s.names[i] for i in sub)} is not a bi-ideal")
-    return all(window & sub for window in _orbit_windows(s))
-
-
-@memo(table=addition)
-def additive_h_classes(s: FiniteSemiring) -> tuple[frozenset[int], ...]:
-    """The H+-class of every element, by index."""
-    h = green_plus(s, "H")
-    blocks = h.blocks()
-    return tuple(blocks[b] for b in h.block_of)
+    return all(window & sub for window in additive_facts(s).windows)
 
 
 def additive_h_class(s: FiniteSemiring, a: int) -> frozenset[int]:
     check_element(s, a)
-    return additive_h_classes(s)[a]
+    return additive_facts(s).h_classes[a]
 
 
 def sub_skew_ring_conditions_by_idempotent(
@@ -157,20 +138,21 @@ def sub_skew_ring_conditions_by_idempotent(
     additive idempotents of s in the block, H_e is the H+-class of e in s
     cut down to the block, and its windows are the windows of its elements.
     """
+    facts = additive_facts(s)
     carrier = frozenset(s.elements()) if block is None else block
-    return _conditions_at(s, carrier, additive_idempotents(s) & carrier, additive_h_classes(s))
+    return _conditions_at(s, facts, carrier, facts.idempotents & carrier)
 
 
 def _conditions_at(
-    s: FiniteSemiring, carrier: frozenset[int], idems: frozenset[int], h_classes
+    s: FiniteSemiring, facts, carrier: frozenset[int], idems: frozenset[int]
 ) -> dict[int, tuple[bool, bool]]:
     """`sub_skew_ring_conditions_by_idempotent` on a carrier, given its
-    additive idempotents and the H+-classes of s."""
-    of = _orbit_windows(s)
+    additive idempotents."""
+    of = facts.windows
     windows = {of[a] for a in carrier}
     at = {}
     for e in sorted(idems):
-        h = h_classes[e] & carrier
+        h = facts.h_classes[e] & carrier
         at[e] = (
             s.mul[e][e] == e and all(e in window for window in windows),
             all(window & h for window in windows) and _absorbs(s, h, carrier),
@@ -210,17 +192,28 @@ def _named(s: FiniteSemiring, block: frozenset[int] | None) -> str:
     return repr(s) if block is None else f"{{{', '.join(s.names[i] for i in sorted(block))}}} in {s!r}"
 
 
-@memo
-def quasi_skew_ring_check(s: FiniteSemiring, block: frozenset[int] | None = None) -> QuasiSkewRingReport:
-    """The three shapes of a quasi skew-ring on s, or, given a block closed
-    under both operations, on the block as a semiring of its own, read off
-    s without building it (see `sub_skew_ring_conditions_by_idempotent`);
-    the kernel is then a set of indices of s."""
+def quasi_skew_ring_check(s: FiniteSemiring, block=None) -> QuasiSkewRingReport:
+    """The three shapes of a quasi skew-ring on s, or, given a block (any
+    iterable of elements of s, nonempty and closed under both operations),
+    on the block as a semiring of its own, read off s without building it
+    (see `sub_skew_ring_conditions_by_idempotent`); the kernel is then a set
+    of indices of s. EmptySubset, OutOfRange or PreconditionFailed for a
+    block that is not one."""
+    if block is not None:
+        block = _check_subset(s, block)
+        if not s.is_closed(block):
+            raise PreconditionFailed(f"block {_named(s, block)} is not closed under both operations")
+    return _quasi_skew_ring_report(s, additive_facts(s), block)
+
+
+def _quasi_skew_ring_report(
+    s: FiniteSemiring, facts, block: frozenset[int] | None
+) -> QuasiSkewRingReport:
+    """`quasi_skew_ring_check` of s or of a block, which it does not check."""
     carrier = frozenset(s.elements()) if block is None else block
-    idems = additive_idempotents(s) & carrier
-    h_classes = additive_h_classes(s)
+    idems = facts.idempotents & carrier
     cond_i = len(idems) == 1  # additive quasi regularity is automatic on a finite carrier
-    cond_ii, cond_iii = _some_idempotent(_conditions_at(s, carrier, idems, h_classes))
+    cond_ii, cond_iii = _some_idempotent(_conditions_at(s, facts, carrier, idems))
     if not (cond_i == cond_ii == cond_iii):
         raise InternalTheoremViolation(
             f"quasi-skew-ring conditions disagree on {_named(s, block)}: "
@@ -229,7 +222,7 @@ def quasi_skew_ring_check(s: FiniteSemiring, block: frozenset[int] | None = None
     kernel = None
     if cond_i:
         e = next(iter(idems))
-        kernel = h_classes[e] & carrier
+        kernel = facts.h_classes[e] & carrier
         if not s.is_closed(kernel):
             raise InternalTheoremViolation(
                 f"kernel of {_named(s, block)} (H+-class of {s.names[e]}) is not closed under both operations"
@@ -320,7 +313,8 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
         raise NotQuasiCompletelyRegular(
             "some element has no completely regular additive multiple"
         )
-    hstar = green_star_plus(s, "H")
+    facts = additive_facts(s)
+    hstar = facts.green_star["H"]
     try:
         y = quotient(s, Congruence(partition=hstar))
     except NotCongruence:
@@ -331,21 +325,20 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
     kernels = []
     idempotents = []
     nil_parts = []
-    inv = inverses(s, ADD)
     # unchecked, because they cannot fail: Y is the quotient by a congruence,
     # so class membership follows Y's tables, and Y is idempotent, so each
     # class is closed (a + b lies in class alpha + alpha = alpha)
     for alpha, cls in enumerate(classes):
         # read off s by lemma (D) of `classify`; the report raises unless its
         # unique-idempotent and nil-extension shapes agree
-        report = quasi_skew_ring_check(s, cls)
+        report = _quasi_skew_ring_report(s, facts, cls)
         if not report.verdict:
             _fail(f"class {alpha} is not a quasi skew-ring")
         kernel = report.kernel
-        (e,) = additive_idempotents(s) & cls
+        (e,) = facts.idempotents & cls
         # a + x + a = a with x in the class puts x + a + x in V+(a) and in
         # the class, which is closed
-        class_reg = frozenset(a for a in cls if inv[a] & cls)
+        class_reg = frozenset(a for a in cls if facts.inverses[a] & cls)
         if kernel != class_reg:
             _fail(f"kernel of class {alpha} differs from its additively regular part")
         nil = _nil_partial(s, cls, kernel)
@@ -354,20 +347,9 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
         kernels.append(kernel)
         idempotents.append(e)
         nil_parts.append(nil)
-    if frozenset().union(*kernels) != reg_plus(s):
+    if frozenset().union(*kernels) != facts.regular:
         _fail("union of class kernels differs from the additively regular part")
     return hstar, y, classes, tuple(kernels), tuple(idempotents), tuple(nil_parts)
-
-
-@memo(table=addition)
-def commuting_additive_idempotents(s: FiniteSemiring) -> tuple[int, int] | None:
-    """First non-commuting pair of additive idempotents, or None."""
-    idems = sorted(additive_idempotents(s))
-    for i, e in enumerate(idems):
-        for f in idems[i + 1:]:
-            if s.add[e][f] != s.add[f][e]:
-                return e, f
-    return None
 
 
 def is_strongly_additively_quasi_completely_inverse(s: FiniteSemiring) -> bool:
@@ -388,13 +370,14 @@ class PsiMap(NamedTuple):
 
 def psi(s: FiniteSemiring, d: Decomposition) -> PsiMap:
     d.require_base(s)
-    bad = commuting_additive_idempotents(s)
+    facts = additive_facts(s)
+    bad = facts.noncommuting_idempotents
     if bad is not None:
         raise PreconditionFailed(
             f"additive idempotents {s.names[bad[0]]} and {s.names[bad[1]]} do not commute"
         )
     images = tuple(s.add[a][d.idempotents[d.class_of(a)]] for a in s.elements())
-    regs = reg_plus(s)
+    regs = facts.regular
     for a, img in enumerate(images):
         if img not in regs:
             raise InternalTheoremViolation(
@@ -413,7 +396,7 @@ def psi_tilde(s: FiniteSemiring, d: Decomposition) -> Partition:
     """Kernel partition of psi: fibers of a |-> a + e_alpha."""
     p = psi(s, d)
     fibers = Partition(p.images)
-    regs = sorted(reg_plus(s))
+    regs = sorted(additive_facts(s).regular)
     for i, r in enumerate(regs):
         for r2 in regs[i + 1:]:
             if fibers.same(r, r2):

@@ -1,16 +1,46 @@
+import sys
 import warnings
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 
 import semiringlab as sl
 from semiringlab.enumeration import enumerate_semirings, sample_semirings
 from semiringlab.errors import SampleShortfallWarning
-from semiringlab.kernel import _CACHES
+from semiringlab.kernel import _CACHES, memo
 
 
 def clear_memo():
     """Drop every memo entry."""
     _CACHES.clear()
+
+
+# every `kernel.memo` wrapper runs this one code object
+_MEMO_WRAPPER = memo(lambda s: None).__code__
+
+
+@contextmanager
+def memo_calls():
+    """Count the `kernel.memo` wrapper calls this thread makes in the block,
+    hits and misses alike:
+
+        with memo_calls() as calls:
+            sl.classify(s)
+        print(calls.count)
+    """
+    calls = SimpleNamespace(count=0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is _MEMO_WRAPPER:
+            calls.count += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(old)
 
 
 @pytest.fixture(autouse=True)

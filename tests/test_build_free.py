@@ -13,10 +13,9 @@ from semiringlab.classify import (
     _is_generalized_clifford,
     _is_quasi_skew_subsemiring,
     _is_regular_part_inverse_subsemiring,
-    _orbit_idempotent_partition,
 )
 from semiringlab.errors import SemiringError
-from semiringlab.kernel import FiniteSemiring
+from semiringlab.kernel import FiniteSemiring, additive_facts
 
 from conftest import (
     clear_memo,
@@ -36,9 +35,10 @@ def test_block_and_reg_plus_checks_match_the_built_semirings(
     closed = open_ = reg_false = 0
     clifford = {True: 0, False: 0}
     for s in members:
-        blocks = set(sl.green_star_plus(s, "H").blocks()) | set(_orbit_idempotent_partition(s).blocks())
+        facts = additive_facts(s)
+        blocks = set(sl.green_star_plus(s, "H").blocks()) | set(facts.partition.blocks())
         for block in blocks:
-            assert _is_quasi_skew_subsemiring(s, block) == quasi_skew_subsemiring_by_building(s, block)
+            assert _is_quasi_skew_subsemiring(s, facts, block) == quasi_skew_subsemiring_by_building(s, block)
             if not s.is_closed(block):
                 open_ += 1
                 continue
@@ -51,13 +51,13 @@ def test_block_and_reg_plus_checks_match_the_built_semirings(
             assert new.skew_ring_absorbs_multiples == old.skew_ring_absorbs_multiples
             assert new.nil_extension_of_skew_ring == old.nil_extension_of_skew_ring
             assert new.kernel == (None if old.kernel is None else frozenset(ordered[i] for i in old.kernel))
-        got = _is_regular_part_inverse_subsemiring(s)
+        got = _is_regular_part_inverse_subsemiring(s, facts)
         assert got == regular_part_inverse_by_building(s), sl.serialize_srt(s)
         reg_false += not got[0]
         # main-theorem condition (i): Reg+ generalized Clifford, read off s
         regs = sl.reg_plus(s)
         if s.is_closed(regs):
-            got = _is_generalized_clifford(s, regs)
+            got = _is_generalized_clifford(s, facts, regs)
             assert got == sl.classify(s.restrict(regs)).holds("generalized-clifford"), sl.serialize_srt(s)
             clifford[got] += 1
     assert closed > 10000 and open_ > 100 and reg_false > 100

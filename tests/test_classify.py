@@ -16,10 +16,17 @@ from semiringlab.classify import (
     _is_quasi_skew_subsemiring,
     _least_b_lattice_congruence,
     _least_idempotent_congruence,
-    _orbit_idempotent_partition,
 )
 from semiringlab.elements import is_additively_regular, is_completely_regular
-from semiringlab.kernel import ADD, ReductFlag, is_b_lattice, is_idempotent_semiring, orbit, reduct_kind
+from semiringlab.kernel import (
+    ADD,
+    ReductFlag,
+    additive_facts,
+    is_b_lattice,
+    is_idempotent_semiring,
+    orbit,
+    reduct_kind,
+)
 from semiringlab.relations import Partition, enumerate_congruences, is_semiring_congruence_partition, quotient
 
 from conftest import direct_product, set_partitions, zn
@@ -317,6 +324,10 @@ def is_completely_archimedean_subsemiring(s, block):
     return sl.classify(sub).holds("quasi-completely-regular") and sl.green_star_plus(sub, "J").num_blocks == 1
 
 
+def quasi_skew_subsemiring(s, block):
+    return _is_quasi_skew_subsemiring(s, additive_facts(s), block)
+
+
 def existence_oracles(s):
     """QCR5 (iii), (iv), (v) and QCI5 (v) by scanning every set partition of
     the carrier, checking lemmas (A) and (B) of the classify docstring on the
@@ -324,7 +335,7 @@ def existence_oracles(s):
     p = orbit_idempotent_partition(s)
     into_qsr = [
         q for q in set_partitions(s.order)
-        if all(_is_quasi_skew_subsemiring(s, b) for b in q.blocks())
+        if all(quasi_skew_subsemiring(s, b) for b in q.blocks())
     ]
     assert into_qsr in ([], [p]), "lemma (A)"
     found = {("QCR5", "iii"): bool(into_qsr)}
@@ -334,8 +345,8 @@ def existence_oracles(s):
     ]
     for label, quotient_pred, block_pred in (
         (("QCR5", "iv"), is_b_lattice, is_completely_archimedean_subsemiring),
-        (("QCR5", "v"), is_idempotent_semiring, _is_quasi_skew_subsemiring),
-        (("QCI5", "v"), is_b_lattice, _is_quasi_skew_subsemiring),
+        (("QCR5", "v"), is_idempotent_semiring, quasi_skew_subsemiring),
+        (("QCI5", "v"), is_b_lattice, quasi_skew_subsemiring),
     ):
         found[label] = False
         for c in congruences:
@@ -357,7 +368,7 @@ def test_existence_conditions_match_set_partition_scan(corpus, corpus_order5, co
     members += [direct_product(zn(a), zn(b)) for a, b in ((2, 2), (2, 3), (2, 4), (3, 3))]
     tally = {}
     for s in members:
-        assert _orbit_idempotent_partition(s) == orbit_idempotent_partition(s)
+        assert additive_facts(s).partition == orbit_idempotent_partition(s)
         expected = existence_oracles(s)
         reports = {theorem: sl.verify_equivalence(s, theorem).verdicts for theorem in ("QCR5", "QCI5")}
         for (theorem, label), holds in expected.items():
@@ -427,7 +438,7 @@ def test_qcr5_iv_builds_no_semiring(monkeypatch, corpus, min_const):
     monkeypatch.setattr(sl.FiniteSemiring, "__post_init__", counting)
     tally = {True: 0, False: 0}
     for s in [min_const] + list(corpus):
-        holds = classify_module._is_b_lattice_of_completely_archimedean(s)
+        holds = classify_module._is_b_lattice_of_completely_archimedean(s, sl.classify(s), additive_facts(s))
         if not sl.classify(s).holds("quasi-completely-regular"):
             assert not holds, sl.serialize_srt(s)
         tally[holds] += 1

@@ -118,6 +118,13 @@ def test_srt_file_round_trip(tmp_path, qsr3):
     assert sl.load_srt(path) == qsr3
 
 
+def test_a_saved_srt_file_holds_exactly_the_serialization(tmp_path, corpus_small):
+    for k, s in enumerate(corpus_small[-20:]):
+        path = tmp_path / f"{k}.srt"
+        sl.save_srt(s, path)
+        assert path.read_bytes() == sl.serialize_srt(s).encode("utf-8")
+
+
 def test_sbl_round_trip(zunion_z2_spec):
     text = sl.serialize_sbl(zunion_z2_spec)
     again = sl.parse_sbl(text)

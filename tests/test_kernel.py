@@ -17,6 +17,7 @@ from semiringlab.kernel import (
     LawFailure,
     ReductFlag,
     ValidationReport,
+    is_idempotent_semiring,
     orbit,
 )
 
@@ -260,6 +261,10 @@ def test_reduct_flags_downward_consistent(corpus_small):
                 assert ReductFlag.BAND in flags
             if ReductFlag.GROUP in flags:
                 assert ReductFlag.INVERSE in flags
+        # the two table predicates agree with the flags
+        add, mul = sl.reduct_kind(s, sl.ADD), sl.reduct_kind(s, sl.MUL)
+        assert is_idempotent_semiring(s) == (ReductFlag.BAND in add and ReductFlag.BAND in mul)
+        assert sl.is_b_lattice(s) == (ReductFlag.SEMILATTICE in add and ReductFlag.BAND in mul)
 
 
 def test_is_b_lattice(boolean, z2, qsr3):

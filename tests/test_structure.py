@@ -339,3 +339,39 @@ def test_decompose_scans_each_class_for_closure_once(monkeypatch):
     assert calls == 1
     with pytest.raises(ValueError, match="not closed"):
         zn(4).restrict({1})
+
+
+def test_a_quasi_skew_ring_check_block_must_be_nonempty(qsr3):
+    for block in (frozenset(), [], ()):
+        with pytest.raises(EmptySubset):
+            sl.quasi_skew_ring_check(qsr3, block)
+
+
+def test_a_quasi_skew_ring_check_block_holds_elements_only(qsr3):
+    # -1 would read the last element, 3 is past it
+    for block in (frozenset({-1}), {0, 3}, [True]):
+        with pytest.raises(OutOfRange):
+            sl.quasi_skew_ring_check(qsr3, block)
+
+
+def test_a_quasi_skew_ring_check_block_must_be_closed(corpus_small):
+    raised = 0
+    for s in corpus_small:
+        for size in range(1, s.order):
+            for block in combinations(s.elements(), size):
+                if s.is_closed(block):
+                    assert sl.quasi_skew_ring_check(s, block) == sl.quasi_skew_ring_check(s, frozenset(block))
+                    continue
+                with pytest.raises(PreconditionFailed, match="is not closed under both operations"):
+                    sl.quasi_skew_ring_check(s, block)
+                raised += 1
+    assert raised > 200
+
+
+def test_a_quasi_skew_ring_check_block_may_be_any_iterable(qsr3):
+    kernel = idx(qsr3, "0")
+    expected = sl.quasi_skew_ring_check(qsr3, kernel)
+    assert expected.verdict and expected.kernel == kernel
+    for block in (list(kernel), tuple(kernel), iter(kernel), {qsr3.index("0"): None}):
+        assert sl.quasi_skew_ring_check(qsr3, block) == expected
+
