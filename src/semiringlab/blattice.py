@@ -11,6 +11,12 @@ run on one carrier, in its own indices: a spec's components placed side by
 side (`_glue`) for `validate_spec` and `compose`; a decomposed s itself,
 whose classes are closed, for the family check; and s with its kernels as
 the classes for the kernel family of the main theorem's condition (i).
+
+The family search runs once per semiring: `search_structure_maps` and
+`check_generalized_clifford_theorem` read one memo entry, keyed by the
+value of s, that holds only the items of the found maps, never s nor its
+decomposition. Each caller builds its own `StructureMaps`, with fresh
+dicts, on its own `decompose(s)`.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .errors import (
     OverlappingCarriers,
     PreconditionFailed,
     SearchBoundExceeded,
-    SemiringError,
     TheoremViolationWarning,
 )
 from .kernel import (
@@ -39,6 +44,7 @@ from .kernel import (
     ValidationReport,
     additive_facts,
     is_b_lattice,
+    memo,
     validate,
 )
 from .structure import (
@@ -61,6 +67,11 @@ def comparable_pairs(y: FiniteSemiring, include_diagonal: bool = False):
         for beta in y.elements():
             if leq(y, alpha, beta) and (include_diagonal or alpha != beta):
                 yield alpha, beta
+
+
+def _above(y: FiniteSemiring) -> list[list[int]]:
+    """For each index beta, every gamma with beta <= gamma, ascending."""
+    return [[gamma for gamma in y.elements() if leq(y, beta, gamma)] for beta in y.elements()]
 
 
 class StrongBLatticeSpec(NamedTuple):
@@ -186,6 +197,7 @@ def _map_failures(y: FiniteSemiring, t, classes, maps):
     carrier t are closed, each listed in ascending order, and `maps` holds
     every comparable map, diagonal included, from a class into a class."""
     add, mul, names = t.add, t.mul, t.names
+    above = _above(y)
 
     def fail(condition, *witness):
         return LawFailure(condition, witness)
@@ -212,9 +224,7 @@ def _map_failures(y: FiniteSemiring, t, classes, maps):
                     yield fail("monomorphism-mul", y.names[alpha], y.names[beta], names[x], names[x2])
 
     for alpha, beta in comparable_pairs(y, include_diagonal=True):
-        for gamma in y.elements():
-            if not leq(y, beta, gamma):
-                continue
+        for gamma in above[beta]:
             f_ab, f_bg, f_ag = maps[alpha, beta], maps[beta, gamma], maps[alpha, gamma]
             for x in classes[alpha]:
                 if f_bg[f_ab[x]] != f_ag[x]:
@@ -226,9 +236,7 @@ def _map_failures(y: FiniteSemiring, t, classes, maps):
         for beta in y.elements():
             delta = y.add[alpha][beta]
             prod_idx = y.mul[alpha][beta]
-            for gamma in y.elements():
-                if not leq(y, delta, gamma):
-                    continue
+            for gamma in above[delta]:
                 if not leq(y, prod_idx, gamma):
                     yield fail("condition-3-order", y.names[alpha], y.names[beta], y.names[gamma])
                     continue
@@ -253,9 +261,10 @@ def _composed(y: FiniteSemiring, t, classes, maps):
 
     `classes` and `maps` are as `_map_failures` reads them."""
     home = {x: alpha for alpha, cls in enumerate(classes) for x in cls}
-    for a in sorted(home):
+    carrier = sorted(home)
+    for a in carrier:
         alpha = home[a]
-        for b in sorted(home):
+        for b in carrier:
             beta = home[b]
             delta, gamma = y.add[alpha][beta], y.mul[alpha][beta]
             va, vb = maps[alpha, delta][a], maps[beta, delta][b]
@@ -488,16 +497,14 @@ def check_main_theorem_conditions(
             verdicts[key] = False
             witnesses[key] = why
 
-    def in_nil(x, alpha):
-        return x in d.classes[alpha] and x not in d.kernels[alpha]
+    nils = [d.classes[alpha] - d.kernels[alpha] for alpha in y.elements()]
+    nil_indices = [sorted(nil) for nil in nils]
+    above = _above(y)
 
     maps, shape = _family_maps(d, m)
     if maps is None:
         fail("ii-mono", shape)
         return ConditionReport(verdicts=verdicts, witnesses=witnesses)
-
-    def phi(alpha, beta, x):
-        return maps[alpha, beta][x]
 
     # (i) the additively regular part is a generalized Clifford bi-ideal and
     # the kernel maps present it as a strong b-lattice of skew-rings
@@ -544,20 +551,20 @@ def check_main_theorem_conditions(
         for x, img in f.items():
             if img not in d.classes[beta]:
                 fail("ii-mono", f"image of {names[x]} leaves class {y.names[beta]}")
-        nil = d.nil_indices(alpha)
+        nil = nil_indices[alpha]
         for x in nil:
             for x2 in nil:
-                if in_nil(s.add[x][x2], alpha) and s.add[f[x]][f[x2]] != f[s.add[x][x2]]:
+                if s.add[x][x2] in nils[alpha] and s.add[f[x]][f[x2]] != f[s.add[x][x2]]:
                     fail("ii-mono", f"varphi ({y.names[alpha]},{y.names[beta]}) breaks addition "
                                     f"at ({names[x]},{names[x2]})")
-                if in_nil(s.mul[x][x2], alpha) and s.mul[f[x]][f[x2]] != f[s.mul[x][x2]]:
+                if s.mul[x][x2] in nils[alpha] and s.mul[f[x]][f[x2]] != f[s.mul[x][x2]]:
                     fail("ii-mono", f"varphi ({y.names[alpha]},{y.names[beta]}) breaks "
                                     f"multiplication at ({names[x]},{names[x2]})")
 
     # (ii)(1) the diagonal nil maps are identities
     for alpha in y.elements():
-        for x in d.nil_indices(alpha):
-            if phi(alpha, alpha, x) != x:
+        for x in nil_indices[alpha]:
+            if maps[alpha, alpha][x] != x:
                 fail("ii1", f"varphi ({y.names[alpha]},{y.names[alpha]}) moves {names[x]}")
 
     # (ii)(2) sums of nil elements that fall into a kernel keep doing so
@@ -565,30 +572,26 @@ def check_main_theorem_conditions(
     for alpha in y.elements():
         for beta in y.elements():
             delta = y.add[alpha][beta]
-            for gamma in y.elements():
-                if not leq(y, delta, gamma):
-                    continue
-                for a in d.nil_indices(alpha):
-                    for b in d.nil_indices(beta):
-                        if in_nil(s.add[a][b], delta):
+            for gamma in above[delta]:
+                for a in nil_indices[alpha]:
+                    for b in nil_indices[beta]:
+                        if s.add[a][b] in nils[delta]:
                             continue
-                        fa, fb = phi(alpha, gamma, a), phi(beta, gamma, b)
-                        if in_nil(s.add[fa][fb], gamma):
+                        fa, fb = maps[alpha, gamma][a], maps[beta, gamma][b]
+                        if s.add[fa][fb] in nils[gamma]:
                             fail("ii2", f"{names[a]}+{names[b]} left the nil part but the "
                                         f"images' sum stays nil in {y.names[gamma]}")
 
     # (ii)(3) composition on nil parts, membership-sensitively
     for alpha, beta in maps:
-        for gamma in y.elements():
-            if not leq(y, beta, gamma):
-                continue
-            for a in d.nil_indices(alpha):
-                img = phi(alpha, beta, a)
-                if in_nil(img, beta):
-                    if phi(beta, gamma, img) != phi(alpha, gamma, a):
+        for gamma in above[beta]:
+            for a in nil_indices[alpha]:
+                img = maps[alpha, beta][a]
+                if img in nils[beta]:
+                    if maps[beta, gamma][img] != maps[alpha, gamma][a]:
                         fail("ii3", f"varphi composition breaks at {names[a]} via "
                                     f"({y.names[alpha]},{y.names[beta]},{y.names[gamma]})")
-                elif in_nil(phi(alpha, gamma, a), gamma):
+                elif maps[alpha, gamma][a] in nils[gamma]:
                     fail("ii3", f"{names[a]} maps out of the nil part at {y.names[beta]} "
                                 f"but back into it at {y.names[gamma]}")
 
@@ -597,19 +600,17 @@ def check_main_theorem_conditions(
         for beta in y.elements():
             delta = y.add[alpha][beta]
             gamma_idx = y.mul[alpha][beta]
-            for gamma in y.elements():
-                if not leq(y, delta, gamma):
-                    continue
-                for a in d.nil_indices(alpha):
-                    for b in d.nil_indices(beta):
+            for gamma in above[delta]:
+                for a in nil_indices[alpha]:
+                    for b in nil_indices[beta]:
                         prod = s.mul[a][b]
-                        fa, fb = phi(alpha, gamma, a), phi(beta, gamma, b)
-                        if in_nil(prod, gamma_idx):
-                            if s.mul[fa][fb] != phi(gamma_idx, gamma, prod):
+                        fa, fb = maps[alpha, gamma][a], maps[beta, gamma][b]
+                        if prod in nils[gamma_idx]:
+                            if s.mul[fa][fb] != maps[gamma_idx, gamma][prod]:
                                 fail("ii4", f"({names[a]}*{names[b]}) does not track through "
                                             f"the maps into {y.names[gamma]}")
                         else:
-                            if in_nil(s.mul[fa][fb], gamma):
+                            if s.mul[fa][fb] in nils[gamma]:
                                 fail("ii4", f"{names[a]}*{names[b]} left the nil part but the "
                                             f"images' product stays nil in {y.names[gamma]}")
 
@@ -619,22 +620,22 @@ def check_main_theorem_conditions(
         for beta in y.elements():
             delta = y.add[alpha][beta]
             gamma_idx = y.mul[alpha][beta]
-            for a in d.nil_indices(alpha):
-                for b in d.nil_indices(beta):
-                    fa, fb = phi(alpha, delta, a), phi(beta, delta, b)
-                    if in_nil(s.add[a][b], delta) and s.add[a][b] != s.add[fa][fb]:
+            for a in nil_indices[alpha]:
+                for b in nil_indices[beta]:
+                    fa, fb = maps[alpha, delta][a], maps[beta, delta][b]
+                    if s.add[a][b] in nils[delta] and s.add[a][b] != s.add[fa][fb]:
                         fail("ii5", f"{names[a]}+{names[b]} is not realized by the maps")
                     prod = s.mul[a][b]
-                    if in_nil(prod, gamma_idx) and phi(gamma_idx, delta, prod) != s.mul[fa][fb]:
+                    if prod in nils[gamma_idx] and maps[gamma_idx, delta][prod] != s.mul[fa][fb]:
                         fail("ii5", f"{names[a]}*{names[b]} is not realized by the maps")
 
     # (iii) the maps commute with the kernel retraction
-    p = psi(s, d)
+    p = psi(s, d).images
     for alpha, beta in maps:
         if alpha == beta:
             continue
-        for a in d.nil_indices(alpha):
-            if p(phi(alpha, beta, a)) != phi(alpha, beta, p(a)):
+        for a in nil_indices[alpha]:
+            if p[maps[alpha, beta][a]] != maps[alpha, beta][p[a]]:
                 fail("iii", f"psi does not commute with the map at {names[a]} for "
                             f"({y.names[alpha]},{y.names[beta]})")
 
@@ -737,6 +738,15 @@ def _search_family(s: FiniteSemiring, d: Decomposition) -> StructureMaps | None:
     return extend(0)
 
 
+@memo
+def _family_items(s: FiniteSemiring) -> tuple | None:
+    """The maps of the family `_search_family` finds on decompose(s), as
+    items, or None: the one search per semiring, whose memo entry holds
+    neither s nor its decomposition."""
+    m = _search_family(s, decompose(s))
+    return None if m is None else tuple((pair, tuple(f.items())) for pair, f in m.phi.items())
+
+
 def search_structure_maps(s: FiniteSemiring) -> StructureMaps | None:
     """Exhaustive, deterministic search for a family presenting s as a strong
     b-lattice of its classes; None when no family exists."""
@@ -744,7 +754,9 @@ def search_structure_maps(s: FiniteSemiring) -> StructureMaps | None:
         raise SearchBoundExceeded(f"order {s.order} exceeds search bound {SEARCH_BOUND}")
     d = decompose(s)
     _require_saqci(s, d)
-    return _search_family(s, d)
+    items = _family_items(s)
+    # fresh maps on the caller's decomposition, so no caller shares a dict
+    return None if items is None else StructureMaps(d, {pair: dict(f) for pair, f in items})
 
 
 def check_generalized_clifford_theorem(s: FiniteSemiring):
@@ -755,17 +767,9 @@ def check_generalized_clifford_theorem(s: FiniteSemiring):
     if s.order > SEARCH_BOUND:
         raise SearchBoundExceeded(f"order {s.order} exceeds search bound {SEARCH_BOUND}")
     report = classify(s)
-    d = None
     # decompose raises NotQuasiCompletelyRegular on the others
-    if report.holds("quasi-completely-regular"):
-        try:
-            d = decompose(s)
-        except InternalTheoremViolation:
-            raise
-        except SemiringError:
-            pass
-    rhs = d is not None and all(not d.nil_indices(alpha) for alpha in range(d.y_order)) and (
-        _search_family(s, d) is not None)
+    d = decompose(s) if report.holds("quasi-completely-regular") else None
+    rhs = d is not None and d.classes == d.kernels and _family_items(s) is not None
     return TheoremReport(
         theorem="GCSB",
         conditions=(

@@ -55,10 +55,6 @@ class NotQuasiCompletelyRegular(SemiringError):
     pass
 
 
-class DecompositionInvariantViolation(SemiringError):
-    pass
-
-
 class PreconditionFailed(SemiringError):
     pass
 
@@ -97,6 +93,10 @@ class DomainMismatch(SemiringError):
 class InternalTheoremViolation(SemiringError):
     """A state the underlying theory rules out. Reaching this means either an
     implementation bug or a genuine counterexample; never swallowed."""
+
+
+class DecompositionInvariantViolation(InternalTheoremViolation):
+    """A decomposition invariant that the theory guarantees fails."""
 
 
 class TheoremViolationWarning(UserWarning):

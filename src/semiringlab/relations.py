@@ -41,21 +41,19 @@ def is_semiring_congruence_partition(s: FiniteSemiring, p: Partition) -> bool:
     """Compatible with both tables: a ~ a' forces a+b ~ a'+b, b+a ~ b+a',
     ab ~ a'b and ba ~ ba' for every b. DimensionMismatch unless p covers
     the carrier of s."""
-    _check_carrier(s, p)
+    block = _check_carrier(s, p).block_of
     add, mul = s.add, s.mul
-    n = s.order
-    for a in range(n):
-        for a2 in range(a + 1, n):
-            if not p.same(a, a2):
-                continue
-            for b in range(n):
-                if not (
-                    p.same(add[a][b], add[a2][b])
-                    and p.same(add[b][a], add[b][a2])
-                    and p.same(mul[a][b], mul[a2][b])
-                    and p.same(mul[b][a], mul[b][a2])
-                ):
-                    return False
+    first = {}
+    # each element against the first of its block: by transitivity that
+    # covers every related pair
+    for a, k in enumerate(block):
+        r = first.setdefault(k, a)
+        if r != a and any(
+            block[add[r][b]] != block[add[a][b]] or block[add[b][r]] != block[add[b][a]]
+            or block[mul[r][b]] != block[mul[a][b]] or block[mul[b][r]] != block[mul[b][a]]
+            for b in range(len(block))
+        ):
+            return False
     return True
 
 

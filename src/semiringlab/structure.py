@@ -284,17 +284,13 @@ class Decomposition(NamedTuple):
 
 def _nil_partial(s: FiniteSemiring, cls: frozenset[int], kernel: frozenset[int]) -> PartialSemiring:
     nil = sorted(cls - kernel)
-    local = {g: i for i, g in enumerate(nil)}
+    # defined only when the result stays in the nil part
+    local = {g: i for i, g in enumerate(nil)}.get
 
-    def entry(table, a, b):
-        v = table[a][b]
-        return local.get(v)  # defined only when the result stays in the nil part
+    def part(table):
+        return tuple(tuple(local(table[a][b]) for b in nil) for a in nil)
 
-    return PartialSemiring(
-        names=tuple(s.names[g] for g in nil),
-        add=tuple(tuple(entry(s.add, a, b) for b in nil) for a in nil),
-        mul=tuple(tuple(entry(s.mul, a, b) for b in nil) for a in nil),
-    )
+    return PartialSemiring(names=tuple(s.names[g] for g in nil), add=part(s.add), mul=part(s.mul))
 
 
 def _fail(invariant: str):
@@ -413,11 +409,11 @@ def check_psi_homomorphism(s: FiniteSemiring, d: Decomposition) -> bool:
         raise PreconditionFailed(
             "psi homomorphism check needs a strongly additively quasi completely inverse semiring"
         )
-    p = psi(s, d)
+    p = psi(s, d).images
     ok = all(
-        p(s.add[a][b]) == s.add[p(a)][p(b)] and p(s.mul[a][b]) == s.mul[p(a)][p(b)]
-        for a in s.elements()
-        for b in s.elements()
+        p[add_a[b]] == s.add[pa][pb] and p[mul_a[b]] == s.mul[pa][pb]
+        for add_a, mul_a, pa in zip(s.add, s.mul, p)
+        for b, pb in enumerate(p)
     )
     if not ok:
         warnings.warn(

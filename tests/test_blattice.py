@@ -3,10 +3,11 @@ import warnings
 import pytest
 
 import semiringlab as sl
-from semiringlab import blattice
+from semiringlab import blattice, structure
 from semiringlab.blattice import _family_presents, family_spec
 from semiringlab.enumeration import canonical_form
 from semiringlab.errors import (
+    DecompositionInvariantViolation,
     DomainMismatch,
     InternalTheoremViolation,
     NotQuasiCompletelyRegular,
@@ -307,10 +308,21 @@ def test_an_internal_theorem_violation_is_never_swallowed(monkeypatch):
         sl.check_generalized_clifford_theorem(s)
 
 
-def test_any_other_semiring_error_still_means_no_family(monkeypatch):
+def test_a_decompose_error_on_a_qcr_member_is_never_read_as_no_family(monkeypatch):
     s = zn(6)
     monkeypatch.setattr(blattice, "decompose", _raise(NotQuasiCompletelyRegular))
-    assert not sl.check_generalized_clifford_theorem(s).verdicts["strong-b-lattice-of-skew-rings"]
+    with pytest.raises(NotQuasiCompletelyRegular):
+        sl.check_generalized_clifford_theorem(s)
+
+
+def test_a_broken_decomposition_invariant_is_never_swallowed(monkeypatch):
+    s = zn(2)
+    # Y is then "not idempotent", which the theory rules out
+    monkeypatch.setattr(structure, "is_idempotent_semiring", lambda y: False)
+    for check in (sl.decompose, sl.search_structure_maps, sl.check_generalized_clifford_theorem):
+        with pytest.raises(DecompositionInvariantViolation, match="not an idempotent semiring"):
+            check(s)
+    assert issubclass(DecompositionInvariantViolation, InternalTheoremViolation)
 
 
 def _pipeline(s):

@@ -199,6 +199,53 @@ def test_theorem_reports_are_pinned(corpus_small, corpus_order4_all, corpus_orde
     assert digests == THEOREM_REPORTS_SHA256
 
 
+# sha256 over the strong b-lattice path of each member, in corpus order: the
+# lines "GCSB label holds evidence" of check_generalized_clifford_theorem,
+# then on strongly additively quasi completely inverse members "psi holds",
+# the found family as "maps" with its maps and their items sorted (or "maps
+# none"), and each main-theorem condition as "key holds witness"
+BLATTICE_PATH_SHA256 = {
+    "corpus_small": "4059e07f9df3a9d0d388b84120bb4a751971fdda99f7bf553d85cd4148d8a08a",
+    "corpus_order4_all": "d440bc723b9d6cccab4bc27ba9c685c346ed8e44a5b24e6f8f7b45ce2762fc32",
+    "corpus_order5": "c74787ea10db755fb2728781eebfc9edf5560c4d4204df49b67499ad6621c032",
+    "corpus_order6": "44d39c77d61fd23ce582ad7c01c2253274d774fcf356d6bcd396c86a7110e22c",
+}
+
+
+def blattice_path_lines(s):
+    for label, holds, why in sl.check_generalized_clifford_theorem(s).conditions:
+        yield f"GCSB {label} {int(holds)} {why}"
+    if not sl.classify(s).holds("strongly-additively-quasi-completely-inverse"):
+        return
+    d = sl.decompose(s)
+    yield f"psi {int(sl.check_psi_homomorphism(s, d))}"
+    m = sl.search_structure_maps(s)
+    if m is None:
+        yield "maps none"
+        return
+    yield f"maps {sorted((pair, sorted(f.items())) for pair, f in m.phi.items())}"
+    conditions = sl.check_main_theorem_conditions(s, d, m)
+    for key in sl.blattice.CONDITION_KEYS:
+        yield f"{key} {int(conditions.verdicts[key])} {conditions.witnesses[key]}"
+
+
+def test_strong_blattice_path_is_pinned(corpus_small, corpus_order4_all, corpus_order5, corpus_order6):
+    corpora = {
+        "corpus_small": corpus_small,
+        "corpus_order4_all": corpus_order4_all,
+        "corpus_order5": corpus_order5,
+        "corpus_order6": corpus_order6,
+    }
+    digests = {}
+    for name, members in corpora.items():
+        h = hashlib.sha256()
+        for s in members:
+            for line in blattice_path_lines(s):
+                h.update(f"{line}\n".encode())
+        digests[name] = h.hexdigest()
+    assert digests == BLATTICE_PATH_SHA256
+
+
 def test_verify_equivalence_qsr3_qsr3(qsr3):
     report = sl.verify_equivalence(qsr3, "QSR3")
     assert report.agreement

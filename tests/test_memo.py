@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 import semiringlab as sl
-from semiringlab import elements, kernel, structure
+from semiringlab import blattice, elements, kernel, structure
 from semiringlab.classify import THEOREM_IDS, Verdict
 from semiringlab.enumeration import enumerate_semirings
 from semiringlab.errors import NotQuasiCompletelyRegular, UnknownTheoremId
@@ -362,6 +362,43 @@ def test_a_sweep_member_costs_few_memo_lookups(corpus_small, corpus_order4):
     assert min(len(calls[True]), len(calls[False])) > 300
     assert mean <= 30 and other <= 25
 
+
+def test_the_chain_runs_one_family_search_per_member(corpus_small, corpus_order4, monkeypatch):
+    """The family search runs at most once per member new to the memo, and
+    exactly once on a strongly additively quasi completely inverse one,
+    though both the generalized Clifford theorem and the structure maps
+    read it; and a caller that changes its family changes no later one."""
+    runs = Counter()
+    search = blattice._search_family
+
+    def counted(s, d):
+        runs[id(s)] += 1
+        return search(s, d)
+
+    monkeypatch.setattr(blattice, "_search_family", counted)
+    members = list(corpus_small) + list(corpus_order4)
+    saqci = 0
+    for s in members:
+        clear_memo()
+        reports(s)
+        if sl.classify(s).holds(SAQCI):
+            saqci += 1
+            assert runs[id(s)] == 1, sl.serialize_srt(s)
+        else:
+            assert runs[id(s)] <= 1, sl.serialize_srt(s)
+    assert saqci > 300
+    # a member whose family has maps between classes and no nil part
+    s = next(t for t in members if sl.classify(t).holds(SAQCI) and sl.decompose(t).y_order > 1
+             and sl.check_generalized_clifford_theorem(t).verdicts["strong-b-lattice-of-skew-rings"])
+    gcsb = sl.check_generalized_clifford_theorem(s)
+    m = sl.search_structure_maps(s)
+    expected = {pair: dict(f) for pair, f in m.phi.items()}
+    assert len(expected) > sl.decompose(s).y_order
+    for f in m.phi.values():
+        f.clear()
+    m.phi.clear()
+    assert sl.search_structure_maps(s).phi == expected
+    assert sl.check_generalized_clifford_theorem(s) == gcsb
 
 def facts_by_definition(s) -> dict:
     """Every field of `kernel.additive_facts`, by scans of the addition."""
