@@ -400,6 +400,7 @@ def test_the_chain_runs_one_family_search_per_member(corpus_small, corpus_order4
     assert sl.search_structure_maps(s).phi == expected
     assert sl.check_generalized_clifford_theorem(s) == gcsb
 
+
 def facts_by_definition(s) -> dict:
     """Every field of `kernel.additive_facts`, by scans of the addition."""
     add, r = s.add, s.elements()
