@@ -25,7 +25,9 @@ addition, `kernel.additive_facts`, which the memo keeps once for every
 semiring with that addition. The rest read the multiplication as well:
 complete regularity through the one vector `elements.complete_regularity`,
 the k-ideal property of E+, the quasi skew-ring check and the band law of
-the multiplication.
+the multiplication; complete and quasi complete regularity read that one
+vector. `classify` and QSR3 read one memoized set of quasi skew-ring
+conditions of the carrier; QCR5, QCI5 and `decompose` one report per H*+ class.
 
 The existence conditions of QCR5 and QCI5 (a partition into quasi skew
 subsemirings, and a congruence with a b-lattice or idempotent quotient whose
@@ -90,14 +92,16 @@ and no congruence above beta is enumerated.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import repeat
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import InternalTheoremViolation, NotQuasiCompletelyRegular, UnknownTheoremId
 from .kernel import FiniteSemiring, Partition, ReductFlag, additive_facts, memo
-from .elements import complete_regularity, first_without_completely_regular_multiple
+from .elements import complete_regularity
 from .relations import generated_congruence
-from .structure import _conditions_at, _is_ideal, _is_k_ideal, _quasi_skew_ring_report, _some_idempotent
+from .structure import _carrier_conditions, _class_reports, _is_ideal, _is_k_ideal
+from .structure import _quasi_skew_ring_report, _some_idempotent
 
 CLASS_KEYS = (
     "additively-regular",
@@ -192,17 +196,20 @@ def classify(s: FiniteSemiring) -> ClassReport:
     """Every class verdict, each decided here once: the verifiers read their
     class premises off this report."""
     facts = additive_facts(s)
-    names, vplus = s.names, facts.inverses
-    bad = next((a for a in s.elements() if not vplus[a]), None)
-    regular_why = "" if bad is None else f"{names[bad]} has no x with a+x+a=a"
-    bad = next((a for a, v in enumerate(vplus) if len(v) != 1), None)
-    inv_why = "" if bad is None else f"{names[bad]} has {len(vplus[bad])} additive inverses"
-    bad = next((a for a, orb in enumerate(facts.orbits) if all(len(vplus[v]) != 1 for v in orb.values)), None)
-    aqi_why = "" if bad is None else f"no multiple of {names[bad]} has a unique additive inverse"
-    bad = next((a for a, cr in enumerate(complete_regularity(s)) if not cr), None)
-    cr_why = "" if bad is None else f"{names[bad]} is not completely regular"
-    bad = first_without_completely_regular_multiple(s)
-    qcr_why = "" if bad is None else f"no multiple of {names[bad]} is completely regular"
+    names, vplus, windows, r = s.names, facts.inverses, facts.windows, s.elements()
+    one = {a for a, v in enumerate(vplus) if len(v) == 1}
+    crs = {a for a, cr in enumerate(complete_regularity(s)) if cr}
+    # the first element outside each set, then the first with no multiple in
+    # it, which exists only if the first does: a is a multiple of itself
+    bad_reg, bad_inv, bad_cr = (None if len(sub) == len(r) else min(set(r) - sub)
+                                for sub in (facts.regular, one, crs))
+    bad_aqi = None if bad_inv is None else next((a for a, w in enumerate(windows) if one.isdisjoint(w)), None)
+    bad_qcr = None if bad_cr is None else next((a for a, w in enumerate(windows) if crs.isdisjoint(w)), None)
+    regular_why = "" if bad_reg is None else f"{names[bad_reg]} has no x with a+x+a=a"
+    inv_why = "" if bad_inv is None else f"{names[bad_inv]} has {len(vplus[bad_inv])} additive inverses"
+    aqi_why = "" if bad_aqi is None else f"no multiple of {names[bad_aqi]} has a unique additive inverse"
+    cr_why = "" if bad_cr is None else f"{names[bad_cr]} is not completely regular"
+    qcr_why = "" if bad_qcr is None else f"no multiple of {names[bad_qcr]} is completely regular"
     bad = facts.noncommuting_idempotents
     comm_why = "" if bad is None else "{0}+{1} != {1}+{0}".format(*(names[i] for i in bad))
     # each of these holds iff nothing breaks it
@@ -215,31 +222,29 @@ def classify(s: FiniteSemiring) -> ClassReport:
     group = ReductFlag.GROUP in facts.flags
     simple = cr and facts.green["J"].num_blocks == 1
     archimedean = qcr and facts.green_star["J"].num_blocks == 1
-    verdicts = {
-        "additively-regular": (not regular_why, regular_why),
-        "additively-inverse": (inv, inv_why),
-        "additively-quasi-inverse": (aqi, aqi_why),
-        "completely-regular": (cr, cr_why),
-        "quasi-completely-regular": (qcr, qcr_why),
-        "quasi-completely-inverse": (qcr and aqi, qcr_why or aqi_why),
-        "strongly-additively-quasi-inverse": (comm_ok, comm_why),
-        "strongly-additively-quasi-completely-inverse": (qcr and comm_ok, qcr_why or comm_why),
-        "generalized-clifford": (gc, "" if gc else cr_why or inv_why or "E+ is not a k-ideal"),
-        "skew-ring": (group, "" if group else "additive reduct is not a group"),
-        "quasi-skew-ring": (
+    # in the order of CLASS_KEYS; tuple.__new__ makes each Verdict without a Python call
+    verdicts = MappingProxyType(dict(zip(CLASS_KEYS, map(tuple.__new__, repeat(Verdict), (
+        (not regular_why, regular_why),
+        (inv, inv_why),
+        (aqi, aqi_why),
+        (cr, cr_why),
+        (qcr, qcr_why),
+        (qcr and aqi, qcr_why or aqi_why),
+        (comm_ok, comm_why),
+        (qcr and comm_ok, qcr_why or comm_why),
+        (gc, "" if gc else cr_why or inv_why or "E+ is not a k-ideal"),
+        (group, "" if group else "additive reduct is not a group"),
+        (
             qsr.skew_ring_absorbs_multiples,
             f"kernel {{{', '.join(sorted(s.names[i] for i in qsr.kernel))}}}" if qsr.kernel else
             f"{len(facts.idempotents)} additive idempotents",
         ),
-        "b-lattice": (blat, "" if blat else "reducts are not semilattice/band"),
-        "completely-simple": (simple, "" if simple else cr_why or "J+ has several blocks"),
-        "completely-archimedean": (archimedean, "" if archimedean else qcr_why or "J*+ has several blocks"),
-    }
-    report = ClassReport(verdicts=MappingProxyType(
-        {key: Verdict(holds=holds, evidence=why) for key, (holds, why) in verdicts.items()}
-    ))
-    _check_implication_closure(s, report)
-    return report
+        (blat, "" if blat else "reducts are not semilattice/band"),
+        (simple, "" if simple else cr_why or "J+ has several blocks"),
+        (archimedean, "" if archimedean else qcr_why or "J*+ has several blocks"),
+    )))))
+    _check_implication_closure(s, verdicts)
+    return ClassReport(verdicts=verdicts)
 
 
 _IMPLICATIONS = (
@@ -252,12 +257,12 @@ _IMPLICATIONS = (
 )
 
 
-def _check_implication_closure(s: FiniteSemiring, report: ClassReport) -> None:
+def _check_implication_closure(s: FiniteSemiring, verdicts: Mapping[str, Verdict]) -> None:
     for premise, conclusion in _IMPLICATIONS:
-        if report.holds(premise) and not report.holds(conclusion):
+        if verdicts[premise].holds and not verdicts[conclusion].holds:
             raise InternalTheoremViolation(
                 f"{premise} holds but {conclusion} fails on {s!r}: "
-                f"{report.verdicts[conclusion].evidence}"
+                f"{verdicts[conclusion].evidence}"
             )
 
 
@@ -297,12 +302,17 @@ def _least_b_lattice_congruence(s: FiniteSemiring) -> Partition:
     return generated_congruence(s, _band_pairs(s) + commuting)
 
 
-def _is_union_of_quasi_skew_rings(s: FiniteSemiring, facts) -> bool:
-    """Some partition into quasi skew subsemirings exists: by lemma (A) the
-    only candidate is P. So some congruence whose classes are quasi skew
-    subsemirings contains iota (beta) iff this holds and P, which refines
-    both, equals iota (beta)."""
-    return all(_is_quasi_skew_subsemiring(s, facts, b) for b in facts.partition.blocks())
+def _quasi_skew_blocks(s: FiniteSemiring, report, facts, p: Partition) -> bool:
+    """Every block of p is a quasi skew subsemiring. For p = P, whether any
+    partition into quasi skew subsemirings exists, as by lemma (A) P is the
+    only candidate; so some congruence of them contains iota (beta) iff this
+    holds and P, which refines both, equals iota (beta). On a quasi
+    completely regular s with p = H*+, all blocks are found closed before
+    the class reports that `decompose` reads are read."""
+    if p == facts.green_star["H"] and report.holds("quasi-completely-regular"):
+        return all(s.is_closed(b) for b in p.blocks()) and all(
+            r.skew_ring_absorbs_multiples for r in _class_reports(s))
+    return all(_is_quasi_skew_subsemiring(s, facts, b) for b in p.blocks())
 
 
 def _is_b_lattice_of_completely_archimedean(s: FiniteSemiring, report, facts) -> bool:
@@ -324,7 +334,7 @@ def _qsr3_conditions(s: FiniteSemiring, report, facts):
     # the three conditions computed independently, bypassing the combined
     # check so a genuine disagreement shows up in the report
     idems = facts.idempotents
-    absorbing, nil_ext = _some_idempotent(_conditions_at(s, facts, frozenset(s.elements()), idems))
+    absorbing, nil_ext = _some_idempotent(_carrier_conditions(s))
     return (
         ("i", len(idems) == 1, f"{len(idems)} additive idempotents"),
         ("ii", absorbing, ""),
@@ -335,15 +345,16 @@ def _qsr3_conditions(s: FiniteSemiring, report, facts):
 def _qcr5_conditions(s: FiniteSemiring, report, facts):
     qcr, qcr_why = report.verdicts["quasi-completely-regular"]
     hstar = facts.green_star["H"]
-    classes_qsr = all(_is_quasi_skew_subsemiring(s, facts, b) for b in hstar.blocks())
+    classes_qsr = _quasi_skew_blocks(s, report, facts, hstar)
+    p = facts.partition
     # (ii) and (iii) ask the same of the same blocks when P is H*+
-    union_qsr = classes_qsr if facts.partition == hstar else _is_union_of_quasi_skew_rings(s, facts)
+    union_qsr = classes_qsr if p == hstar else _quasi_skew_blocks(s, report, facts, p)
     return (
         ("i", qcr, qcr_why),
         ("ii", classes_qsr, ""),
         ("iii", union_qsr, ""),
         ("iv", _is_b_lattice_of_completely_archimedean(s, report, facts), ""),
-        ("v", union_qsr and facts.partition == _least_idempotent_congruence(s), ""),
+        ("v", union_qsr and p == _least_idempotent_congruence(s), ""),
     )
 
 
@@ -368,7 +379,7 @@ def _qci5_conditions(s: FiniteSemiring, report, facts):
     )
     # P is the only candidate (lemma (A)); comparing it with beta is cheaper
     blattice_qsr = facts.partition == _least_b_lattice_congruence(s) and (
-        _is_union_of_quasi_skew_rings(s, facts))
+        _quasi_skew_blocks(s, report, facts, facts.partition))
     return (
         ("i", *report.verdicts["quasi-completely-inverse"]),
         ("ii", qcr and elem_idem, ""),

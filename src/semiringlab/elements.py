@@ -138,16 +138,7 @@ def cr_set(s: FiniteSemiring) -> frozenset[int]:
     return frozenset(a for a, cr in enumerate(complete_regularity(s)) if cr)
 
 
-def first_without_completely_regular_multiple(s: FiniteSemiring) -> int | None:
-    """The first element none of whose additive multiples is completely
-    regular, or None when the semiring is quasi completely regular."""
-    cr = complete_regularity(s)
-    return next(
-        (a for a, orb in enumerate(additive_facts(s).orbits) if not any(cr[v] for v in orb.values)),
-        None,
-    )
-
-
 def is_quasi_completely_regular_semiring(s: FiniteSemiring) -> bool:
     """Every element has a completely regular multiple."""
-    return first_without_completely_regular_multiple(s) is None
+    cr = complete_regularity(s)
+    return all(any(cr[v] for v in orb.values) for orb in additive_facts(s).orbits)

@@ -13,7 +13,7 @@ comparable pair with lines `x -> y`.
 from __future__ import annotations
 
 from .errors import ParseError
-from .kernel import FiniteSemiring
+from .kernel import FiniteSemiring, check_names
 from .blattice import StrongBLatticeSpec, comparable_pairs
 
 
@@ -44,6 +44,10 @@ def _parse_srt_lines(lines, source, terminators=()):
         raise ParseError("empty element list", line=lineno, source=source)
     if len(set(names)) != len(names):
         raise ParseError("duplicate element names", line=lineno, source=source)
+    try:
+        check_names(names)
+    except ValueError as exc:  # a reserved name
+        raise ParseError(str(exc), line=lineno, source=source) from None
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
 
@@ -81,7 +85,8 @@ def _parse_srt_lines(lines, source, terminators=()):
         lineno, content = item
         if not any(content.startswith(t) for t in terminators):
             raise ParseError(f"unexpected trailing content {content!r}", line=lineno, source=source)
-    return FiniteSemiring(names=names, add=tables["add"], mul=tables["mul"])
+    # the names are checked above and every entry indexes one of them
+    return FiniteSemiring._from_checked(names, tables["add"], tables["mul"])
 
 
 def parse_srt(text: str, source: str = "<string>") -> FiniteSemiring:

@@ -53,6 +53,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Mapping
 from enum import Enum
+from itertools import compress, product
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -138,8 +139,8 @@ def check_names(names: tuple[str, ...]) -> None:
         raise DimensionMismatch("carrier must be nonempty")
     seen = set()
     for name in names:
-        # '#' would start a comment in the .srt and .sbl formats
-        if not name or "#" in name or any(ch.isspace() for ch in name):
+        # '#' starts a comment in .srt and .sbl; split() is [name] iff name is nonempty without whitespace
+        if "#" in name or name.split() != [name]:
             raise ValueError(f"element name {name!r} must be nonempty, without whitespace or '#'")
         if name == "->":
             raise ValueError("element name '->' is reserved for .sbl map entries")
@@ -370,16 +371,19 @@ def _inverses(table: Table, r: range) -> tuple[frozenset[int], ...]:
     )
 
 
-def _flags(table: Table, r: range, inv) -> frozenset[ReductFlag]:
+# the flag set of each verdict on the first four flags, in their order
+_FLAG_SETS = {holds: frozenset(compress(ReductFlag, holds)) or frozenset({ReductFlag.PLAIN})
+              for holds in product((False, True), repeat=4)}
+
+
+def _flags(table: Table, cols: Table, r: range, inv) -> frozenset[ReductFlag]:
+    """The flags of a reduct, off its rows and its columns `cols`."""
     band = all(table[a][a] == a for a in r)
-    e = next((e for e in r if all(table[e][x] == x == table[x][e] for x in r)), None)
-    flags = {
-        ReductFlag.BAND: band,
-        ReductFlag.SEMILATTICE: band and all(table[a][b] == table[b][a] for a in r for b in r),
-        ReductFlag.GROUP: e is not None and all(any(table[a][x] == e == table[x][a] for x in r) for a in r),
-        ReductFlag.INVERSE: all(len(v) == 1 for v in inv),
-    }
-    return frozenset(flag for flag, holds in flags.items() if holds) or frozenset({ReductFlag.PLAIN})
+    ident = tuple(r)
+    e = next((e for e in r if table[e] == ident and cols[e] == ident), None)
+    # a+x = e = x+a reads row a and column a at x
+    group = e is not None and all(any(u == e == v for u, v in zip(row, col)) for row, col in zip(table, cols))
+    return _FLAG_SETS[group, band, band and table == cols, all(len(v) == 1 for v in inv)]
 
 
 def _orbits(table: Table, r: range) -> tuple[Orbit, ...]:
@@ -405,7 +409,7 @@ def reduct_kind(s: FiniteSemiring, which: str) -> frozenset[ReductFlag]:
     if which == ADD:
         return additive_facts(s).flags
     table = s.table(which)
-    return _flags(table, s.elements(), _inverses(table, s.elements()))
+    return _flags(table, tuple(zip(*table)), s.elements(), _inverses(table, s.elements()))
 
 
 def orbits(s: FiniteSemiring, which: str) -> tuple[Orbit, ...]:
@@ -447,6 +451,12 @@ class Orbit(NamedTuple):
         return self.values[self.mu + (i - self.mu) % self.lam]
 
 
+def _dense(ids) -> list[int]:
+    """Each id renumbered by its first occurrence: 0, 1, 2, ..."""
+    relabel = {}
+    return [relabel.setdefault(b, len(relabel)) for b in ids]
+
+
 class Partition:
     """Equivalence relation on 0..n-1, given by a block id per element. The
     ids may be any hashable values in any iterable; construction renumbers
@@ -458,8 +468,14 @@ class Partition:
     block_of: tuple[int, ...]
 
     def __init__(self, block_of):
-        relabel = {}
-        _set(self, "block_of", tuple([relabel.setdefault(b, len(relabel)) for b in block_of]))
+        _set(self, "block_of", tuple(_dense(block_of)))
+
+    @classmethod
+    def _of_dense(cls, block_of: list[int]) -> Partition:
+        """Ids already numbered as construction numbers them, kept as given."""
+        p = object.__new__(cls)
+        _set(p, "block_of", tuple(block_of))
+        return p
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -542,50 +558,56 @@ class AdditiveFacts(NamedTuple):
     noncommuting_idempotents: tuple[int, int] | None  # the first pair, or None
 
 
-def _principal_sets(s: FiniteSemiring, kind: str) -> tuple[frozenset[int], ...]:
+def _principal_sets(s: FiniteSemiring, kind: str, cols: Table) -> tuple[frozenset[int], ...]:
     """Principal additive left ("L") or right ("R") ideals with a formal
     identity adjoined, so x itself always belongs to its own ideal even
-    without additive idempotents."""
-    add = s.add
-    if kind == "L":
-        return tuple(frozenset({x, *(row[x] for row in add)}) for x in s.elements())
-    return tuple(frozenset({x, *add[x]}) for x in s.elements())
+    without additive idempotents: S + x is column x of the addition, given
+    as `cols`, and x + S is row x."""
+    return tuple(frozenset((x, *line)) for x, line in enumerate(cols if kind == "L" else s.add))
 
 
 @memo(addition=True)
 def additive_facts(s: FiniteSemiring) -> AdditiveFacts:
+    """The record of the addition, in one pass over its rows and columns;
+    the L, R, H and J ids are numbered densely as they are made."""
     add, r = s.add, s.elements()
+    cols = tuple(zip(*add))
     orbs = _orbits(add, r)
     inv = _inverses(add, r)
-    idems = sorted(e for e in r if add[e][e] == e)
+    idems = [e for e in r if add[e][e] == e]
     # a finite additive orbit always holds a regular element, its idempotent
+    # ka, k the least multiple of the period past the preperiod
+    idem_of = [orb.values[orb.lam * (orb.mu // orb.lam + 1) - 1] for orb in orbs]
     least = [next((i + 1, v) for i, v in enumerate(orb.values) if inv[v]) for orb in orbs]
-    hits = [[x for x in sorted(v) if add[a][x] == add[x][a]] for a, v in enumerate(inv)]
-    left, right = (Partition(_principal_sets(s, kind)) for kind in "LR")
-    h = Partition(zip(left.block_of, right.block_of))
+    hits = [[x for x in sorted(v) if row[x] == col[x]] for row, col, v in zip(add, cols, inv)]
+    left, right = (_dense(_principal_sets(s, kind, cols)) for kind in "LR")
     # D = L o R, which on a finite semigroup is J: a and b are D-related iff
-    # their L-classes meet the same R-classes (the egg-box lemma)
-    met = [frozenset(right.block_of[y] for y in block) for block in left.blocks()]
-    j = Partition(met[b] for b in left.block_of)
+    # their L-classes meet the same R-classes (the egg-box lemma), here a
+    # bitmask of R-ids per L-id
+    met = [0] * len(left)
+    for lid, rid in zip(left, right):
+        met[lid] |= 1 << rid
+    h, j = (Partition._of_dense(_dense(ids)) for ids in (zip(left, right), [met[lid] for lid in left]))
     # the pullback preserves meets, so H* is L* meet R*, and D* = J*
-    hstar, jstar = (Partition(rel.block_of[v] for _, v in least) for rel in (h, j))
+    hstar, jstar = (Partition([ids[v] for _, v in least]) for ids in (h.block_of, j.block_of))
     h_blocks = h.blocks()
     return AdditiveFacts(
         orbits=orbs,
         windows=tuple(frozenset(orb.values) for orb in orbs),
         inverses=inv,
-        flags=_flags(add, r, inv),
+        flags=_flags(add, cols, r, inv),
         idempotents=frozenset(idems),
         regular=frozenset(a for a in r if inv[a]),
         least_regular_multiples=tuple(least),
         witnesses=tuple(xs[0] if xs else None for xs in hits),
         several_witnesses=next(((a, tuple(xs)) for a, xs in enumerate(hits) if len(xs) > 1), None),
-        green=MappingProxyType({"L": left, "R": right, "H": h, "D": j, "J": j}),
+        green=MappingProxyType({"L": Partition._of_dense(left), "R": Partition._of_dense(right),
+                                "H": h, "D": j, "J": j}),
         green_star=MappingProxyType({"H": hstar, "D": jstar, "J": jstar}),
         h_classes=tuple(h_blocks[b] for b in h.block_of),
-        partition=Partition(next(v for v in orb.values if add[v][v] == v) for orb in orbs),
+        partition=Partition(idem_of),
         noncommuting_idempotents=next(((e, f) for i, e in enumerate(idems) for f in idems[i + 1:]
-                                       if add[e][f] != add[f][e]), None),
+                                       if add[e][f] != cols[e][f]), None),
     )
 
 

@@ -12,11 +12,15 @@ The decomposition re-verifies every invariant eagerly before returning; the
 cost is a few O(n^2) table scans and buys trustworthy theorem tests
 downstream. Each class is checked on the tables and analysis of s itself,
 and is built as a semiring only on request (`Decomposition.class_semiring`).
+It reads the class reports QCR5 reads, shares one empty nil part, and computes
+and checks psi's images once when the additive idempotents commute.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (
@@ -160,7 +164,14 @@ def _conditions_at(
     return at
 
 
-def _some_idempotent(at: dict[int, tuple[bool, bool]]) -> tuple[bool, bool]:
+@memo
+def _carrier_conditions(s: FiniteSemiring) -> Mapping[int, tuple[bool, bool]]:
+    """`_conditions_at` on the whole carrier: read by `classify` and QSR3."""
+    facts = additive_facts(s)
+    return MappingProxyType(_conditions_at(s, facts, frozenset(s.elements()), facts.idempotents))
+
+
+def _some_idempotent(at: Mapping[int, tuple[bool, bool]]) -> tuple[bool, bool]:
     """Conditions (ii) and (iii): each holds at some additive idempotent."""
     return any(absorbing for absorbing, _ in at.values()), any(nil_ext for _, nil_ext in at.values())
 
@@ -213,7 +224,8 @@ def _quasi_skew_ring_report(
     carrier = frozenset(s.elements()) if block is None else block
     idems = facts.idempotents & carrier
     cond_i = len(idems) == 1  # additive quasi regularity is automatic on a finite carrier
-    cond_ii, cond_iii = _some_idempotent(_conditions_at(s, facts, carrier, idems))
+    at = _carrier_conditions(s) if block is None else _conditions_at(s, facts, carrier, idems)
+    cond_ii, cond_iii = _some_idempotent(at)
     if not (cond_i == cond_ii == cond_iii):
         raise InternalTheoremViolation(
             f"quasi-skew-ring conditions disagree on {_named(s, block)}: "
@@ -235,6 +247,14 @@ def _quasi_skew_ring_report(
     )
 
 
+@memo
+def _class_reports(s: FiniteSemiring) -> tuple[QuasiSkewRingReport, ...]:
+    """The report of each H*+ class of a quasi completely regular s, for QCR5
+    and `decompose`, which find the classes closed first, as lemma (D) needs."""
+    facts = additive_facts(s)
+    return tuple(_quasi_skew_ring_report(s, facts, cls) for cls in facts.green_star["H"].blocks())
+
+
 def skew_ring_kernel(t: FiniteSemiring) -> frozenset[int]:
     """The maximal sub-skew-ring of a quasi skew-ring: the additive H-class
     of its unique additive idempotent."""
@@ -248,7 +268,8 @@ class Decomposition(NamedTuple):
     """A quasi completely regular semiring split along its starred additive
     H-relation: classes T_alpha indexed by the quotient Y, each a quasi
     skew-ring with kernel R_alpha around the class idempotent e_alpha and a
-    partial-semiring nil part."""
+    partial-semiring nil part. psi_images holds a + e_alpha for each a when
+    the additive idempotents commute (see `psi`), else None."""
 
     base: FiniteSemiring
     hstar: Partition
@@ -257,6 +278,7 @@ class Decomposition(NamedTuple):
     kernels: tuple[frozenset[int], ...]
     idempotents: tuple[int, ...]
     nil_parts: tuple[PartialSemiring, ...]
+    psi_images: tuple[int, ...] | None
 
     @property
     def y_order(self) -> int:
@@ -280,6 +302,9 @@ class Decomposition(NamedTuple):
         not equality: an equal copy gets its own decompose(copy)."""
         if self.base is not s:
             raise PreconditionFailed("decomposition does not belong to this semiring")
+
+
+_NO_NIL = PartialSemiring((), (), ())  # of every class that is its own kernel
 
 
 def _nil_partial(s: FiniteSemiring, cls: frozenset[int], kernel: frozenset[int]) -> PartialSemiring:
@@ -323,11 +348,10 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
     nil_parts = []
     # unchecked, because they cannot fail: Y is the quotient by a congruence,
     # so class membership follows Y's tables, and Y is idempotent, so each
-    # class is closed (a + b lies in class alpha + alpha = alpha)
-    for alpha, cls in enumerate(classes):
-        # read off s by lemma (D) of `classify`; the report raises unless its
-        # unique-idempotent and nil-extension shapes agree
-        report = _quasi_skew_ring_report(s, facts, cls)
+    # class is closed (a + b lies in class alpha + alpha = alpha); each class
+    # is read off s by lemma (D) of `classify`, and its report raises unless
+    # its unique-idempotent and nil-extension shapes agree
+    for alpha, (cls, report) in enumerate(zip(classes, _class_reports(s))):
         if not report.verdict:
             _fail(f"class {alpha} is not a quasi skew-ring")
         kernel = report.kernel
@@ -337,15 +361,25 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
         class_reg = frozenset(a for a in cls if facts.inverses[a] & cls)
         if kernel != class_reg:
             _fail(f"kernel of class {alpha} differs from its additively regular part")
-        nil = _nil_partial(s, cls, kernel)
-        if not validate(nil).verdict:
-            _fail(f"nil part of class {alpha} violates the partial semiring laws")
+        nil = _NO_NIL
+        if kernel != cls:
+            nil = _nil_partial(s, cls, kernel)
+            if not validate(nil).verdict:
+                _fail(f"nil part of class {alpha} violates the partial semiring laws")
         kernels.append(kernel)
         idempotents.append(e)
         nil_parts.append(nil)
     if frozenset().union(*kernels) != facts.regular:
         _fail("union of class kernels differs from the additively regular part")
-    return hstar, y, classes, tuple(kernels), tuple(idempotents), tuple(nil_parts)
+    images = None
+    if facts.noncommuting_idempotents is None:
+        images = tuple(s.add[a][idempotents[alpha]] for a, alpha in enumerate(hstar.block_of))
+        for a, img in enumerate(images):
+            if img not in facts.regular:
+                _fail(f"psi({s.names[a]}) = {s.names[img]} is not additively regular")
+            if a in facts.regular and img != a:  # Reg+ is the union of the kernels
+                _fail(f"psi moves kernel element {s.names[a]} of class {hstar.block_of[a]}")
+    return hstar, y, classes, tuple(kernels), tuple(idempotents), tuple(nil_parts), images
 
 
 def is_strongly_additively_quasi_completely_inverse(s: FiniteSemiring) -> bool:
@@ -365,27 +399,12 @@ class PsiMap(NamedTuple):
 
 
 def psi(s: FiniteSemiring, d: Decomposition) -> PsiMap:
+    """a |-> a + e_alpha, as computed and checked by `decompose`."""
     d.require_base(s)
-    facts = additive_facts(s)
-    bad = facts.noncommuting_idempotents
-    if bad is not None:
-        raise PreconditionFailed(
-            f"additive idempotents {s.names[bad[0]]} and {s.names[bad[1]]} do not commute"
-        )
-    images = tuple(s.add[a][d.idempotents[d.class_of(a)]] for a in s.elements())
-    regs = facts.regular
-    for a, img in enumerate(images):
-        if img not in regs:
-            raise InternalTheoremViolation(
-                f"psi({s.names[a]}) = {s.names[img]} is not additively regular"
-            )
-    for alpha, kernel in enumerate(d.kernels):
-        for r in kernel:
-            if images[r] != r:
-                raise InternalTheoremViolation(
-                    f"psi moves kernel element {s.names[r]} of class {alpha}"
-                )
-    return PsiMap(images=images)
+    if d.psi_images is None:
+        e, f = additive_facts(s).noncommuting_idempotents
+        raise PreconditionFailed(f"additive idempotents {s.names[e]} and {s.names[f]} do not commute")
+    return PsiMap(images=d.psi_images)
 
 
 def psi_tilde(s: FiniteSemiring, d: Decomposition) -> Partition:

@@ -57,6 +57,19 @@ def test_validate_parse_error_exit_2(run, tmp_path):
     assert "ragged.srt:4" in err
 
 
+def test_a_reserved_element_name_is_a_parse_error(run, tmp_path):
+    # '->' separates the two sides of an .sbl map entry
+    srt = tmp_path / "arrow.srt"
+    srt.write_text("elements: -> b\nadd:\n-> b\nb b\nmul:\n-> ->\n-> b\n", encoding="utf-8")
+    sbl = tmp_path / "arrow.sbl"
+    sbl.write_text(ZUNION_Z2_SBL.replace("elements: z\nadd:\nz\nmul:\nz\n", "elements: ->\nadd:\n->\nmul:\n->\n"),
+                   encoding="utf-8")
+    for argv, where in ((("validate", str(srt)), "arrow.srt:1:"), (("compose", str(sbl)), "arrow.sbl:10:")):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, ""), argv
+        assert where in err and "element name '->' is reserved" in err and "Traceback" not in err, err
+
+
 def test_unreadable_or_unwritable_paths_exit_2(run, tmp_path):
     # a negative result exits 1; a path that cannot be read or written is an
     # input error like a parse failure

@@ -363,6 +363,48 @@ def test_a_sweep_member_costs_few_memo_lookups(corpus_small, corpus_order4):
     assert mean <= 30 and other <= 25
 
 
+def test_each_quasi_skew_ring_fact_is_computed_once(corpus_small, corpus_order4, monkeypatch):
+    """The conditions at each idempotent of the whole carrier, which
+    `classify` and QSR3 read, and the report of each H*+ class, which QCR5
+    (ii) and `decompose` read, equal the reports of those blocks computed
+    afresh; and the chain reports each H*+ class of a quasi completely
+    regular member at most once."""
+    report = structure._quasi_skew_ring_report
+    reported = Counter()
+
+    def counted(s, facts, block):
+        reported[id(s), block] += 1
+        return report(s, facts, block)
+
+    for module in (structure, classify_module):
+        monkeypatch.setattr(module, "_quasi_skew_ring_report", counted)
+    qcr = 0
+    for s in list(corpus_small) + list(corpus_order4):
+        clear_memo()
+        reported.clear()
+        chain = reports(s)
+        classes = kernel.additive_facts(s).green_star["H"].blocks()
+        with uncached():
+            facts = kernel.additive_facts(s)
+            at = structure._conditions_at(s, facts, frozenset(s.elements()), facts.idempotents)
+            whole = report(s, facts, None)
+            # lemma (D) reads a block off s only when it is closed
+            fresh = chain[0].holds("quasi-completely-regular") and tuple(
+                report(s, facts, block) for block in classes)
+        assert structure._carrier_conditions(s) == at, sl.serialize_srt(s)
+        assert chain[0].holds("quasi-skew-ring") == whole.skew_ring_absorbs_multiples
+        qsr3 = sl.verify_equivalence(s, "QSR3").verdicts
+        assert (qsr3["ii"], qsr3["iii"]) == structure._some_idempotent(at)
+        if not chain[0].holds("quasi-completely-regular"):
+            continue
+        qcr += 1
+        assert structure._class_reports(s) == fresh, sl.serialize_srt(s)
+        assert sl.verify_equivalence(s, "QCR5").verdicts["ii"] == all(r.skew_ring_absorbs_multiples for r in fresh)
+        assert sl.decompose(s).kernels == tuple(r.kernel for r in fresh)
+        assert max(reported[id(s), block] for block in classes) <= 1, sl.serialize_srt(s)
+    assert qcr > 300
+
+
 def test_the_chain_runs_one_family_search_per_member(corpus_small, corpus_order4, monkeypatch):
     """The family search runs at most once per member new to the memo, and
     exactly once on a strongly additively quasi completely inverse one,

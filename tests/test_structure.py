@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -167,6 +168,31 @@ def test_psi_is_idempotent_map(corpus_small):
         p = sl.psi(s, d)
         assert all(p(p(a)) == p(a) for a in s.elements())
         assert frozenset(p(a) for a in s.elements()) <= sl.reg_plus(s)
+
+
+def test_a_decomposition_holds_psi_when_the_idempotents_commute(corpus_small):
+    """decompose computes a |-> a + e_alpha once, exactly when the additive
+    idempotents commute, and psi hands out those images; a class that is
+    its own kernel has the one empty nil part."""
+    held, empty = Counter(), set()
+    for s in corpus_small:
+        if not sl.classify(s).holds("quasi-completely-regular"):
+            continue
+        d = sl.decompose(s)
+        for nil, cls, kernel in zip(d.nil_parts, d.classes, d.kernels):
+            assert (nil.order == 0) == (cls == kernel)
+            if cls == kernel:
+                empty.add(id(nil))
+        held[d.psi_images is not None] += 1
+        if not is_strongly_additively_quasi_completely_inverse(s):
+            assert d.psi_images is None
+            with pytest.raises(PreconditionFailed, match="do not commute"):
+                sl.psi(s, d)
+            continue
+        assert d.psi_images == tuple(s.add[a][d.idempotents[d.class_of(a)]] for a in s.elements())
+        assert sl.psi(s, d).images is d.psi_images
+    assert min(held.values()) > 10
+    assert len(empty) == 1
 
 
 def test_psi_tilde_qsr3(qsr3):
