@@ -14,9 +14,10 @@ being filled, where a triple with an undefined evaluation passes.
 Memo: each primitive decorated with `memo` computes its result once per
 value it reads and argument tuple. By default that value is the whole
 semiring, `(s.names, s.add, s.mul)`: the complete-regularity vector,
-element classes, class reports, decompositions and the least b-lattice
-congruence. What reads the addition alone is one record per addition,
-`additive_facts`, keyed by that table: orbits and their windows, V+, the
+element classes, class reports, quasi skew-ring conditions, decompositions
+and the least b-lattice congruence. What reads the addition alone is one
+record per addition, `additive_facts`, keyed by that table and built in one
+pass over its rows and columns: orbits and their windows, V+, the
 additive reduct's flags, E+ and Reg+, least regular multiples, commuting
 witnesses, plain and starred Green relations, H+-classes, the
 orbit-idempotent partition and the first pair of additive idempotents that
@@ -568,8 +569,7 @@ def _principal_sets(s: FiniteSemiring, kind: str, cols: Table) -> tuple[frozense
 
 @memo(addition=True)
 def additive_facts(s: FiniteSemiring) -> AdditiveFacts:
-    """The record of the addition, in one pass over its rows and columns;
-    the L, R, H and J ids are numbered densely as they are made."""
+    """The record of the addition; its L, R, H and J ids are numbered densely as made."""
     add, r = s.add, s.elements()
     cols = tuple(zip(*add))
     orbs = _orbits(add, r)
