@@ -12,7 +12,9 @@ complete inversity, strong additive quasi complete inversity) off its
 memoized report as (holds, evidence), and compute only their other
 conditions themselves, so a verifier called on its own runs `classify` first.
 Each verifier fetches the report and the record of the addition
-(`kernel.additive_facts`) once and passes them to its condition helper.
+(`kernel.additive_facts`) in one memo lookup and passes them to its
+condition helper. A condition "premise and X" computes X only when the
+premise holds; when it fails, its evidence is the premise's.
 
 Additive quasi regularity (some multiple of each element is additively
 regular) holds on every finite carrier, so no predicate computes it:
@@ -79,6 +81,9 @@ iff it contains beta. The lemmas:
 So QCR5 (iii) asks whether every block of P is a quasi skew subsemiring.
 QCR5 (v) and QCI5 (v) ask, besides, whether P is a congruence containing
 iota or beta; as P refines both, that is whether P equals iota or beta.
+QCI5 (v) tests the blocks first and compares P with beta only if they
+qualify, which by (C) they do only on a quasi completely regular s, as a
+quasi skew-ring is one: there QCR5 (iv) needs beta too.
 QCR5 (iv) asks for a congruence containing beta whose classes are completely
 Archimedean subsemirings. The classes cover S, so by (C) S must be quasi
 completely regular. A class of a congruence containing beta is closed
@@ -97,7 +102,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import InternalTheoremViolation, NotQuasiCompletelyRegular, UnknownTheoremId
-from .kernel import FiniteSemiring, Partition, ReductFlag, additive_facts, memo
+from .kernel import AdditiveFacts, FiniteSemiring, Partition, ReductFlag, additive_facts, memo
 from .elements import complete_regularity
 from .relations import generated_congruence
 from .structure import _carrier_conditions, _class_reports, _is_ideal, _is_k_ideal
@@ -302,16 +307,15 @@ def _least_b_lattice_congruence(s: FiniteSemiring) -> Partition:
     return generated_congruence(s, _band_pairs(s) + commuting)
 
 
-def _quasi_skew_blocks(s: FiniteSemiring, report, facts, p: Partition) -> bool:
+def _quasi_skew_blocks(s: FiniteSemiring, facts, p: Partition) -> bool:
     """Every block of p is a quasi skew subsemiring. For p = P, whether any
     partition into quasi skew subsemirings exists, as by lemma (A) P is the
     only candidate; so some congruence of them contains iota (beta) iff this
-    holds and P, which refines both, equals iota (beta). On a quasi
-    completely regular s with p = H*+, all blocks are found closed before
-    the class reports that `decompose` reads are read."""
-    if p == facts.green_star["H"] and report.holds("quasi-completely-regular"):
-        return all(s.is_closed(b) for b in p.blocks()) and all(
-            r.skew_ring_absorbs_multiples for r in _class_reports(s))
+    holds and P, which refines both, equals iota (beta). For p = H*+, read
+    off the class reports that `decompose` reads."""
+    if p == facts.green_star["H"]:
+        reports = _class_reports(s)
+        return reports is not None and all(r.skew_ring_absorbs_multiples for r in reports)
     return all(_is_quasi_skew_subsemiring(s, facts, b) for b in p.blocks())
 
 
@@ -345,10 +349,10 @@ def _qsr3_conditions(s: FiniteSemiring, report, facts):
 def _qcr5_conditions(s: FiniteSemiring, report, facts):
     qcr, qcr_why = report.verdicts["quasi-completely-regular"]
     hstar = facts.green_star["H"]
-    classes_qsr = _quasi_skew_blocks(s, report, facts, hstar)
+    classes_qsr = _quasi_skew_blocks(s, facts, hstar)
     p = facts.partition
     # (ii) and (iii) ask the same of the same blocks when P is H*+
-    union_qsr = classes_qsr if p == hstar else _quasi_skew_blocks(s, report, facts, p)
+    union_qsr = classes_qsr if p == hstar else _quasi_skew_blocks(s, facts, p)
     return (
         ("i", qcr, qcr_why),
         ("ii", classes_qsr, ""),
@@ -361,30 +365,30 @@ def _qcr5_conditions(s: FiniteSemiring, report, facts):
 def _qci5_conditions(s: FiniteSemiring, report, facts):
     qcr = report.holds("quasi-completely-regular")
     idems = sorted(facts.idempotents)
-    elem_idem = all(
+    elem_idem = qcr and all(
         _some_multiple_equal(s, s.add[a][f], s.add[f][a])
         for a in s.elements()
         for f in idems
     )
-    idem_idem = all(
+    idem_idem = qcr and all(
         _some_multiple_equal(s, s.add[e][f], s.add[f][e])
         for e in idems
         for f in idems
     )
     hstar = facts.green_star["H"]
-    sums_h_related = all(
+    sums_h_related = qcr and all(
         hstar.same(s.add[a][b], s.add[b][a])
         for a in s.elements()
         for b in s.elements()
     )
-    # P is the only candidate (lemma (A)); comparing it with beta is cheaper
-    blattice_qsr = facts.partition == _least_b_lattice_congruence(s) and (
-        _quasi_skew_blocks(s, report, facts, facts.partition))
+    # P is the only candidate (lemma (A)); its blocks first (module docstring)
+    p = facts.partition
+    blattice_qsr = _quasi_skew_blocks(s, facts, p) and p == _least_b_lattice_congruence(s)
     return (
         ("i", *report.verdicts["quasi-completely-inverse"]),
-        ("ii", qcr and elem_idem, ""),
-        ("iii", qcr and idem_idem, ""),
-        ("iv", qcr and sums_h_related, ""),
+        ("ii", elem_idem, ""),
+        ("iii", idem_idem, ""),
+        ("iv", sums_h_related, ""),
         ("v", blattice_qsr, ""),
     )
 
@@ -392,12 +396,12 @@ def _qci5_conditions(s: FiniteSemiring, report, facts):
 def _saqci3_conditions(s: FiniteSemiring, report, facts):
     qcr, qcr_why = report.verdicts["quasi-completely-regular"]
     qci, qci_why = report.verdicts["quasi-completely-inverse"]
-    reg_inverse, reg_why = _is_regular_part_inverse_subsemiring(s, facts)
-    closed_idems, closed_why = _sum_closed_idempotents(s, facts)
+    reg_inverse, reg_why = _is_regular_part_inverse_subsemiring(s, facts) if qcr else (False, qcr_why)
+    closed_idems, closed_why = _sum_closed_idempotents(s, facts) if qci else (False, qci_why)
     return (
         ("i", *report.verdicts["strongly-additively-quasi-completely-inverse"]),
-        ("ii", qcr and reg_inverse, qcr_why or reg_why),
-        ("iii", qci and closed_idems, qci_why or closed_why),
+        ("ii", reg_inverse, reg_why),
+        ("iii", closed_idems, closed_why),
     )
 
 
@@ -407,10 +411,10 @@ def _hjeq_conditions(s: FiniteSemiring, report, facts):
     # multiplicative leg of complete regularity, so the bare
     # additively-quasi-regular premise admits counterexamples
     qcr, qcr_why = report.verdicts["quasi-completely-regular"]
-    relations_equal = facts.green_star["H"] == facts.green_star["J"]
+    relations_equal = qcr and facts.green_star["H"] == facts.green_star["J"]
     return (
         ("i", *report.verdicts["quasi-completely-inverse"]),
-        ("ii", qcr and relations_equal, qcr_why or ("" if relations_equal else "H*+ differs from J*+")),
+        ("ii", relations_equal, qcr_why or ("" if relations_equal else "H*+ differs from J*+")),
     )
 
 
@@ -423,19 +427,25 @@ _THEOREMS = {
 }
 
 
+@memo
+def _premises(s: FiniteSemiring) -> tuple[ClassReport, AdditiveFacts]:
+    """The class report and the record of the addition, in one memo lookup."""
+    return classify(s), additive_facts(s)
+
+
 def verify_equivalence(s: FiniteSemiring, theorem: str) -> TheoremReport:
     """Evaluate every condition of the named equivalence theorem on its own
     and report whether they agree."""
     if theorem not in _THEOREMS:
         raise UnknownTheoremId(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
-    conditions = _THEOREMS[theorem](s, classify(s), additive_facts(s))
+    conditions = _THEOREMS[theorem](s, *_premises(s))
     return TheoremReport(theorem=theorem, conditions=tuple(conditions))
 
 
 def verify_ideal_corollary(s: FiniteSemiring) -> TheoremReport:
     """Strong additive quasi complete inversity against 'quasi completely
     inverse with Reg+ and E+ both ideals'."""
-    report, facts = classify(s), additive_facts(s)
+    report, facts = _premises(s)
     lhs = report.holds("strongly-additively-quasi-completely-inverse")
     rhs = (
         report.holds("quasi-completely-inverse")

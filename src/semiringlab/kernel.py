@@ -462,9 +462,10 @@ class Partition:
     """Equivalence relation on 0..n-1, given by a block id per element. The
     ids may be any hashable values in any iterable; construction renumbers
     them densely by first occurrence, so equal partitions compare equal.
-    Equal only to a Partition; `block_of` cannot be assigned."""
+    Equal only to a Partition; `block_of` cannot be assigned. `blocks()` is
+    split once and kept, unseen by equality, hash, repr and pickling."""
 
-    __slots__ = ("block_of",)
+    __slots__ = ("block_of", "_blocks")
 
     block_of: tuple[int, ...]
 
@@ -515,10 +516,12 @@ class Partition:
         return max(self.block_of) + 1 if self.block_of else 0
 
     def blocks(self) -> tuple[frozenset[int], ...]:
-        out = [set() for _ in range(self.num_blocks)]
-        for x, b in enumerate(self.block_of):
-            out[b].add(x)
-        return tuple(frozenset(b) for b in out)
+        if not hasattr(self, "_blocks"):
+            out = [set() for _ in range(self.num_blocks)]
+            for x, b in enumerate(self.block_of):
+                out[b].add(x)
+            _set(self, "_blocks", tuple(frozenset(b) for b in out))
+        return self._blocks
 
     def same(self, a: int, b: int) -> bool:
         return self.block_of[a] == self.block_of[b]

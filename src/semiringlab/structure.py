@@ -235,7 +235,8 @@ def _quasi_skew_ring_report(
     if cond_i:
         e = next(iter(idems))
         kernel = facts.h_classes[e] & carrier
-        if not s.is_closed(kernel):
+        # the carrier is closed: s itself, or a block by contract
+        if kernel != carrier and not s.is_closed(kernel):
             raise InternalTheoremViolation(
                 f"kernel of {_named(s, block)} (H+-class of {s.names[e]}) is not closed under both operations"
             )
@@ -248,11 +249,14 @@ def _quasi_skew_ring_report(
 
 
 @memo
-def _class_reports(s: FiniteSemiring) -> tuple[QuasiSkewRingReport, ...]:
-    """The report of each H*+ class of a quasi completely regular s, for QCR5
-    and `decompose`, which find the classes closed first, as lemma (D) needs."""
+def _class_reports(s: FiniteSemiring) -> tuple[QuasiSkewRingReport, ...] | None:
+    """The report of each H*+ class, for QCR5, QCI5 and `decompose`, or None
+    if some class is not closed, as lemma (D) needs: checked here, once."""
     facts = additive_facts(s)
-    return tuple(_quasi_skew_ring_report(s, facts, cls) for cls in facts.green_star["H"].blocks())
+    classes = facts.green_star["H"].blocks()
+    if not all(s.is_closed(cls) for cls in classes):
+        return None
+    return tuple(_quasi_skew_ring_report(s, facts, cls) for cls in classes)
 
 
 def skew_ring_kernel(t: FiniteSemiring) -> frozenset[int]:
@@ -346,12 +350,13 @@ def _decomposition_fields(s: FiniteSemiring) -> tuple:
     kernels = []
     idempotents = []
     nil_parts = []
-    # unchecked, because they cannot fail: Y is the quotient by a congruence,
-    # so class membership follows Y's tables, and Y is idempotent, so each
-    # class is closed (a + b lies in class alpha + alpha = alpha); each class
+    # Y is the quotient by a congruence, so class membership follows Y's
+    # tables, and Y is idempotent, so each class is closed (a + b lies in
+    # class alpha + alpha = alpha), as the class reports check; each class
     # is read off s by lemma (D) of `classify`, and its report raises unless
     # its unique-idempotent and nil-extension shapes agree
-    for alpha, (cls, report) in enumerate(zip(classes, _class_reports(s))):
+    reports = _class_reports(s) or _fail("a class of the starred additive H-relation is not closed")
+    for alpha, (cls, report) in enumerate(zip(classes, reports)):
         if not report.verdict:
             _fail(f"class {alpha} is not a quasi skew-ring")
         kernel = report.kernel

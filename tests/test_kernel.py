@@ -381,6 +381,21 @@ def test_equal_semirings_hash_equal():
         assert pickle.loads(pickle.dumps(a)) == a
 
 
+def test_a_partition_splits_its_blocks_once():
+    for p in (Partition([5, 3, 5, 7]), Partition.identity(3), Partition.universal(2), Partition([])):
+        fresh = tuple(frozenset(x for x in range(p.n) if p.block_of[x] == b) for b in range(p.num_blocks))
+        seen = (hash(p), repr(p), pickle.dumps(p))
+        blocks = p.blocks()
+        assert blocks == fresh and p.blocks() is blocks
+        # the blocks are no part of the value
+        assert (hash(p), repr(p), pickle.dumps(p)) == seen
+        assert p == Partition(p.block_of) and pickle.loads(pickle.dumps(p)).blocks() == fresh
+        for field in ("_blocks", "block_of", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(p, field, ())
+        assert p.blocks() is blocks
+
+
 def test_post_init_runs_once_per_checked_construction(monkeypatch):
     runs = []
     post_init = sl.FiniteSemiring.__post_init__

@@ -405,6 +405,64 @@ def test_each_quasi_skew_ring_fact_is_computed_once(corpus_small, corpus_order4,
     assert qcr > 300
 
 
+def test_the_chain_scans_each_block_for_closure_once(corpus_small, corpus_order4, monkeypatch):
+    """Along one member's chain every block is scanned for closure at most
+    once, but Reg+: the kernel of a quasi skew-ring, which its one H*+ class
+    reports again, and which condition (i) of the main theorem checks on its
+    own."""
+    scans = Counter()
+    is_closed = sl.FiniteSemiring.is_closed
+
+    def counted(self, subset):
+        scans[id(self), frozenset(subset)] += 1
+        return is_closed(self, subset)
+
+    monkeypatch.setattr(sl.FiniteSemiring, "is_closed", counted)
+    for s in list(corpus_small) + list(corpus_order4):
+        clear_memo()
+        scans.clear()
+        reports(s)
+        again = {block: k for (i, block), k in scans.items() if i == id(s) and k > 1}
+        assert set(again) <= {kernel.additive_facts(s).regular}, sl.serialize_srt(s)
+        assert max(again.values(), default=1) <= 3, sl.serialize_srt(s)
+
+
+def test_a_failed_premise_skips_its_conjuncts(corpus_small, corpus_order4, monkeypatch):
+    """A condition "premise and X" computes X only when the premise holds: on
+    a member that is not quasi completely regular the chain generates no
+    beta and runs none of the helpers behind the premise; on one that is,
+    each runs, and the sums of idempotents are scanned iff it is quasi
+    completely inverse."""
+    runs = Counter()
+
+    def counting(name, body):
+        def counted(s, *args):
+            runs[name, id(s)] += 1
+            return body(s, *args)
+
+        return counted
+
+    beta = classify_module._least_b_lattice_congruence
+    monkeypatch.setattr(beta, "__wrapped__", counting("beta", beta.__wrapped__))
+    helpers = ("_some_multiple_equal", "_is_regular_part_inverse_subsemiring", "_sum_closed_idempotents")
+    for name in helpers:
+        monkeypatch.setattr(classify_module, name, counting(name, getattr(classify_module, name)))
+    qcr = 0
+    for s in list(corpus_small) + list(corpus_order4):
+        clear_memo()
+        runs.clear()
+        report = reports(s)[0]
+        got = {name: k for (name, i), k in runs.items() if i == id(s)}
+        if not report.holds("quasi-completely-regular"):
+            assert got == {}, sl.serialize_srt(s)
+            continue
+        qcr += 1
+        assert got["beta"] == got["_is_regular_part_inverse_subsemiring"] == 1, sl.serialize_srt(s)
+        assert got["_some_multiple_equal"] >= 1
+        assert got.get("_sum_closed_idempotents", 0) == report.holds("quasi-completely-inverse")
+    assert 300 < qcr < len(corpus_small) + len(corpus_order4) - 300
+
+
 def test_the_chain_runs_one_family_search_per_member(corpus_small, corpus_order4, monkeypatch):
     """The family search runs at most once per member new to the memo, and
     exactly once on a strongly additively quasi completely inverse one,
