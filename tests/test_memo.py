@@ -427,38 +427,29 @@ def test_the_chain_scans_each_block_for_closure_once(corpus_small, corpus_order4
         assert max(again.values(), default=1) <= 3, sl.serialize_srt(s)
 
 
-def test_a_failed_premise_skips_its_conjuncts(corpus_small, corpus_order4, monkeypatch):
+def test_a_failed_premise_skips_its_conjuncts(corpus_small, corpus_order4, bodies, monkeypatch):
     """A condition "premise and X" computes X only when the premise holds: on
     a member that is not quasi completely regular the chain generates no
     beta and runs none of the helpers behind the premise; on one that is,
     each runs, and the sums of idempotents are scanned iff it is quasi
     completely inverse."""
-    runs = Counter()
-
-    def counting(name, body):
-        def counted(s, *args):
-            runs[name, id(s)] += 1
-            return body(s, *args)
-
-        return counted
-
-    beta = classify_module._least_b_lattice_congruence
-    monkeypatch.setattr(beta, "__wrapped__", counting("beta", beta.__wrapped__))
-    helpers = ("_some_multiple_equal", "_is_regular_part_inverse_subsemiring", "_sum_closed_idempotents")
-    for name in helpers:
-        monkeypatch.setattr(classify_module, name, counting(name, getattr(classify_module, name)))
+    bodies.count(classify_module._least_b_lattice_congruence)
+    lazy = ("_some_multiple_equal", "_is_regular_part_inverse_subsemiring", "_sum_closed_idempotents")
+    for name in lazy:
+        monkeypatch.setattr(classify_module, name, bodies.counted(getattr(classify_module, name)))
+    lazy += ("_least_b_lattice_congruence",)
     qcr = 0
     for s in list(corpus_small) + list(corpus_order4):
         clear_memo()
-        runs.clear()
+        bodies.seen.clear()
         report = reports(s)[0]
-        got = {name: k for (name, i), k in runs.items() if i == id(s)}
+        got = {name: k for name, k in bodies.on(s).items() if name in lazy}
         if not report.holds("quasi-completely-regular"):
             assert got == {}, sl.serialize_srt(s)
             continue
         qcr += 1
-        assert got["beta"] == got["_is_regular_part_inverse_subsemiring"] == 1, sl.serialize_srt(s)
-        assert got["_some_multiple_equal"] >= 1
+        assert got["_least_b_lattice_congruence"] == got["_is_regular_part_inverse_subsemiring"] == 1
+        assert got["_some_multiple_equal"] >= 1, sl.serialize_srt(s)
         assert got.get("_sum_closed_idempotents", 0) == report.holds("quasi-completely-inverse")
     assert 300 < qcr < len(corpus_small) + len(corpus_order4) - 300
 
