@@ -73,6 +73,7 @@ from .enumeration import (
     ImplicationQuery,
     canonical_form,
     canonical_hash,
+    count_labeled_semirings,
     enumerate_semirings,
     find_counterexample,
     sample_semirings,

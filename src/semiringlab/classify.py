@@ -28,8 +28,9 @@ semiring with that addition. The rest read the multiplication as well:
 complete regularity through the one vector `elements.complete_regularity`,
 the k-ideal property of E+, the quasi skew-ring check and the band law of
 the multiplication; complete and quasi complete regularity read that one
-vector. `classify` and QSR3 read one memoized set of quasi skew-ring
-conditions of the carrier; QCR5, QCI5 and `decompose` one report per H*+ class.
+vector. `classify` and QSR3 read one memoized quasi skew-ring report of
+the carrier; QCR5, QCI5 and `decompose` one report per H*+ class, which is
+the carrier's when there is one class.
 
 The existence conditions of QCR5 and QCI5 (a partition into quasi skew
 subsemirings, and a congruence with a b-lattice or idempotent quotient whose
@@ -105,8 +106,7 @@ from .errors import InternalTheoremViolation, NotQuasiCompletelyRegular, Unknown
 from .kernel import AdditiveFacts, FiniteSemiring, Partition, ReductFlag, additive_facts, memo
 from .elements import complete_regularity
 from .relations import generated_congruence
-from .structure import _carrier_conditions, _class_reports, _is_ideal, _is_k_ideal
-from .structure import _quasi_skew_ring_report, _some_idempotent
+from .structure import _carrier_report, _class_reports, _is_ideal, _is_k_ideal, _quasi_skew_ring_report
 
 CLASS_KEYS = (
     "additively-regular",
@@ -221,7 +221,7 @@ def classify(s: FiniteSemiring) -> ClassReport:
     inv, aqi, cr, qcr, comm_ok = (not why for why in (inv_why, aqi_why, cr_why, qcr_why, comm_why))
     # E+ is nonempty: every additive orbit holds an idempotent
     gc = cr and inv and _is_generalized_clifford(s, facts, s.elements())
-    qsr = _quasi_skew_ring_report(s, facts, None)
+    qsr = _carrier_report(s)
     # `kernel.is_b_lattice`, with the additive flag read off the record
     blat = ReductFlag.SEMILATTICE in facts.flags and all(s.mul[a][a] == a for a in s.elements())
     group = ReductFlag.GROUP in facts.flags
@@ -335,14 +335,14 @@ def _is_b_lattice_of_completely_archimedean(s: FiniteSemiring, report, facts) ->
 
 
 def _qsr3_conditions(s: FiniteSemiring, report, facts):
-    # the three conditions computed independently, bypassing the combined
-    # check so a genuine disagreement shows up in the report
+    # the three conditions, each decided on its own definition by the
+    # carrier report, which raises if they disagree
     idems = facts.idempotents
-    absorbing, nil_ext = _some_idempotent(_carrier_conditions(s))
+    qsr = _carrier_report(s)
     return (
         ("i", len(idems) == 1, f"{len(idems)} additive idempotents"),
-        ("ii", absorbing, ""),
-        ("iii", nil_ext, ""),
+        ("ii", qsr.skew_ring_absorbs_multiples, ""),
+        ("iii", qsr.nil_extension_of_skew_ring, ""),
     )
 
 

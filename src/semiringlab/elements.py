@@ -33,12 +33,6 @@ def additive_inverses(s: FiniteSemiring, a: int) -> InverseSet:
     return InverseSet(element=a, inverses=additive_facts(s).inverses[a])
 
 
-def is_additively_regular(s: FiniteSemiring, a: int) -> bool:
-    """Some x has a+x+a = a: V+(a) is nonempty."""
-    check_element(s, a)
-    return bool(additive_facts(s).inverses[a])
-
-
 def commuting_witnesses(s: FiniteSemiring) -> tuple[int | None, ...]:
     """For each element a, the unique x in V+(a) with a+x = x+a, or None.
 
@@ -53,11 +47,6 @@ def commuting_witnesses(s: FiniteSemiring) -> tuple[int | None, ...]:
         a, hits = facts.several_witnesses
         raise MalformedWitness(f"{len(hits)} witnesses {[s.names[x] for x in hits]} for element {s.names[a]}")
     return facts.witnesses
-
-
-def commuting_witness(s: FiniteSemiring, a: int) -> int | None:
-    check_element(s, a)
-    return commuting_witnesses(s)[a]
 
 
 @memo
@@ -121,11 +110,6 @@ def least_regular_multiples(s: FiniteSemiring) -> tuple[tuple[int, int], ...]:
     additive orbit of a. It reads the addition alone, and so do the starred
     Green relations built on it."""
     return additive_facts(s).least_regular_multiples
-
-
-def least_regular_multiple(s: FiniteSemiring, a: int) -> tuple[int, int]:
-    check_element(s, a)
-    return least_regular_multiples(s)[a]
 
 
 def reg_plus(s: FiniteSemiring) -> frozenset[int]:

@@ -138,26 +138,29 @@ def canonical_hash(s: FiniteSemiring) -> str:
     return hashlib.sha256(canonical_form(s)).hexdigest()[:16]
 
 
-def _decoded(enc: bytes, n: int) -> Table:
-    """The n x n table of a row-major encoding."""
-    return tuple(tuple(enc[i:i + n]) for i in range(0, n * n, n))
-
-
 def _semirings_from_canonical(forms) -> list[FiniteSemiring]:
     """The semirings of canonical forms, unchecked: `canonical_form` encodes
     checked tables, so the names and tables are in shape and range. Each
-    addition is decoded once, and its members share that table object and
-    one names tuple per order, so the memo finds an equal addition by
-    identity."""
-    additions = {}
+    distinct table encoding, addition or multiplication, is decoded once per
+    call, and each distinct row once, so members share every equal table
+    and row object and one names tuple per order, and the memo finds an
+    equal table by identity. The 7652 members of order 4 hold 188 distinct
+    additions, 1019 multiplications and 111 rows."""
+    tables, rows = {}, {}
+
+    def decoded(enc: bytes, n: int) -> Table:
+        table = tables.get(enc)
+        if table is None:
+            table = tables[enc] = tuple(
+                rows.setdefault(row, tuple(row)) for row in (enc[i:i + n] for i in range(0, n * n, n)))
+        return table
+
     out = []
     for form in forms:
         n = form[0]
         cut = 1 + n * n
-        add = additions.get(form[:cut])
-        if add is None:
-            add = additions[form[:cut]] = _decoded(form[1:cut], n)
-        out.append(FiniteSemiring._from_checked(_element_names(n), add, _decoded(form[cut:], n)))
+        add, mul = decoded(form[1:cut], n), decoded(form[cut:], n)
+        out.append(FiniteSemiring._from_checked(_element_names(n), add, mul))
     return out
 
 
@@ -518,18 +521,20 @@ def manifest_line(s: FiniteSemiring) -> str:
 def write_corpus(semirings, outdir) -> str:
     """Persist one .srt per semiring named by canonical hash, plus the
     manifest text (also written to MANIFEST); returns the manifest."""
-    from pathlib import Path
+    import os
 
     from .formats import save_srt
 
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    # paths as strings: pathlib would intern every part of every path
+    outdir = os.fspath(outdir)
+    os.makedirs(outdir, exist_ok=True)
     lines = []
     for s in semirings:
         line = manifest_line(s)
         digest = line.split(" ", 1)[0]
-        save_srt(s, outdir / f"{digest}.srt")
+        save_srt(s, os.path.join(outdir, f"{digest}.srt"))
         lines.append(line)
     manifest = "\n".join(lines) + ("\n" if lines else "")
-    (outdir / "MANIFEST").write_text(manifest, encoding="utf-8")
+    with open(os.path.join(outdir, "MANIFEST"), "w", encoding="utf-8") as fh:
+        fh.write(manifest)
     return manifest

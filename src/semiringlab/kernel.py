@@ -503,10 +503,6 @@ class Partition:
     def identity(n: int) -> Partition:
         return Partition(range(n))
 
-    @staticmethod
-    def universal(n: int) -> Partition:
-        return Partition(block_of=(0,) * n)
-
     @property
     def n(self) -> int:
         return len(self.block_of)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Mapping
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (
@@ -106,11 +105,6 @@ def is_nil_extension(s: FiniteSemiring, ideal) -> bool:
     return all(window & sub for window in additive_facts(s).windows)
 
 
-def additive_h_class(s: FiniteSemiring, a: int) -> frozenset[int]:
-    check_element(s, a)
-    return additive_facts(s).h_classes[a]
-
-
 def sub_skew_ring_conditions_by_idempotent(
     s: FiniteSemiring, block: frozenset[int] | None = None
 ) -> dict[int, tuple[bool, bool]]:
@@ -164,25 +158,9 @@ def _conditions_at(
     return at
 
 
-@memo
-def _carrier_conditions(s: FiniteSemiring) -> Mapping[int, tuple[bool, bool]]:
-    """`_conditions_at` on the whole carrier: read by `classify` and QSR3."""
-    facts = additive_facts(s)
-    return MappingProxyType(_conditions_at(s, facts, frozenset(s.elements()), facts.idempotents))
-
-
 def _some_idempotent(at: Mapping[int, tuple[bool, bool]]) -> tuple[bool, bool]:
     """Conditions (ii) and (iii): each holds at some additive idempotent."""
     return any(absorbing for absorbing, _ in at.values()), any(nil_ext for _, nil_ext in at.values())
-
-
-def sub_skew_ring_conditions(
-    s: FiniteSemiring, block: frozenset[int] | None = None
-) -> tuple[bool, bool]:
-    """(absorbing, nil_ext): conditions (ii) and (iii) of a quasi skew-ring,
-    each decided on its own at every additive idempotent (see
-    `sub_skew_ring_conditions_by_idempotent`, also for `block`)."""
-    return _some_idempotent(sub_skew_ring_conditions_by_idempotent(s, block))
 
 
 class QuasiSkewRingReport(NamedTuple):
@@ -214,7 +192,16 @@ def quasi_skew_ring_check(s: FiniteSemiring, block=None) -> QuasiSkewRingReport:
         block = _check_subset(s, block)
         if not s.is_closed(block):
             raise PreconditionFailed(f"block {_named(s, block)} is not closed under both operations")
-    return _quasi_skew_ring_report(s, additive_facts(s), block)
+        return _quasi_skew_ring_report(s, additive_facts(s), block)
+    return _carrier_report(s)
+
+
+@memo
+def _carrier_report(s: FiniteSemiring) -> QuasiSkewRingReport:
+    """`quasi_skew_ring_check` of the whole carrier, computed once: read by
+    `classify`, QSR3, the report of a lone H*+ class and main-theorem
+    condition (i). The kernel it reports is closed: it raises otherwise."""
+    return _quasi_skew_ring_report(s, additive_facts(s), None)
 
 
 def _quasi_skew_ring_report(
@@ -224,8 +211,7 @@ def _quasi_skew_ring_report(
     carrier = frozenset(s.elements()) if block is None else block
     idems = facts.idempotents & carrier
     cond_i = len(idems) == 1  # additive quasi regularity is automatic on a finite carrier
-    at = _carrier_conditions(s) if block is None else _conditions_at(s, facts, carrier, idems)
-    cond_ii, cond_iii = _some_idempotent(at)
+    cond_ii, cond_iii = _some_idempotent(_conditions_at(s, facts, carrier, idems))
     if not (cond_i == cond_ii == cond_iii):
         raise InternalTheoremViolation(
             f"quasi-skew-ring conditions disagree on {_named(s, block)}: "
@@ -254,6 +240,9 @@ def _class_reports(s: FiniteSemiring) -> tuple[QuasiSkewRingReport, ...] | None:
     if some class is not closed, as lemma (D) needs: checked here, once."""
     facts = additive_facts(s)
     classes = facts.green_star["H"].blocks()
+    if len(classes) == 1:
+        # the whole carrier, which is closed: its report is the carrier's
+        return (_carrier_report(s),)
     if not all(s.is_closed(cls) for cls in classes):
         return None
     return tuple(_quasi_skew_ring_report(s, facts, cls) for cls in classes)
@@ -287,9 +276,6 @@ class Decomposition(NamedTuple):
     @property
     def y_order(self) -> int:
         return self.blattice.order
-
-    def class_of(self, a: int) -> int:
-        return self.hstar.block_of[a]
 
     def class_semiring(self, alpha: int) -> FiniteSemiring:
         """T_alpha as a semiring, built on each call."""

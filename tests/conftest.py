@@ -8,7 +8,7 @@ import pytest
 import semiringlab as sl
 from semiringlab.enumeration import enumerate_semirings, sample_semirings
 from semiringlab.errors import SampleShortfallWarning
-from semiringlab.kernel import _CACHES, memo
+from semiringlab.kernel import _CACHES, additive_facts, check_element, memo
 
 
 def clear_memo():
@@ -78,6 +78,23 @@ def direct_product(s, t):
         add=table(s.add, t.add),
         mul=table(s.mul, t.mul),
     )
+
+
+def universal_partition(n):
+    """The partition of 0..n-1 into one block."""
+    return sl.Partition((0,) * n)
+
+
+def is_additively_regular(s, a):
+    """Some x has a+x+a = a: V+(a) is nonempty."""
+    check_element(s, a)
+    return bool(additive_facts(s).inverses[a])
+
+
+def additive_h_class(s, a):
+    """The H+-class of a."""
+    check_element(s, a)
+    return additive_facts(s).h_classes[a]
 
 
 def set_partitions(n):

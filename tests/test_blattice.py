@@ -146,7 +146,7 @@ def test_a_map_for_an_incomparable_pair_is_rejected(tmp_path):
 
 def test_family_spec_drops_a_map_for_an_incomparable_pair(composed_gc):
     d, m = _pipeline(composed_gc)
-    top, bottom = d.class_of(composed_gc.index("0")), d.class_of(composed_gc.index("z"))
+    top, bottom = d.hstar.block_of[composed_gc.index("0")], d.hstar.block_of[composed_gc.index("z")]
     z = composed_gc.index("z")
     extra = sl.StructureMaps(decomposition=d, phi={
         **m.phi, (top, bottom): {x: z for x in d.classes[top]}})
@@ -572,7 +572,7 @@ def _rewired(s, m, source, target, changes):
     """m with the map between the classes of the named elements changed at
     the named elements."""
     d = m.decomposition
-    pair = (d.class_of(s.index(source)), d.class_of(s.index(target)))
+    pair = (d.hstar.block_of[s.index(source)], d.hstar.block_of[s.index(target)])
     phi = {p: dict(f) for p, f in m.phi.items()}
     for x, img in changes.items():
         phi[pair][s.index(x)] = s.index(img)

@@ -17,7 +17,7 @@ from semiringlab.classify import (
     _least_b_lattice_congruence,
     _least_idempotent_congruence,
 )
-from semiringlab.elements import is_additively_regular, is_completely_regular
+from semiringlab.elements import is_completely_regular
 from semiringlab.kernel import (
     ADD,
     ReductFlag,
@@ -29,7 +29,7 @@ from semiringlab.kernel import (
 )
 from semiringlab.relations import Partition, enumerate_congruences, is_semiring_congruence_partition, quotient
 
-from conftest import direct_product, set_partitions, zn
+from conftest import direct_product, is_additively_regular, set_partitions, zn
 
 # the package exports the function classify under the module's name
 classify_module = importlib.import_module("semiringlab.classify")

@@ -2,17 +2,27 @@ import pytest
 
 import semiringlab as sl
 from semiringlab.elements import (
-    commuting_witness,
     commuting_witnesses,
-    is_additively_regular,
     is_completely_regular,
     is_quasi_completely_regular_semiring,
-    least_regular_multiple,
     least_regular_multiples,
 )
 from semiringlab.errors import MalformedWitness, OutOfRange
-from semiringlab.kernel import FiniteSemiring, inverses, orbit
-from semiringlab.structure import additive_h_class
+from semiringlab.kernel import FiniteSemiring, check_element, inverses, orbit
+
+from conftest import additive_h_class, is_additively_regular
+
+
+def commuting_witness(s, a):
+    """The commuting witness of a, off the vector of all of them."""
+    check_element(s, a)
+    return commuting_witnesses(s)[a]
+
+
+def least_regular_multiple(s, a):
+    """(p, pa) of a, off the vector of all elements."""
+    check_element(s, a)
+    return least_regular_multiples(s)[a]
 
 
 def names(s, subset):

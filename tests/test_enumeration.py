@@ -157,6 +157,28 @@ def test_members_equal_their_checked_construction(corpus_small, corpus_order4_al
     assert len({id(s.names) for s in corpus_order4_all}) == 1
 
 
+def test_members_share_every_equal_table_and_row(corpus_order4_all, corpus_order5):
+    # one call decodes each distinct table, addition or multiplication, and
+    # each distinct row once: equal values are one object
+    def one_object_per_value(values):
+        return len({id(v) for v in values}) == len(set(values))
+
+    for members in (corpus_order4_all, corpus_order5):
+        adds, muls = [s.add for s in members], [s.mul for s in members]
+        rows = [row for table in adds + muls for row in table]
+        assert one_object_per_value(adds + muls) and one_object_per_value(rows)
+        for s in members:
+            n = s.order
+            form = bytes([n]) + bytes(v for row in s.add + s.mul for v in row)
+            tables = [tuple(tuple(form[i:i + n]) for i in range(start, start + n * n, n))
+                      for start in (1, 1 + n * n)]
+            built = sl.FiniteSemiring(tuple(f"x{i}" for i in range(n)), *tables)
+            assert sl.validate(built).verdict and s == built, sl.serialize_srt(s)
+            assert canonical_form(s) == form, sl.serialize_srt(s)
+    adds, muls = {s.add for s in corpus_order4_all}, {s.mul for s in corpus_order4_all}
+    assert (len(adds), len(muls), len({row for table in adds | muls for row in table})) == (188, 1019, 111)
+
+
 def test_counts_match_frozen_oracle():
     for n in ORACLE_LABELED:
         assert count_labeled_semirings(n) == ORACLE_LABELED[n]

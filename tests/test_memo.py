@@ -364,11 +364,11 @@ def test_a_sweep_member_costs_few_memo_lookups(corpus_small, corpus_order4):
 
 
 def test_each_quasi_skew_ring_fact_is_computed_once(corpus_small, corpus_order4, monkeypatch):
-    """The conditions at each idempotent of the whole carrier, which
-    `classify` and QSR3 read, and the report of each H*+ class, which QCR5
-    (ii) and `decompose` read, equal the reports of those blocks computed
-    afresh; and the chain reports each H*+ class of a quasi completely
-    regular member at most once."""
+    """The report of the whole carrier, which `classify` and QSR3 read, and
+    the report of each H*+ class, which QCR5 (ii) and `decompose` read,
+    equal the reports of those blocks computed afresh; and the chain reports
+    the carrier once and each H*+ class of a quasi completely regular member
+    at most once."""
     report = structure._quasi_skew_ring_report
     reported = Counter()
 
@@ -391,7 +391,8 @@ def test_each_quasi_skew_ring_fact_is_computed_once(corpus_small, corpus_order4,
             # lemma (D) reads a block off s only when it is closed
             fresh = chain[0].holds("quasi-completely-regular") and tuple(
                 report(s, facts, block) for block in classes)
-        assert structure._carrier_conditions(s) == at, sl.serialize_srt(s)
+        assert structure._carrier_report(s) == whole, sl.serialize_srt(s)
+        assert reported[id(s), None] == 1, sl.serialize_srt(s)
         assert chain[0].holds("quasi-skew-ring") == whole.skew_ring_absorbs_multiples
         qsr3 = sl.verify_equivalence(s, "QSR3").verdicts
         assert (qsr3["ii"], qsr3["iii"]) == structure._some_idempotent(at)
@@ -407,9 +408,9 @@ def test_each_quasi_skew_ring_fact_is_computed_once(corpus_small, corpus_order4,
 
 def test_the_chain_scans_each_block_for_closure_once(corpus_small, corpus_order4, monkeypatch):
     """Along one member's chain every block is scanned for closure at most
-    once, but Reg+: the kernel of a quasi skew-ring, which its one H*+ class
-    reports again, and which condition (i) of the main theorem checks on its
-    own."""
+    once, Reg+ included: the kernel of a quasi skew-ring is found closed by
+    its carrier report, which its one H*+ class and condition (i) of the
+    main theorem read."""
     scans = Counter()
     is_closed = sl.FiniteSemiring.is_closed
 
@@ -423,8 +424,7 @@ def test_the_chain_scans_each_block_for_closure_once(corpus_small, corpus_order4
         scans.clear()
         reports(s)
         again = {block: k for (i, block), k in scans.items() if i == id(s) and k > 1}
-        assert set(again) <= {kernel.additive_facts(s).regular}, sl.serialize_srt(s)
-        assert max(again.values(), default=1) <= 3, sl.serialize_srt(s)
+        assert not again, sl.serialize_srt(s)
 
 
 def test_a_failed_premise_skips_its_conjuncts(corpus_small, corpus_order4, bodies, monkeypatch):

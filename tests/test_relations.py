@@ -14,7 +14,7 @@ from semiringlab.relations import (
 from semiringlab.elements import is_quasi_completely_regular_semiring, least_regular_multiples
 from semiringlab.structure import is_strongly_additively_quasi_completely_inverse
 
-from conftest import set_partitions
+from conftest import set_partitions, universal_partition
 
 
 def blocks_by_name(s, partition):
@@ -162,9 +162,9 @@ def test_identity_and_universal_always_present(corpus_small):
         congs = sl.enumerate_congruences(s)
         partitions = [c.partition for c in congs]
         assert Partition.identity(s.order) in partitions
-        assert Partition.universal(s.order) in partitions
+        assert universal_partition(s.order) in partitions
         assert partitions[0] == Partition.identity(s.order)
-        assert partitions[-1] == Partition.universal(s.order)
+        assert partitions[-1] == universal_partition(s.order)
 
 
 def test_set_partitions_run_finest_first():
@@ -229,9 +229,9 @@ def test_congruence_bound():
 def test_is_idempotent_separating(qsr3, boolean):
     eps = sl.Congruence(Partition.identity(3))
     assert sl.is_idempotent_separating(qsr3, eps)
-    omega_bool = sl.Congruence(Partition.universal(2))
+    omega_bool = sl.Congruence(universal_partition(2))
     assert not sl.is_idempotent_separating(boolean, omega_bool)
-    omega_qsr3 = sl.Congruence(Partition.universal(3))
+    omega_qsr3 = sl.Congruence(universal_partition(3))
     assert sl.is_idempotent_separating(qsr3, omega_qsr3)
 
 
@@ -242,7 +242,7 @@ def test_rees_congruence(qsr3):
     c = sl.rees_congruence(qsr3, {qsr3.index("b"), zero})
     assert blocks_by_name(qsr3, c.partition) == [["0", "b"], ["a"]]
     c = sl.rees_congruence(qsr3, set(qsr3.elements()))
-    assert c.partition == Partition.universal(3)
+    assert c.partition == universal_partition(3)
     with pytest.raises(NotBiIdeal):
         sl.rees_congruence(qsr3, {qsr3.index("a")})
 
@@ -255,7 +255,7 @@ def test_quotient(qsr3):
     assert sl.validate(q).verdict
     eps = sl.Congruence(Partition.identity(3))
     assert sl.quotient(qsr3, eps).order == 3
-    omega = sl.Congruence(Partition.universal(3))
+    omega = sl.Congruence(universal_partition(3))
     assert sl.quotient(qsr3, omega).order == 1
     bad = sl.Congruence(Partition((0, 0, 1)))
     with pytest.raises(NotCongruence):
