@@ -526,7 +526,6 @@ def write_corpus(semirings, outdir) -> str:
     from .formats import save_srt
 
     # paths as strings: pathlib would intern every part of every path
-    outdir = os.fspath(outdir)
     os.makedirs(outdir, exist_ok=True)
     lines = []
     for s in semirings:
