@@ -11,9 +11,9 @@ The enumeration's incremental checks (`enumeration._assoc_ok_at`,
 `_distrib_ok_at`) are the one exception: they judge the triples of a table
 being filled, where a triple with an undefined evaluation passes.
 
-Memo: each primitive decorated with `memo` computes its result once per
-value it reads and argument tuple. By default that value is the whole
-semiring, `(s.names, s.add, s.mul)`: the complete-regularity vector,
+Memo: each primitive decorated with `memo` takes the semiring alone and
+computes its result once per value it reads. By default that value is the
+whole semiring, `(s.names, s.add, s.mul)`: the complete-regularity vector,
 element classes, class reports, quasi skew-ring conditions, decompositions
 and the least b-lattice congruence. What reads the addition alone is one
 record per addition, `additive_facts`, keyed by that table and built in one
@@ -39,7 +39,15 @@ the index first.
 Equal semirings, and for a per-addition primitive every semiring with that
 addition, share their results. The memo keeps the results of the
 `_MEMO_SEMIRINGS` values most recently used and drops the least recently
-used first.
+used first. Its newest entry is read without hashing: a call on the very
+table objects that entry was read from (names, addition and multiplication
+for a whole-semiring primitive, the addition alone for a per-addition one)
+reads its cache directly and moves nothing. A semiring's entry also keeps
+the per-addition results of that semiring: the first such call reads the
+addition's own entry, like any other lookup, and the later ones stay in
+the semiring's entry, so one semiring's analysis does not alternate
+between two entries. `clear_memo` drops every entry and the pointer to the
+newest.
 
 Memoized results are immutable values (tuples, frozensets, named tuples,
 read-only mappings). No key is a semiring object and no
@@ -75,42 +83,81 @@ LAW_RIGHT_DIST = "right-distributivity"
 # how many values the memo keeps results for; the least recently used is
 # dropped first
 _MEMO_SEMIRINGS = 16
-# value read -> {(primitive, args): result}, least recently used first
+# value read -> {primitive: result}, least recently used first
 _CACHES: dict[tuple, dict] = {}
 _MISSING = object()
+# the last entry of `_CACHES`: (that dict, names, addition, multiplication,
+# cache), the objects its value was read from; names and multiplication are
+# None for the entry of an addition
+_NO_ENTRY = (None, None, None, None, None)
+_newest = _NO_ENTRY
+
+
+def clear_memo() -> None:
+    """Drop every memo entry and the pointer to the newest."""
+    global _newest
+    _newest = _NO_ENTRY
+    _CACHES.clear()
+
+
+def _renew(s, addition: bool) -> dict:
+    """The cache of the value s is read by, moved (or added) to the end of
+    `_CACHES` past the bound of older values, and made the newest entry."""
+    global _newest
+    caches = _CACHES
+    names, add, mul = (None, s.add, None) if addition else (s.names, s.add, s.mul)
+    read = add if addition else (names, add, mul)
+    cache = caches.pop(read, None)
+    if cache is None:
+        cache = {}
+    caches[read] = cache
+    kept = len(caches)
+    if kept > _MEMO_SEMIRINGS:
+        # a snapshot and pop(key, None): other threads may evict too
+        for old in list(caches)[:-_MEMO_SEMIRINGS]:
+            caches.pop(old, None)
+    # a dict that keeps no entry gets no newest entry either
+    if kept:
+        _newest = (caches, names, add, mul, cache)
+    return cache
+
+
+def _read(cache: dict, fn, wrapper, s):
+    """fn(s) from cache, computed and stored there on a miss."""
+    value = cache.get(fn, _MISSING)
+    if value is _MISSING:
+        # the body is looked up on a miss, so a test can count its runs
+        value = cache[fn] = wrapper.__wrapped__(s)
+    return value
 
 
 def memo(fn=None, *, addition=False):
-    """Cache fn(s, *args). Positional arguments after s form the key, so they
-    must be hashable; keyword calls are not cached.
+    """Cache fn(s), a primitive of one semiring, keyed by fn in the cache of
+    the value it reads.
 
-    By default results are keyed by the semiring's value; with `addition`,
-    by the value of its addition table instead: the body must read nothing
-    else of s and return no names."""
+    By default that value is the semiring's; with `addition`, the value of
+    its addition table instead: the body must read nothing else of s and
+    return no names."""
     if fn is None:
         return functools.partial(memo, addition=addition)
 
     @functools.wraps(fn)
-    def wrapper(s, *args, **kwargs):
-        if kwargs:
-            return fn(s, *args, **kwargs)
-        read = s.add if addition else (s.names, s.add, s.mul)
-        # reinserted on every call, so the dict runs from least to most
-        # recently used
-        cache = _CACHES.pop(read, None)
-        if cache is None:
-            cache = {}
-        _CACHES[read] = cache
-        if len(_CACHES) > _MEMO_SEMIRINGS:
-            # a snapshot and pop(key, None): other threads may evict too
-            for old in list(_CACHES)[:-_MEMO_SEMIRINGS]:
-                _CACHES.pop(old, None)
-        key = (fn, args)
-        value = cache.get(key, _MISSING)
-        if value is _MISSING:
-            # the body is looked up on a miss, so a test can count its runs
-            value = cache[key] = wrapper.__wrapped__(s, *args)
-        return value
+    def wrapper(s):
+        caches, names, add, mul, cache = _newest
+        # the newest entry serves a call on the very table objects it was
+        # read from, with no hashing and no move; the entry of a semiring
+        # serves its addition's primitives too
+        if caches is _CACHES and add is s.add and (addition or names is s.names and mul is s.mul):
+            value = cache.get(fn, _MISSING)
+            if value is not _MISSING:
+                return value
+            if addition and names is not None:
+                # read once from the addition's own entry, then kept here
+                cache[fn] = value = _read(_renew(s, True), fn, wrapper, s)
+                return value
+        else:
+            cache = _renew(s, addition)
+        return _read(cache, fn, wrapper, s)
 
     return wrapper
 
@@ -226,7 +273,7 @@ class FiniteSemiring(_Tables):
         return s
 
     def elements(self) -> range:
-        return range(self.order)
+        return range(len(self.names))
 
     def index(self, name: str) -> int:
         try:
@@ -367,9 +414,10 @@ class ReductFlag(Enum):
 
 
 def _inverses(table: Table, r: range) -> tuple[frozenset[int], ...]:
-    return tuple(
-        frozenset(x for x in r if table[table[a][x]][a] == a and table[table[x][a]][x] == x) for a in r
-    )
+    return tuple([
+        frozenset([x for x, ax in enumerate(row) if table[ax][a] == a and table[table[x][a]][x] == x])
+        for a, row in zip(r, table)
+    ])
 
 
 # the flag set of each verdict on the first four flags, in their order
@@ -387,15 +435,13 @@ def _flags(table: Table, cols: Table, r: range, inv) -> frozenset[ReductFlag]:
     return _FLAG_SETS[group, band, band and table == cols, all(len(v) == 1 for v in inv)]
 
 
-def _orbits(table: Table, r: range) -> tuple[Orbit, ...]:
-    out = []
-    for a in r:
-        values = [a]
-        while (nxt := table[values[-1]][a]) not in values:
-            values.append(nxt)
-        mu = values.index(nxt)
-        out.append(Orbit(tuple(values), mu, len(values) - mu))
-    return tuple(out)
+def _orbit(col: Row, a: int) -> Orbit:
+    """The orbit of a, off column a of its table: x + a is col[x]."""
+    values = [a]
+    while (nxt := col[values[-1]]) not in values:
+        values.append(nxt)
+    mu = values.index(nxt)
+    return Orbit(tuple(values), mu, len(values) - mu)
 
 
 def inverses(s: FiniteSemiring, which: str) -> tuple[frozenset[int], ...]:
@@ -415,7 +461,9 @@ def reduct_kind(s: FiniteSemiring, which: str) -> frozenset[ReductFlag]:
 
 def orbits(s: FiniteSemiring, which: str) -> tuple[Orbit, ...]:
     """The orbit of every element under the chosen operation, by index."""
-    return additive_facts(s).orbits if which == ADD else _orbits(s.table(which), s.elements())
+    if which == ADD:
+        return additive_facts(s).orbits
+    return tuple(_orbit(col, a) for a, col in enumerate(zip(*s.table(which))))
 
 
 def is_idempotent_semiring(s: FiniteSemiring) -> bool:
@@ -513,10 +561,10 @@ class Partition:
 
     def blocks(self) -> tuple[frozenset[int], ...]:
         if not hasattr(self, "_blocks"):
-            out = [set() for _ in range(self.num_blocks)]
+            out = [[] for _ in range(self.num_blocks)]
             for x, b in enumerate(self.block_of):
-                out[b].add(x)
-            _set(self, "_blocks", tuple(frozenset(b) for b in out))
+                out[b].append(x)
+            _set(self, "_blocks", tuple(map(frozenset, out)))
         return self._blocks
 
     def same(self, a: int, b: int) -> bool:
@@ -563,43 +611,68 @@ def _principal_sets(s: FiniteSemiring, kind: str, cols: Table) -> tuple[frozense
     identity adjoined, so x itself always belongs to its own ideal even
     without additive idempotents: S + x is column x of the addition, given
     as `cols`, and x + S is row x."""
-    return tuple(frozenset((x, *line)) for x, line in enumerate(cols if kind == "L" else s.add))
+    return tuple([frozenset((x, *line)) for x, line in enumerate(cols if kind == "L" else s.add)])
 
 
 @memo(addition=True)
 def additive_facts(s: FiniteSemiring) -> AdditiveFacts:
     """The record of the addition; its L, R, H and J ids are numbered densely as made."""
-    add, r = s.add, s.elements()
+    add = s.add
+    r = range(len(add))
     cols = tuple(zip(*add))
-    orbs = _orbits(add, r)
     inv = _inverses(add, r)
-    idems = [e for e in r if add[e][e] == e]
-    # a finite additive orbit always holds a regular element, its idempotent
-    # ka, k the least multiple of the period past the preperiod
-    idem_of = [orb.values[orb.lam * (orb.mu // orb.lam + 1) - 1] for orb in orbs]
-    least = [next((i + 1, v) for i, v in enumerate(orb.values) if inv[v]) for orb in orbs]
-    hits = [[x for x in sorted(v) if row[x] == col[x]] for row, col, v in zip(add, cols, inv)]
-    left, right = (_dense(_principal_sets(s, kind, cols)) for kind in "LR")
+    left_sets, right_sets = (_principal_sets(s, kind, cols) for kind in "LR")
+    orbs, windows, idem_of, least, witnesses, idems, regular = [], [], [], [], [], [], []
+    several = None
+    # L, R and H ids numbered densely by first occurrence, as they are met
+    left_ids, right_ids, h_ids = {}, {}, {}
+    left, right, h = [], [], []
     # D = L o R, which on a finite semigroup is J: a and b are D-related iff
     # their L-classes meet the same R-classes (the egg-box lemma), here a
     # bitmask of R-ids per L-id
-    met = [0] * len(left)
-    for lid, rid in zip(left, right):
+    met = [0] * len(add)
+    for a, row, col, v in zip(r, add, cols, inv):
+        orb = _orbit(col, a)
+        values, mu, lam = orb
+        orbs.append(orb)
+        windows.append(frozenset(values))
+        # a finite additive orbit always holds a regular element, its
+        # idempotent ka, k the least multiple of the period past the preperiod
+        idem_of.append(values[lam * (mu // lam + 1) - 1])
+        if v:
+            regular.append(a)
+            least.append((1, a))
+            hits = [x for x in sorted(v) if row[x] == col[x]]
+            witnesses.append(hits[0] if hits else None)
+            if several is None and len(hits) > 1:
+                several = a, tuple(hits)
+        else:
+            least.append(next((i, x) for i, x in enumerate(values, 1) if inv[x]))
+            witnesses.append(None)
+        if row[a] == a:
+            idems.append(a)
+        lid = left_ids.setdefault(left_sets[a], len(left_ids))
+        rid = right_ids.setdefault(right_sets[a], len(right_ids))
+        left.append(lid)
+        right.append(rid)
         met[lid] |= 1 << rid
-    h, j = (Partition._of_dense(_dense(ids)) for ids in (zip(left, right), [met[lid] for lid in left]))
+        h.append(h_ids.setdefault((lid, rid), len(h_ids)))
+    h = Partition._of_dense(h)
+    j = Partition._of_dense(_dense([met[lid] for lid in left]))
     # the pullback preserves meets, so H* is L* meet R*, and D* = J*
-    hstar, jstar = (Partition([ids[v] for _, v in least]) for ids in (h.block_of, j.block_of))
+    hstar = Partition([h.block_of[v] for _, v in least])
+    jstar = Partition([j.block_of[v] for _, v in least])
     h_blocks = h.blocks()
     return AdditiveFacts(
-        orbits=orbs,
-        windows=tuple(frozenset(orb.values) for orb in orbs),
+        orbits=tuple(orbs),
+        windows=tuple(windows),
         inverses=inv,
         flags=_flags(add, cols, r, inv),
         idempotents=frozenset(idems),
-        regular=frozenset(a for a in r if inv[a]),
+        regular=frozenset(regular),
         least_regular_multiples=tuple(least),
-        witnesses=tuple(xs[0] if xs else None for xs in hits),
-        several_witnesses=next(((a, tuple(xs)) for a, xs in enumerate(hits) if len(xs) > 1), None),
+        witnesses=tuple(witnesses),
+        several_witnesses=several,
         green=MappingProxyType({"L": Partition._of_dense(left), "R": Partition._of_dense(right),
                                 "H": h, "D": j, "J": j}),
         green_star=MappingProxyType({"H": hstar, "D": jstar, "J": jstar}),

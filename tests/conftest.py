@@ -8,16 +8,16 @@ import pytest
 import semiringlab as sl
 from semiringlab.enumeration import enumerate_semirings, sample_semirings
 from semiringlab.errors import SampleShortfallWarning
-from semiringlab.kernel import _CACHES, additive_facts, check_element, memo
+from semiringlab.kernel import additive_facts, check_element, memo
 
 
 def clear_memo():
-    """Drop every memo entry."""
-    _CACHES.clear()
+    """Drop every memo entry and the pointer to the newest."""
+    sl.kernel.clear_memo()
 
 
 # every `kernel.memo` wrapper runs this one code object
-_MEMO_WRAPPER = memo(lambda s: None).__code__
+MEMO_WRAPPER = memo(lambda s: None).__code__
 
 
 @contextmanager
@@ -32,7 +32,7 @@ def memo_calls():
     calls = SimpleNamespace(count=0)
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is _MEMO_WRAPPER:
+        if event == "call" and frame.f_code is MEMO_WRAPPER:
             calls.count += 1
 
     old = sys.getprofile()

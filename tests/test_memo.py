@@ -14,14 +14,14 @@ from contextlib import contextmanager
 import pytest
 
 import semiringlab as sl
-from semiringlab import blattice, elements, kernel, structure
+from semiringlab import blattice, elements, enumeration, kernel, structure
 from semiringlab.classify import THEOREM_IDS, Verdict
 from semiringlab.enumeration import enumerate_semirings
 from semiringlab.errors import NotQuasiCompletelyRegular, UnknownTheoremId
 from semiringlab.kernel import _CACHES, _MEMO_SEMIRINGS
 from semiringlab.relations import enumerate_congruences
 
-from conftest import clear_memo, memo_calls, ring, zn
+from conftest import MEMO_WRAPPER, clear_memo, memo_calls, ring, zn
 
 classify_module = importlib.import_module("semiringlab.classify")
 
@@ -138,12 +138,73 @@ def test_the_memo_keeps_at_most_its_bound_of_live_semirings(corpus_small):
     for s in members:
         hits += s.add in used[-_MEMO_SEMIRINGS:]
         sl.classify_element(s, 0)
-        # the call reads the semiring, then its body the addition alone
-        used = [v for v in used if v not in (value_of(s), s.add)] + [value_of(s), s.add]
+        # the call reads the semiring; its body's first read of the addition
+        # moves the addition's entry to the end, and the semiring's entry,
+        # read again for complete regularity, moves back past it
+        used = [v for v in used if v not in (value_of(s), s.add)] + [s.add, value_of(s)]
+        assert list(_CACHES) == used[-_MEMO_SEMIRINGS:]
+        # a read of the addition through the semiring's own entry moves nothing
+        kernel.additive_facts(s)
         assert list(_CACHES) == used[-_MEMO_SEMIRINGS:]
     # a kept addition that is read again moves to the end
     assert hits > 0
     check_entries(*members)
+
+
+def test_the_newest_entry_is_the_last_of_the_memo(corpus_small):
+    """The entry the memo serves without hashing is the last of `_CACHES`,
+    read from the very tables of the value it holds, also once more than
+    the bound of values has been read."""
+    members = list(corpus_small)[:3 * _MEMO_SEMIRINGS]
+    for s in members:
+        sl.classify(s)
+        caches, names, add, mul, cache = kernel._newest
+        assert caches is _CACHES and cache is list(_CACHES.values())[-1]
+        assert add is s.add
+        if names is None:
+            assert mul is None and list(_CACHES)[-1] == s.add
+        else:
+            assert names is s.names and mul is s.mul and list(_CACHES)[-1] == value_of(s)
+    assert len({value_of(s) for s in members}) > _MEMO_SEMIRINGS == len(_CACHES)
+
+
+def memoized_primitives() -> set:
+    """Every primitive of the package that `kernel.memo` wraps."""
+    modules = (kernel, elements, classify_module, structure, blattice, enumeration)
+    return {f for m in modules for f in vars(m).values() if getattr(f, "__code__", None) is MEMO_WRAPPER}
+
+
+def test_a_call_after_clear_memo_reruns_every_body(bodies):
+    counted = {classify_module.classify, elements.complete_regularity, kernel.additive_facts}
+    for primitive in memoized_primitives() - counted:
+        bodies.count(primitive)
+    s = zn(6)
+    clear_memo()
+    reports(s)
+    cold = bodies.on(s)
+    assert {"classify", "additive_facts", "_decomposition_fields", "_family_items"} <= set(cold)
+    bodies.seen.clear()
+    reports(s)
+    assert bodies.on(s) == {}
+    kernel.clear_memo()
+    assert not _CACHES and kernel._newest == kernel._NO_ENTRY
+    bodies.seen.clear()
+    reports(s)
+    assert bodies.on(s) == cold
+
+
+def test_an_uncached_run_computes_each_call_afresh(bodies):
+    s = zn(6)
+    reports(s)
+    with uncached():
+        counts = []
+        for _ in range(2):
+            bodies.seen.clear()
+            reports(s)
+            counts.append(bodies.on(s))
+            # the newest entry belongs to the dict the memo no longer uses
+            assert kernel._newest[0] is not kernel._CACHES
+        assert counts[0] == counts[1] and counts[0]["classify"] > 1
 
 
 def test_congruence_list_is_fresh_within_a_scope(z3):
@@ -278,18 +339,25 @@ def test_equal_additions_keep_their_own_names_and_verdicts():
     # a+b = a; every product distributes over it
     left_zero = tuple((a,) * 3 for a in range(3))
     zero = ((0, 0, 0),) * 3
-    members = (ring("abc", left_zero, left_zero), ring("xyz", left_zero, left_zero), ring("abc", left_zero, zero))
-    got = [sl.classify(t) for t in members]
-    with uncached():
-        assert got == [sl.classify(t) for t in members]
-    assert [r.verdicts["additively-inverse"].evidence for r in got] == [
-        "a has 3 additive inverses", "x has 3 additive inverses", "a has 3 additive inverses",
-    ]
-    assert [r.verdicts["strongly-additively-quasi-inverse"].evidence for r in got] == [
-        "a+b != b+a", "x+y != y+x", "a+b != b+a",
-    ]
-    assert [r.holds("completely-regular") for r in got] == [True, True, False]
-    assert got[2].verdicts["completely-regular"].evidence == "b is not completely regular"
+    first = ring("abc", left_zero, left_zero)
+    for members in (
+        (first, ring("xyz", left_zero, left_zero), ring("abc", left_zero, zero)),
+        # the very table objects of the first, as enumerated members share them
+        (first, sl.FiniteSemiring._from_checked(tuple("xyz"), first.add, first.mul),
+         sl.FiniteSemiring._from_checked(first.names, first.add, zero)),
+    ):
+        clear_memo()
+        got = [sl.classify(t) for t in members]
+        with uncached():
+            assert got == [sl.classify(t) for t in members]
+        assert [r.verdicts["additively-inverse"].evidence for r in got] == [
+            "a has 3 additive inverses", "x has 3 additive inverses", "a has 3 additive inverses",
+        ]
+        assert [r.verdicts["strongly-additively-quasi-inverse"].evidence for r in got] == [
+            "a+b != b+a", "x+y != y+x", "a+b != b+a",
+        ]
+        assert [r.holds("completely-regular") for r in got] == [True, True, False]
+        assert got[2].verdicts["completely-regular"].evidence == "b is not completely regular"
 
 
 def test_classify_analyses_each_addition_of_the_order4_corpus_once(bodies):
@@ -310,7 +378,7 @@ def test_a_raising_call_leaves_a_sound_cache(bodies, min_const):
         sl.decompose(min_const)
     # the analyses decompose ran are kept, its failed body is not
     cache = _CACHES[value_of(min_const)]
-    assert (structure._decomposition_fields.__wrapped__, ()) not in cache
+    assert structure._decomposition_fields.__wrapped__ not in cache
     report = sl.classify(min_const)
     with uncached():
         assert sl.classify(min_const) == report
@@ -361,6 +429,32 @@ def test_a_sweep_member_costs_few_memo_lookups(corpus_small, corpus_order4):
     print(f"memo calls per member: {mean:.1f} on {len(every)}, {other:.1f} on the {len(calls[False])} not SAQCI")
     assert min(len(calls[True]), len(calls[False])) > 300
     assert mean <= 30 and other <= 25
+
+
+def test_a_sweep_member_hashes_three_memo_values(corpus_small, corpus_order4, monkeypatch):
+    """Of the memo lookups in the chain of a member new to the memo, exactly
+    three find their entry by hashing a value, on every member: the
+    semiring's, which `classify` makes; the addition's, on the first read of
+    the addition through the semiring's entry; and the semiring's once more,
+    on the next whole-semiring primitive. The newest entry serves every other
+    lookup, so a change that brings back an alternation between a member's
+    two entries fails here."""
+    renewals = []
+    renew = kernel._renew
+
+    def counted(s, addition):
+        renewals.append("addition" if addition else "semiring")
+        return renew(s, addition)
+
+    monkeypatch.setattr(kernel, "_renew", counted)
+    members = list(corpus_small) + list(corpus_order4)
+    seen = Counter()
+    for s in members:
+        clear_memo()
+        renewals.clear()
+        reports(s)
+        seen[tuple(renewals)] += 1
+    assert seen == {("semiring", "addition", "semiring"): len(members)}
 
 
 def test_each_quasi_skew_ring_fact_is_computed_once(corpus_small, corpus_order4, monkeypatch):
@@ -552,8 +646,8 @@ def facts_by_definition(s) -> dict:
     }
 
 
-def test_the_addition_record_matches_its_definitions(corpus):
-    for s in corpus:
+def check_the_record_against_its_definitions(members):
+    for s in members:
         cached = kernel.additive_facts(s)
         with uncached():
             facts = kernel.additive_facts(s)
@@ -565,3 +659,13 @@ def test_the_addition_record_matches_its_definitions(corpus):
                 value = dict(value)
             assert value == expected[field], (field, sl.serialize_srt(s))
 
+
+def test_the_addition_record_matches_its_definitions(corpus):
+    check_the_record_against_its_definitions(corpus)
+
+
+def test_the_addition_record_matches_its_definitions_at_orders_5_and_6(corpus_order5, corpus_order6):
+    """The record is built in one loop over the elements; every field still
+    equals its definition on the larger carriers of the order-5 and order-6
+    samples."""
+    check_the_record_against_its_definitions(list(corpus_order5) + list(corpus_order6))
