@@ -101,8 +101,9 @@ def clear_memo() -> None:
 
 
 def _renew(s, addition: bool) -> dict:
-    """The cache of the value s is read by, moved (or added) to the end of
-    `_CACHES` past the bound of older values, and made the newest entry."""
+    """The cache of s's value, or with `addition` of its addition's, moved
+    (or added) to the end of `_CACHES` and made the newest entry; values
+    past the bound are dropped, the least recently used first."""
     global _newest
     caches = _CACHES
     names, add, mul = (None, s.add, None) if addition else (s.names, s.add, s.mul)

@@ -8,12 +8,7 @@ import pytest
 import semiringlab as sl
 from semiringlab.enumeration import enumerate_semirings, sample_semirings
 from semiringlab.errors import SampleShortfallWarning
-from semiringlab.kernel import additive_facts, check_element, memo
-
-
-def clear_memo():
-    """Drop every memo entry and the pointer to the newest."""
-    sl.kernel.clear_memo()
+from semiringlab.kernel import additive_facts, check_element, clear_memo, memo
 
 
 # every `kernel.memo` wrapper runs this one code object

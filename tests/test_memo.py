@@ -186,7 +186,7 @@ def test_a_call_after_clear_memo_reruns_every_body(bodies):
     bodies.seen.clear()
     reports(s)
     assert bodies.on(s) == {}
-    kernel.clear_memo()
+    clear_memo()
     assert not _CACHES and kernel._newest == kernel._NO_ENTRY
     bodies.seen.clear()
     reports(s)
