@@ -12,6 +12,12 @@ side (`_glue`) for `validate_spec` and `compose`; a decomposed s itself,
 whose classes are closed, for the family check; and s with its kernels as
 the classes for the kernel family of the main theorem's condition (i).
 
+The main theorem's conditions (ii) and (iii) are checked in two passes
+over the family: one over its maps, for the (ii) preamble, (ii)(1), (ii)(3)
+and (iii), and one over each pair of nil elements against each level above
+their sum, for (ii)(2), (ii)(4) and (ii)(5). A nil part is read through
+`Decomposition.nil_indices`.
+
 The family search runs once per semiring: `search_structure_maps` and
 `check_generalized_clifford_theorem` read one memo entry, keyed by the
 value of s, that holds only the items of the found maps, never s nor its
@@ -506,10 +512,6 @@ def check_main_theorem_conditions(
             verdicts[key] = False
             witnesses[key] = why
 
-    nils = [d.classes[alpha] - d.kernels[alpha] for alpha in y.elements()]
-    nil_indices = [sorted(nil) for nil in nils]
-    above = _above(y)
-
     maps, shape = _family_maps(d, m)
     if maps is None:
         fail("ii-mono", shape)
@@ -549,105 +551,80 @@ def check_main_theorem_conditions(
             if s.mul[a][b] != product:
                 fail("i", f"kernel family misses {names[a]}*{names[b]}")
 
-    # (ii) preamble: each varphi injective and a homomorphism wherever the
-    # nil part defines the operation; the assembled class map injective
-    for alpha, beta in maps:
-        if alpha == beta:
-            continue
-        f = maps[alpha, beta]
-        imgs = list(f.values())
-        if len(set(imgs)) != len(imgs):
-            fail("ii-mono", f"assembled map ({y.names[alpha]},{y.names[beta]}) is not injective")
-        for x, img in f.items():
-            if img not in d.classes[beta]:
-                fail("ii-mono", f"image of {names[x]} leaves class {y.names[beta]}")
+    # (ii) and (iii) over the nil parts, in two passes: each map, then each
+    # pair of nil elements against each level above their sum
+    nil_indices = [d.nil_indices(alpha) for alpha in y.elements()]
+    nils = [frozenset(nil) for nil in nil_indices]
+    above = _above(y)
+    p = psi(s, d).images
+    for (alpha, beta), f in maps.items():
         nil = nil_indices[alpha]
-        for x in nil:
-            for x2 in nil:
-                if s.add[x][x2] in nils[alpha] and s.add[f[x]][f[x2]] != f[s.add[x][x2]]:
-                    fail("ii-mono", f"varphi ({y.names[alpha]},{y.names[beta]}) breaks addition "
-                                    f"at ({names[x]},{names[x2]})")
-                if s.mul[x][x2] in nils[alpha] and s.mul[f[x]][f[x2]] != f[s.mul[x][x2]]:
-                    fail("ii-mono", f"varphi ({y.names[alpha]},{y.names[beta]}) breaks "
-                                    f"multiplication at ({names[x]},{names[x2]})")
-
-    # (ii)(1) the diagonal nil maps are identities
-    for alpha in y.elements():
-        for x in nil_indices[alpha]:
-            if maps[alpha, alpha][x] != x:
-                fail("ii1", f"varphi ({y.names[alpha]},{y.names[alpha]}) moves {names[x]}")
-
-    # (ii)(2) sums of nil elements that fall into a kernel keep doing so
-    # under the maps
-    for alpha in y.elements():
-        for beta in y.elements():
-            delta = y.add[alpha][beta]
-            for gamma in above[delta]:
-                for a in nil_indices[alpha]:
-                    for b in nil_indices[beta]:
-                        if s.add[a][b] in nils[delta]:
-                            continue
-                        fa, fb = maps[alpha, gamma][a], maps[beta, gamma][b]
-                        if s.add[fa][fb] in nils[gamma]:
-                            fail("ii2", f"{names[a]}+{names[b]} left the nil part but the "
-                                        f"images' sum stays nil in {y.names[gamma]}")
-
-    # (ii)(3) composition on nil parts, membership-sensitively
-    for alpha, beta in maps:
+        if alpha == beta:
+            # (ii)(1) the diagonal nil maps are identities
+            for x in nil:
+                if f[x] != x:
+                    fail("ii1", f"varphi ({y.names[alpha]},{y.names[alpha]}) moves {names[x]}")
+        else:
+            # (ii) preamble: each varphi injective and a homomorphism wherever
+            # the nil part defines the operation; the assembled class map
+            # injective
+            if len(set(f.values())) != len(f):
+                fail("ii-mono", f"assembled map ({y.names[alpha]},{y.names[beta]}) is not injective")
+            for x, img in f.items():
+                if img not in d.classes[beta]:
+                    fail("ii-mono", f"image of {names[x]} leaves class {y.names[beta]}")
+            for x in nil:
+                for x2 in nil:
+                    for op, what in ((s.add, "addition"), (s.mul, "multiplication")):
+                        if op[x][x2] in nils[alpha] and op[f[x]][f[x2]] != f[op[x][x2]]:
+                            fail("ii-mono", f"varphi ({y.names[alpha]},{y.names[beta]}) breaks {what} "
+                                            f"at ({names[x]},{names[x2]})")
+            # (iii) the maps commute with the kernel retraction
+            for a in nil:
+                if p[f[a]] != f[p[a]]:
+                    fail("iii", f"psi does not commute with the map at {names[a]} for "
+                                f"({y.names[alpha]},{y.names[beta]})")
+        # (ii)(3) composition on nil parts, membership-sensitively
         for gamma in above[beta]:
-            for a in nil_indices[alpha]:
-                img = maps[alpha, beta][a]
-                if img in nils[beta]:
-                    if maps[beta, gamma][img] != maps[alpha, gamma][a]:
+            f_bg, f_ag = maps[beta, gamma], maps[alpha, gamma]
+            for a in nil:
+                if f[a] in nils[beta]:
+                    if f_bg[f[a]] != f_ag[a]:
                         fail("ii3", f"varphi composition breaks at {names[a]} via "
                                     f"({y.names[alpha]},{y.names[beta]},{y.names[gamma]})")
-                elif maps[alpha, gamma][a] in nils[gamma]:
+                elif f_ag[a] in nils[gamma]:
                     fail("ii3", f"{names[a]} maps out of the nil part at {y.names[beta]} "
                                 f"but back into it at {y.names[gamma]}")
 
-    # (ii)(4) products of nil elements, membership-sensitively
     for alpha in y.elements():
         for beta in y.elements():
-            delta = y.add[alpha][beta]
-            gamma_idx = y.mul[alpha][beta]
+            delta, gamma_idx = y.add[alpha][beta], y.mul[alpha][beta]
             for gamma in above[delta]:
+                f_ag, f_bg = maps[alpha, gamma], maps[beta, gamma]
                 for a in nil_indices[alpha]:
                     for b in nil_indices[beta]:
-                        prod = s.mul[a][b]
-                        fa, fb = maps[alpha, gamma][a], maps[beta, gamma][b]
+                        total, prod = s.add[a][b], s.mul[a][b]
+                        fa, fb = f_ag[a], f_bg[b]
+                        # (ii)(2) sums of nil elements that fall into a kernel
+                        # keep doing so under the maps; (ii)(5) at alpha+beta
+                        # the maps realize the sums that stay nil
+                        if total in nils[delta]:
+                            if gamma == delta and total != s.add[fa][fb]:
+                                fail("ii5", f"{names[a]}+{names[b]} is not realized by the maps")
+                        elif s.add[fa][fb] in nils[gamma]:
+                            fail("ii2", f"{names[a]}+{names[b]} left the nil part but the "
+                                        f"images' sum stays nil in {y.names[gamma]}")
+                        # (ii)(4) products of nil elements, membership-
+                        # sensitively; (ii)(5) for products at alpha+beta
                         if prod in nils[gamma_idx]:
                             if s.mul[fa][fb] != maps[gamma_idx, gamma][prod]:
                                 fail("ii4", f"({names[a]}*{names[b]}) does not track through "
                                             f"the maps into {y.names[gamma]}")
-                        else:
-                            if s.mul[fa][fb] in nils[gamma]:
-                                fail("ii4", f"{names[a]}*{names[b]} left the nil part but the "
-                                            f"images' product stays nil in {y.names[gamma]}")
-
-    # (ii)(5) where sums and products of nil elements stay nil, the maps
-    # already realize them at level alpha+beta
-    for alpha in y.elements():
-        for beta in y.elements():
-            delta = y.add[alpha][beta]
-            gamma_idx = y.mul[alpha][beta]
-            for a in nil_indices[alpha]:
-                for b in nil_indices[beta]:
-                    fa, fb = maps[alpha, delta][a], maps[beta, delta][b]
-                    if s.add[a][b] in nils[delta] and s.add[a][b] != s.add[fa][fb]:
-                        fail("ii5", f"{names[a]}+{names[b]} is not realized by the maps")
-                    prod = s.mul[a][b]
-                    if prod in nils[gamma_idx] and maps[gamma_idx, delta][prod] != s.mul[fa][fb]:
-                        fail("ii5", f"{names[a]}*{names[b]} is not realized by the maps")
-
-    # (iii) the maps commute with the kernel retraction
-    p = psi(s, d).images
-    for alpha, beta in maps:
-        if alpha == beta:
-            continue
-        for a in nil_indices[alpha]:
-            if p[maps[alpha, beta][a]] != maps[alpha, beta][p[a]]:
-                fail("iii", f"psi does not commute with the map at {names[a]} for "
-                            f"({y.names[alpha]},{y.names[beta]})")
+                                if gamma == delta:
+                                    fail("ii5", f"{names[a]}*{names[b]} is not realized by the maps")
+                        elif s.mul[fa][fb] in nils[gamma]:
+                            fail("ii4", f"{names[a]}*{names[b]} left the nil part but the "
+                                        f"images' product stays nil in {y.names[gamma]}")
 
     return ConditionReport(verdicts=verdicts, witnesses=witnesses)
 
@@ -683,9 +660,7 @@ def _forced_theta(s: FiniteSemiring, d: Decomposition) -> dict[tuple[int, int], 
     for alpha, beta in comparable_pairs(d.blattice):
         e_beta = d.idempotents[beta]
         f = {r: s.add[r][e_beta] for r in sorted(d.kernels[alpha])}
-        if any(img not in d.kernels[beta] for img in f.values()):
-            return None
-        if len(set(f.values())) != len(f):
+        if any(img not in d.kernels[beta] for img in f.values()) or len(set(f.values())) != len(f):
             return None
         theta[(alpha, beta)] = f
     return theta
@@ -696,30 +671,29 @@ def _search_family(s: FiniteSemiring, d: Decomposition) -> StructureMaps | None:
     if theta is None or _frame_failures(d.blattice, ()):
         return None
     y = d.blattice
-    pairs = [(a, b) for a, b in comparable_pairs(y)]
-    slots = [(alpha, beta, x) for alpha, beta in pairs for x in d.nil_indices(alpha)]
-    phi: dict[tuple[int, int], dict[int, int]] = {
-        (alpha, alpha): {g: g for g in d.classes[alpha]} for alpha in y.elements()
-    }
-    for pair, f in theta.items():
-        phi[pair] = dict(f)
+    slots = [(alpha, beta, x) for alpha, beta in comparable_pairs(y) for x in d.nil_indices(alpha)]
+    # the forced kernel maps, fresh dicts, are extended in place
+    phi = {(alpha, alpha): {g: g for g in d.classes[alpha]} for alpha in y.elements()}
+    phi.update(theta)
 
     def candidates(alpha, beta, x):
         e_beta = d.idempotents[beta]
         want = s.add[s.add[x][d.idempotents[alpha]]][e_beta]
         taken = set(phi[(alpha, beta)].values())
-        out = []
-        for yv in sorted(d.classes[beta]):
-            if yv in taken:
-                continue
-            if s.add[yv][e_beta] != want:  # psi-compatibility, condition (iii)
-                continue
-            # the addition law pins the image row against the target class
-            if any(s.add[yv][b] != s.add[x][b] or s.add[b][yv] != s.add[b][x]
-                   for b in d.classes[beta]):
-                continue
-            out.append(yv)
-        return out
+        # psi-compatibility, condition (iii), and the addition law, which
+        # pins the image row against the target class
+        return [yv for yv in sorted(d.classes[beta])
+                if yv not in taken and s.add[yv][e_beta] == want
+                and all(s.add[yv][b] == s.add[x][b] and s.add[b][yv] == s.add[b][x] for b in d.classes[beta])]
+
+    def clashes(f, x, yv):
+        """f, with x -> yv assigned, is no partial homomorphism: a sum or
+        product of x and an assigned element, in either order, has an image
+        other than the sum or product of their images."""
+        return any(op[u][v] in f and f[op[u][v]] != op[iu][iv]
+                   for x2, img2 in f.items()
+                   for u, v, iu, iv in ((x, x2, yv, img2), (x2, x, img2, yv))
+                   for op in (s.add, s.mul))
 
     def extend(k: int) -> StructureMaps | None:
         if k == len(slots):
@@ -729,19 +703,8 @@ def _search_family(s: FiniteSemiring, d: Decomposition) -> StructureMaps | None:
         f = phi[(alpha, beta)]
         for yv in candidates(alpha, beta, x):
             f[x] = yv
-            ok = True
-            # partial homomorphism check against already-assigned images
-            for x2, img2 in list(f.items()):
-                for u, v, iu, iv in ((x, x2, yv, img2), (x2, x, img2, yv)):
-                    su, pu = s.add[u][v], s.mul[u][v]
-                    if su in f and f[su] != s.add[iu][iv]:
-                        ok = False
-                    if pu in f and f[pu] != s.mul[iu][iv]:
-                        ok = False
-            if ok:
-                result = extend(k + 1)
-                if result is not None:
-                    return result
+            if not clashes(f, x, yv) and (result := extend(k + 1)) is not None:
+                return result
             del f[x]
         return None
 
@@ -757,11 +720,15 @@ def _family_items(s: FiniteSemiring) -> tuple | None:
     return None if m is None else tuple((pair, tuple(f.items())) for pair, f in m.phi.items())
 
 
+def _check_search_bound(s: FiniteSemiring) -> None:
+    if s.order > SEARCH_BOUND:
+        raise SearchBoundExceeded(f"order {s.order} exceeds search bound {SEARCH_BOUND}")
+
+
 def search_structure_maps(s: FiniteSemiring) -> StructureMaps | None:
     """Exhaustive, deterministic search for a family presenting s as a strong
     b-lattice of its classes; None when no family exists."""
-    if s.order > SEARCH_BOUND:
-        raise SearchBoundExceeded(f"order {s.order} exceeds search bound {SEARCH_BOUND}")
+    _check_search_bound(s)
     d = decompose(s)
     _require_saqci(s, d)
     items = _family_items(s)
@@ -774,8 +741,7 @@ def check_generalized_clifford_theorem(s: FiniteSemiring):
     presenting family with empty nil parts (strong b-lattice of skew-rings)."""
     from .classify import TheoremReport, classify
 
-    if s.order > SEARCH_BOUND:
-        raise SearchBoundExceeded(f"order {s.order} exceeds search bound {SEARCH_BOUND}")
+    _check_search_bound(s)
     report = classify(s)
     # decompose raises NotQuasiCompletelyRegular on the others
     d = decompose(s) if report.holds("quasi-completely-regular") else None

@@ -26,9 +26,9 @@ skew-rings, one J+ class, one J*+ class) are read off the one record per
 addition, `kernel.additive_facts`, which the memo keeps once for every
 semiring with that addition. The rest read the multiplication as well:
 complete regularity through the one vector `elements.complete_regularity`,
-the k-ideal property of E+, the quasi skew-ring check and the band law of
-the multiplication; complete and quasi complete regularity read that one
-vector. `classify` and QSR3 read one memoized quasi skew-ring report of
+the k-ideal property of E+, the quasi skew-ring check and the b-lattice
+test `kernel.is_b_lattice`; complete and quasi complete regularity read
+that one vector. `classify` and QSR3 read one memoized quasi skew-ring report of
 the carrier; QCR5, QCI5 and `decompose` one report per H*+ class, which is
 the carrier's when there is one class.
 
@@ -103,7 +103,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import InternalTheoremViolation, NotQuasiCompletelyRegular, UnknownTheoremId
-from .kernel import AdditiveFacts, FiniteSemiring, Partition, ReductFlag, additive_facts, memo
+from .kernel import AdditiveFacts, FiniteSemiring, Partition, ReductFlag, additive_facts, is_b_lattice, memo
 from .elements import complete_regularity
 from .relations import generated_congruence
 from .structure import _carrier_report, _class_reports, _is_ideal, _is_k_ideal, _quasi_skew_ring_report
@@ -222,8 +222,7 @@ def classify(s: FiniteSemiring) -> ClassReport:
     # E+ is nonempty: every additive orbit holds an idempotent
     gc = cr and inv and _is_generalized_clifford(s, facts, s.elements())
     qsr = _carrier_report(s)
-    # `kernel.is_b_lattice`, with the additive flag read off the record
-    blat = ReductFlag.SEMILATTICE in facts.flags and all(s.mul[a][a] == a for a in s.elements())
+    blat = is_b_lattice(s)
     group = ReductFlag.GROUP in facts.flags
     simple = cr and facts.green["J"].num_blocks == 1
     archimedean = qcr and facts.green_star["J"].num_blocks == 1

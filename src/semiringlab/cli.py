@@ -77,13 +77,17 @@ def _emit(report: Report) -> None:
     sys.stdout.write(report.render())
 
 
+def _add_failures(report: Report, failures) -> None:
+    for failure in failures:
+        report.add(f"failure.{failure.law}", "(" + ", ".join(failure.witness) + ")")
+
+
 def _cmd_validate(args) -> int:
     s = _load(args.file)
     result = validate(s)
     report = Report()
     report.add("verdict", _bool(result.verdict))
-    for failure in result.failures:
-        report.add(f"failure.{failure.law}", "(" + ", ".join(failure.witness) + ")")
+    _add_failures(report, result.failures)
     _emit(report)
     return 0 if result.verdict else 1
 
@@ -100,17 +104,11 @@ def _cmd_classify(args) -> int:
             report.add(f"class.{key}.evidence", verdict.evidence)
     disagreement = False
     if args.verify_theorems:
-        for theorem in THEOREM_IDS:
-            tr = verify_equivalence(s, theorem)
+        for tr in [*(verify_equivalence(s, theorem) for theorem in THEOREM_IDS), verify_ideal_corollary(s)]:
             for label, holds, _ in tr.conditions:
-                report.add(f"theorem.{theorem}.{label}", _bool(holds))
-            report.add(f"theorem.{theorem}.agreement", _bool(tr.agreement))
+                report.add(f"theorem.{tr.theorem}.{label}", _bool(holds))
+            report.add(f"theorem.{tr.theorem}.agreement", _bool(tr.agreement))
             disagreement = disagreement or not tr.agreement
-        tr = verify_ideal_corollary(s)
-        for label, holds, _ in tr.conditions:
-            report.add(f"theorem.IDEALS.{label}", _bool(holds))
-        report.add("theorem.IDEALS.agreement", _bool(tr.agreement))
-        disagreement = disagreement or not tr.agreement
     _emit(report)
     return 1 if disagreement else 0
 
@@ -159,8 +157,7 @@ def _cmd_compose(args) -> int:
     report = Report()
     report.add("spec-valid", _bool(result.verdict))
     if not result.verdict:
-        for failure in result.failures:
-            report.add(f"failure.{failure.law}", "(" + ", ".join(failure.witness) + ")")
+        _add_failures(report, result.failures)
         _emit(report)
         return 1
     composed = compose(spec)

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import pytest
@@ -696,3 +697,40 @@ def test_condition_i_kernel_family_agrees_with_building(presenting_families):
             checked += 1
             failed += not expected
     assert 0 < failed == checked - len(presenting_families)
+
+
+# sha256 over every single-entry corruption of every family in
+# `presenting_families`: per member its .srt text, then per corruption the
+# line "pair x image" and each main-theorem condition as "key holds witness"
+CORRUPTIONS_SHA256 = "1da82accbaa6f190f59b2686851a39ffd12ea22a0e5e1174173266860b30dfa1"
+
+
+def test_every_single_entry_corruption_is_pinned(presenting_families):
+    """Each entry of each found map, diagonal maps included, is moved to
+    every other element of s in turn. The verdicts and first witnesses of
+    the main-theorem conditions are pinned, no corruption meets them all,
+    and the direct check agrees with them on every one (no theorem
+    violation is warned)."""
+    h = hashlib.sha256()
+    corruptions = all_hold = 0
+    for s, d, m in presenting_families:
+        h.update(sl.serialize_srt(s).encode())
+        for pair, f in sorted(m.phi.items()):
+            for x in sorted(f):
+                for img in s.elements():
+                    if img == f[x]:
+                        continue
+                    phi = {p: dict(g) for p, g in m.phi.items()}
+                    phi[pair][x] = img
+                    family = sl.StructureMaps(decomposition=d, phi=phi)
+                    report = sl.check_main_theorem_conditions(s, d, family)
+                    h.update(f"{pair} {x} {img}\n".encode())
+                    for key in sl.blattice.CONDITION_KEYS:
+                        h.update(f"{key} {int(report.verdicts[key])} {report.witnesses[key]}\n".encode())
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", TheoremViolationWarning)
+                        sl.verify_strong_blattice(s, d, family)
+                    corruptions += 1
+                    all_hold += report.all_hold
+    assert (corruptions, all_hold) == (2161, 0)
+    assert h.hexdigest() == CORRUPTIONS_SHA256

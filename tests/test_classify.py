@@ -149,7 +149,9 @@ def classify_by_elements(s):
     put("quasi-skew-ring", qsr.skew_ring_absorbs_multiples,
         f"kernel {{{', '.join(sorted(names[i] for i in qsr.kernel))}}}" if qsr.kernel else
         f"{len(idems)} additive idempotents")
-    blat = is_b_lattice(s)
+    # a b-lattice by its definition: both reducts bands, the addition commutative
+    blat = all(s.add[a][a] == a == s.mul[a][a] for a in elements) and all(
+        s.add[a][b] == s.add[b][a] for a in elements for b in elements)
     put("b-lattice", blat, "" if blat else "reducts are not semilattice/band")
     j_one = sl.green_plus(s, "J").num_blocks == 1
     put("completely-simple", cr and j_one, "" if cr and j_one else cr_why or "J+ has several blocks")

@@ -455,3 +455,141 @@ def test_enumerate_class_filter(run):
     assert code == 0 and out == "count: 4\n"
     code, _, err = run("enumerate", "--order", "2", "--class", "bogus")
     assert code == 2 and "unknown class" in err
+
+
+# byte-exact reports, each with its exit code: classify --verify-theorems on
+# QSR3 and on the semiring composed from ZUNION_Z2_SBL, a validate that fails
+# and a compose that fails
+CLASSIFY_QSR3_GOLDEN = """\
+order: 3
+elements: a b 0
+class.additively-regular: false
+class.additively-regular.evidence: a has no x with a+x+a=a
+class.additively-inverse: false
+class.additively-inverse.evidence: a has 0 additive inverses
+class.additively-quasi-inverse: true
+class.completely-regular: false
+class.completely-regular.evidence: a is not completely regular
+class.quasi-completely-regular: true
+class.quasi-completely-inverse: true
+class.strongly-additively-quasi-inverse: true
+class.strongly-additively-quasi-completely-inverse: true
+class.generalized-clifford: false
+class.generalized-clifford.evidence: a is not completely regular
+class.skew-ring: false
+class.skew-ring.evidence: additive reduct is not a group
+class.quasi-skew-ring: true
+class.quasi-skew-ring.evidence: kernel {0}
+class.b-lattice: false
+class.b-lattice.evidence: reducts are not semilattice/band
+class.completely-simple: false
+class.completely-simple.evidence: a is not completely regular
+class.completely-archimedean: true
+theorem.QSR3.i: true
+theorem.QSR3.ii: true
+theorem.QSR3.iii: true
+theorem.QSR3.agreement: true
+theorem.QCR5.i: true
+theorem.QCR5.ii: true
+theorem.QCR5.iii: true
+theorem.QCR5.iv: true
+theorem.QCR5.v: true
+theorem.QCR5.agreement: true
+theorem.QCI5.i: true
+theorem.QCI5.ii: true
+theorem.QCI5.iii: true
+theorem.QCI5.iv: true
+theorem.QCI5.v: true
+theorem.QCI5.agreement: true
+theorem.SAQCI3.i: true
+theorem.SAQCI3.ii: true
+theorem.SAQCI3.iii: true
+theorem.SAQCI3.agreement: true
+theorem.HJEQ.i: true
+theorem.HJEQ.ii: true
+theorem.HJEQ.agreement: true
+theorem.IDEALS.saqci: true
+theorem.IDEALS.qci-with-ideals: true
+theorem.IDEALS.agreement: true
+"""
+
+CLASSIFY_COMPOSED_GOLDEN = """\
+order: 3
+elements: z 0 1
+class.additively-regular: true
+class.additively-inverse: true
+class.additively-quasi-inverse: true
+class.completely-regular: true
+class.quasi-completely-regular: true
+class.quasi-completely-inverse: true
+class.strongly-additively-quasi-inverse: true
+class.strongly-additively-quasi-completely-inverse: true
+class.generalized-clifford: true
+class.skew-ring: false
+class.skew-ring.evidence: additive reduct is not a group
+class.quasi-skew-ring: false
+class.quasi-skew-ring.evidence: 2 additive idempotents
+class.b-lattice: false
+class.b-lattice.evidence: reducts are not semilattice/band
+class.completely-simple: false
+class.completely-simple.evidence: J+ has several blocks
+class.completely-archimedean: false
+class.completely-archimedean.evidence: J*+ has several blocks
+theorem.QSR3.i: false
+theorem.QSR3.ii: false
+theorem.QSR3.iii: false
+theorem.QSR3.agreement: true
+theorem.QCR5.i: true
+theorem.QCR5.ii: true
+theorem.QCR5.iii: true
+theorem.QCR5.iv: true
+theorem.QCR5.v: true
+theorem.QCR5.agreement: true
+theorem.QCI5.i: true
+theorem.QCI5.ii: true
+theorem.QCI5.iii: true
+theorem.QCI5.iv: true
+theorem.QCI5.v: true
+theorem.QCI5.agreement: true
+theorem.SAQCI3.i: true
+theorem.SAQCI3.ii: true
+theorem.SAQCI3.iii: true
+theorem.SAQCI3.agreement: true
+theorem.HJEQ.i: true
+theorem.HJEQ.ii: true
+theorem.HJEQ.agreement: true
+theorem.IDEALS.saqci: true
+theorem.IDEALS.qci-with-ideals: true
+theorem.IDEALS.agreement: true
+"""
+
+VALIDATE_XOR_GOLDEN = """\
+verdict: false
+failure.left-distributivity: (1, 0, 0)
+failure.right-distributivity: (1, 0, 0)
+"""
+
+COMPOSE_BAD_GOLDEN = """\
+spec-valid: false
+failure.monomorphism-add: (p, q, z, z)
+failure.condition-3-containment: (p, q, q, z, 0)
+"""
+
+
+def test_reports_match_their_goldens(run, qsr3_file, tmp_path):
+    sbl = tmp_path / "gc.sbl"
+    sbl.write_text(ZUNION_Z2_SBL, encoding="utf-8")
+    composed = tmp_path / "gc.srt"
+    assert run("compose", str(sbl), "-o", str(composed))[0] == 0
+    xor = tmp_path / "xor.srt"
+    xor.write_text(XOR_SRT, encoding="utf-8")
+    bad = tmp_path / "bad.sbl"
+    bad.write_text(ZUNION_Z2_SBL.replace("z -> 0", "z -> 1"), encoding="utf-8")
+    for argv, golden in (
+        (("classify", qsr3_file, "--verify-theorems"), (0, CLASSIFY_QSR3_GOLDEN)),
+        (("classify", str(composed), "--verify-theorems"), (0, CLASSIFY_COMPOSED_GOLDEN)),
+        (("validate", str(xor)), (1, VALIDATE_XOR_GOLDEN)),
+        (("compose", str(bad)), (1, COMPOSE_BAD_GOLDEN)),
+    ):
+        code, out, err = run(*argv)
+        assert ((code, out), err) == (golden, ""), argv

@@ -3,12 +3,13 @@ import pytest
 import semiringlab as sl
 from semiringlab.elements import (
     commuting_witnesses,
+    complete_regularity,
     is_completely_regular,
     is_quasi_completely_regular_semiring,
     least_regular_multiples,
 )
-from semiringlab.errors import MalformedWitness, OutOfRange
-from semiringlab.kernel import FiniteSemiring, check_element, inverses, orbit
+from semiringlab.errors import MalformedWitness, NotQuasiCompletelyRegular, OutOfRange
+from semiringlab.kernel import ADD, FiniteSemiring, check_element, inverses, orbit, orbits
 
 from conftest import additive_h_class, is_additively_regular
 
@@ -89,6 +90,28 @@ def test_reg_plus_equals_cr_set_on_qcr_members(corpus_small):
             assert sl.reg_plus(s) == sl.cr_set(s)
             checked += 1
     assert checked > 10
+
+
+def test_quasi_complete_regularity_matches_its_orbit_definition(
+    corpus_small, corpus_order4, corpus_order5, corpus_order6
+):
+    """Quasi complete regularity by its definition, every additive orbit
+    holding a completely regular element, is the verdict of `classify` and
+    of `is_quasi_completely_regular_semiring`, and `decompose` refuses
+    exactly the members where it fails."""
+    verdicts = set()
+    for s in corpus_small + corpus_order4 + corpus_order5 + corpus_order6:
+        cr = complete_regularity(s)
+        qcr = all(any(cr[v] for v in orb.values) for orb in orbits(s, ADD))
+        assert sl.classify(s).holds("quasi-completely-regular") is qcr
+        assert is_quasi_completely_regular_semiring(s) is qcr
+        if qcr:
+            sl.decompose(s)
+        else:
+            with pytest.raises(NotQuasiCompletelyRegular):
+                sl.decompose(s)
+        verdicts.add(qcr)
+    assert verdicts == {False, True}
 
 
 def test_witness_is_normalized(corpus_small):
